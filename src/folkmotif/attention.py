@@ -19,7 +19,6 @@ import dataclasses
 import hashlib
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -97,11 +96,10 @@ class ClassifierConfig:
     max_len: int = 500  # songs longer than this many motifs are truncated
     val_fraction: float = 0.0  # > 0 keeps the best epoch by held-out loss
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
-        if min(self.hidden, self.attention_dim, self.batch, self.epochs, self.workers) < 1:
-            raise ValueError("hidden, attention_dim, batch, epochs, and workers must be positive")
+        if min(self.hidden, self.attention_dim, self.batch, self.epochs, self.max_len) < 1:
+            raise ValueError("hidden, attention_dim, batch, epochs, and max_len must be positive")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
 
@@ -185,14 +183,6 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum()
 
 
-def gru_step(x: np.ndarray, h_prev: np.ndarray, p: GruDirection) -> np.ndarray:
-    """One GRU update: h = (1 - z) * h_prev + z * tanh-candidate."""
-    z = _sigmoid(p.w_z @ x + p.u_z @ h_prev + p.b_z)
-    r = _sigmoid(p.w_r @ x + p.u_r @ h_prev + p.b_r)
-    h_cand = np.tanh(p.w_h @ x + p.u_h @ (r * h_prev) + p.b_h)
-    return (1.0 - z) * h_prev + z * h_cand
-
-
 @dataclass
 class _ScanCache:
     xs: np.ndarray  # T x d in processing order
@@ -252,20 +242,6 @@ def _scan_grad(dh_seq: np.ndarray, cache: _ScanCache, p: GruDirection, g: GruDir
         g.w_h += np.outer(dah, x)
         g.u_h += np.outer(dah, r * hp)
         g.b_h += dah
-
-
-def bgru_encode(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Annotations h_1..h_T, each the concat of forward and backward states."""
-    fwd = _scan(x, params.gru_fwd)
-    bwd = _scan(x[::-1], params.gru_bwd)
-    return np.concatenate([fwd.h, bwd.h[::-1]], axis=1)
-
-
-def attend(annotations: np.ndarray, attn: AttentionParams) -> tuple[np.ndarray, np.ndarray]:
-    """Context vector and attention weights over the annotations."""
-    q = np.tanh(annotations @ attn.w.T + attn.b)
-    alpha = _softmax(q @ attn.u)
-    return alpha @ annotations, alpha
 
 
 @dataclass
@@ -385,7 +361,7 @@ def train_classifier(
     classes: Sequence[str],
     config: Optional[ClassifierConfig] = None,
 ) -> AttentionModel:
-    """Mini-batch SGD; deterministic (bit-reproducible) when workers=1.
+    """Mini-batch SGD; bit-reproducible under the config seed.
 
     With val_fraction > 0 a seeded holdout is split off and the parameters
     of the best epoch by holdout loss are returned; otherwise the final
@@ -410,47 +386,35 @@ def train_classifier(
     if not train:
         raise ValueError("validation split leaves no training data")
 
-    pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
     best_val = np.inf
     best_params = None
-    try:
-        for _ in range(config.epochs):
-            order = rng.permutation(len(train))
-            epoch_loss = 0.0
-            for start in range(0, len(order), config.batch):
-                batch = [train[i] for i in order[start : start + config.batch]]
-                grads = zero_gradients(model.params)
-                if pool is None:
-                    results = [backward(ex.x, ex.label, model.params) for ex in batch]
-                else:
-                    # Batch members all see the pre-update parameters, so the
-                    # aggregate matches the serial result batch for batch.
-                    results = list(
-                        pool.map(lambda ex: backward(ex.x, ex.label, model.params), batch)
-                    )
-                for loss, g in results:
-                    epoch_loss += loss
-                    _accumulate(grads, g)
-                for _, g in _param_arrays(grads):
-                    g /= len(batch)
-                _sgd_step(model.params, grads, config.lr, config.clip_norm)
-            mean_loss = epoch_loss / len(train)
-            if not np.isfinite(mean_loss):
-                raise TrainingDiverged(
-                    f"epoch loss went non-finite ({mean_loss}); lower the learning rate"
-                )
-            model.epoch_losses.append(mean_loss)
-            if val:
-                val_loss = float(
-                    np.mean([forward_loss(ex.x, ex.label, model.params)[1] for ex in val])
-                )
-                model.val_losses.append(val_loss)
-                if val_loss < best_val:
-                    best_val = val_loss
-                    best_params = copy.deepcopy(model.params)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for _ in range(config.epochs):
+        order = rng.permutation(len(train))
+        epoch_loss = 0.0
+        for start in range(0, len(order), config.batch):
+            batch = [train[i] for i in order[start : start + config.batch]]
+            grads = zero_gradients(model.params)
+            for ex in batch:
+                loss, g = backward(ex.x, ex.label, model.params)
+                epoch_loss += loss
+                _accumulate(grads, g)
+            for _, g in _param_arrays(grads):
+                g /= len(batch)
+            _sgd_step(model.params, grads, config.lr, config.clip_norm)
+        mean_loss = epoch_loss / len(train)
+        if not np.isfinite(mean_loss):
+            raise TrainingDiverged(
+                f"epoch loss went non-finite ({mean_loss}); lower the learning rate"
+            )
+        model.epoch_losses.append(mean_loss)
+        if val:
+            val_loss = float(
+                np.mean([forward_loss(ex.x, ex.label, model.params)[1] for ex in val])
+            )
+            model.val_losses.append(val_loss)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_params = copy.deepcopy(model.params)
     if best_params is not None:
         model.params = best_params
     return model

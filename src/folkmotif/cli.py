@@ -18,17 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import (
-    ClassifierConfig,
-    alpha_csv,
-    make_examples,
-    predict_song,
-    save_model,
-    train_classifier,
-    vocab_digest,
-)
-from .baselines import SvmConfig, average_embedding, predict_svm, train_linear_svm, write_svm
-from .experiment import ExperimentConfig, ExperimentError, run_experiment
+from .attention import ClassifierConfig, alpha_csv
+from .baselines import SvmConfig, average_embedding
+from .experiment import ExperimentConfig, ExperimentError, run_attention, run_experiment, run_svm
 from .kern import ParseError
 from .melody import CorpusError, load_corpus, read_jsonl, write_jsonl
 from .metrics import evaluate, render_report, split_dataset
@@ -140,7 +132,6 @@ def _cmd_train_embeddings(args) -> None:
         negatives=args.negatives,
         epochs=args.epochs,
         seed=args.seed,
-        workers=1 if args.deterministic else args.workers,
     )
     emb = train_skipgram(songs, vocab, config)
     for i, objective in enumerate(emb.epoch_objectives, start=1):
@@ -172,22 +163,16 @@ def _cmd_train_classifier(args) -> None:
         max_len=args.max_len,
         val_fraction=args.val_fraction,
         seed=args.seed,
-        workers=args.workers,
     )
     train, test = split_dataset(songs, args.ratio, args.seed)
-    examples = make_examples(train, emb, classes, config.max_len)
-    model = train_classifier(examples, classes, config)
-    Path(args.out).write_text(save_model(model, vocab_digest(emb.vocab)), encoding="utf-8")
+    predictions, checkpoint, weighted = run_attention(train, test, emb, classes, config)
+    Path(args.out).write_text(checkpoint, encoding="utf-8")
     print(f"model written to {args.out}")
-
-    predictions = []
-    for song in test:
-        label, _, weighted = predict_song(model, song, emb, config.max_len)
-        predictions.append(label)
-        if args.alpha_dir:
-            out = Path(args.alpha_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / f"{song.id}.csv").write_text(alpha_csv(weighted), encoding="utf-8")
+    if args.alpha_dir:
+        out = Path(args.alpha_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        for song, pairs in zip(test, weighted):
+            (out / f"{song.id}.csv").write_text(alpha_csv(pairs), encoding="utf-8")
     report = evaluate(predictions, [s.label for s in test], classes)
     _report_out(report, f"attention ({len(train)} train / {len(test)} test)", args.out_json)
 
@@ -195,7 +180,6 @@ def _cmd_train_classifier(args) -> None:
 def _cmd_baseline(args) -> None:
     songs = read_token_file(Path(args.tokens).read_text(encoding="utf-8"))
     classes = sorted({s.label for s in songs})
-    class_index = {c: i for i, c in enumerate(classes)}
     train, test = split_dataset(songs, args.ratio, args.seed)
     if args.kind == "average":
         if not args.embeddings:
@@ -210,18 +194,11 @@ def _cmd_baseline(args) -> None:
             dim=args.dim, negatives=args.negatives, epochs=args.epochs, seed=args.seed
         )
         docs = train_pvdbow(songs, vocab, config)
-        vectors = {sid: docs.vector(sid) for sid in docs.ids}
-    X = np.array([vectors[s.id] for s in train])
-    y = [class_index[s.label] for s in train]
-    svm = train_linear_svm(
-        X,
-        y,
-        n_classes=len(classes),
-        config=SvmConfig(lam=args.lam, epochs=args.svm_epochs, seed=args.seed),
-    )
+        vectors = dict(zip(docs.ids, docs.vectors))
+    svm_config = SvmConfig(lam=args.lam, epochs=args.svm_epochs, seed=args.seed)
+    predictions, svm_text = run_svm(train, test, vectors, classes, svm_config)
     if args.out_svm:
-        Path(args.out_svm).write_text(write_svm(svm, classes), encoding="utf-8")
-    predictions = [classes[predict_svm(svm, vectors[s.id])] for s in test]
+        Path(args.out_svm).write_text(svm_text, encoding="utf-8")
     report = evaluate(predictions, [s.label for s in test], classes)
     _report_out(report, f"{args.kind} ({len(train)} train / {len(test)} test)", args.out_json)
 
@@ -304,9 +281,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true",
-                   help="force single-worker (bit-reproducible) training")
     p.add_argument("--out-embeddings", default="embeddings.txt")
     p.add_argument("--out-vocab", default="vocab.tsv")
     p.set_defaults(fn=_cmd_train_embeddings)
@@ -331,7 +305,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-len", type=int, default=500)
     p.add_argument("--val-fraction", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="model.txt")
     p.add_argument("--out-json", default=None, help="also write metrics JSON here")
     p.add_argument("--alpha-dir", default=None,

@@ -4,7 +4,8 @@ An experiment is fully described by an ExperimentConfig (JSON-serializable,
 so config files mirror it field for field). Artifacts — token file, vocab,
 embeddings, model, predictions, metrics JSON, text report — are written to
 an output directory, and reruns with the same config and corpus are
-byte-identical when training runs single-worker.
+byte-identical. The CLI trains and predicts through the same per-model
+functions, ``run_attention`` and ``run_svm``.
 """
 
 from __future__ import annotations
@@ -114,40 +115,42 @@ def _stage(name: str, fn, *args, **kwargs):
         raise ExperimentError(name, exc) from exc
 
 
-def _attention_branch(train, test, embeddings, classes, config):
-    examples = make_examples(train, embeddings, classes, config.classifier.max_len)
-    model = train_classifier(examples, classes, config.classifier)
-    test_examples = make_examples(test, embeddings, classes, config.classifier.max_len)
-    predictions = [classes[predict(model, ex.x)[0]] for ex in test_examples]
-    return predictions, {"model.txt": save_model(model, vocab_digest(embeddings.vocab))}
+def run_attention(train, test, embeddings, classes, config: ClassifierConfig):
+    """Train the attention classifier on the train songs and predict the test songs.
+
+    Returns the predicted labels, the checkpoint text, and each test song's
+    (motif, attention weight) pairs.
+    """
+    examples = make_examples(train, embeddings, classes, config.max_len)
+    model = train_classifier(examples, classes, config)
+    predictions, weighted = [], []
+    for ex in make_examples(test, embeddings, classes, config.max_len):
+        label, _, alpha = predict(model, ex.x)
+        predictions.append(classes[label])
+        weighted.append(list(zip(ex.tokens, alpha.tolist())))
+    return predictions, save_model(model, vocab_digest(embeddings.vocab)), weighted
 
 
-def _average_branch(train, test, embeddings, classes, config):
-    vectors = {s.id: average_embedding(s.tokens, embeddings) for s in [*train, *test]}
+def run_svm(train, test, vectors, classes, config: SvmConfig):
+    """Train the linear SVM on the train songs and predict the test songs.
+
+    vectors maps each song id to its vector (averaged motif embeddings or
+    PV-DBOW). Returns the predicted labels and the SVM text.
+    """
     class_index = {c: i for i, c in enumerate(classes)}
     X = np.array([vectors[s.id] for s in train])
     y = [class_index[s.label] for s in train]
-    svm = train_linear_svm(X, y, n_classes=len(classes), config=config.svm)
+    svm = train_linear_svm(X, y, n_classes=len(classes), config=config)
     predictions = [classes[predict_svm(svm, vectors[s.id])] for s in test]
-    ids = [s.id for s in [*train, *test]]
-    matrix = np.array([vectors[i] for i in ids])
-    return predictions, {
-        "svm.txt": write_svm(svm, classes),
-        "song_vectors.txt": write_embeddings(ids, matrix),
-    }
+    return predictions, write_svm(svm, classes)
 
 
-def _doc2vec_branch(train, test, all_songs, vocab, classes, config):
-    docs = train_pvdbow(all_songs, vocab, config.embedding)
-    class_index = {c: i for i, c in enumerate(classes)}
-    X = np.array([docs.vector(s.id) for s in train])
-    y = [class_index[s.label] for s in train]
-    svm = train_linear_svm(X, y, n_classes=len(classes), config=config.svm)
-    predictions = [classes[predict_svm(svm, docs.vector(s.id))] for s in test]
-    return predictions, {
-        "svm.txt": write_svm(svm, classes),
-        "song_vectors.txt": write_embeddings(list(docs.ids), docs.vectors),
-    }
+def _song_vectors(train, test, songs, embeddings, config):
+    if config.model == "average":
+        ids = [s.id for s in [*train, *test]]
+        return ids, np.array([average_embedding(s.tokens, embeddings) for s in [*train, *test]])
+    docs = train_pvdbow(songs, embeddings.vocab, config.embedding)
+    return docs.ids, docs.vectors
 
 
 def run_experiment(
@@ -173,17 +176,16 @@ def run_experiment(
     classes = sorted({s.label for s in songs})
 
     if config.model == "attention":
-        predictions, model_files = _stage(
-            "classifier", _attention_branch, train, test, embeddings, classes, config
+        predictions, checkpoint, _ = _stage(
+            "classifier", run_attention, train, test, embeddings, classes, config.classifier
         )
-    elif config.model == "average":
-        predictions, model_files = _stage(
-            "baseline", _average_branch, train, test, embeddings, classes, config
-        )
+        model_files = {"model.txt": checkpoint}
     else:
-        predictions, model_files = _stage(
-            "baseline", _doc2vec_branch, train, test, songs, vocab, classes, config
+        ids, matrix = _stage("baseline", _song_vectors, train, test, songs, embeddings, config)
+        predictions, svm_text = _stage(
+            "baseline", run_svm, train, test, dict(zip(ids, matrix)), classes, config.svm
         )
+        model_files = {"svm.txt": svm_text, "song_vectors.txt": write_embeddings(ids, matrix)}
 
     gold = [s.label for s in test]
     report = _stage("evaluate", evaluate, predictions, gold, classes)

@@ -12,7 +12,6 @@ vector standing in for v_w.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -36,13 +35,10 @@ class SkipgramConfig:
     lr_min: float = 0.0001
     power: float = 0.75
     seed: int = 0
-    workers: int = 1  # >1 trades determinism for wall-clock time
 
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.negatives < 1 or self.epochs < 1:
             raise ValueError("dim, window, negatives, and epochs must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
 
 
 @dataclass
@@ -178,57 +174,21 @@ def _run_epochs(
     config: SkipgramConfig,
 ) -> list[float]:
     centers = sum(len(s) for s in sequences)
+    rng = np.random.default_rng(config.seed)
+    progress = _linear_progress(config.epochs, centers)
     objectives = []
-    if config.workers == 1:
-        rng = np.random.default_rng(config.seed)
-        progress = _linear_progress(config.epochs, centers)
-        for _ in range(config.epochs):
-            total = _train_pass(
-                sequences, target_rows, input_vectors, output_vectors, dist, config, rng, progress
-            )
-            objectives.append(-total / centers)
-        return objectives
-
-    # Parallel mode: workers update the shared matrices without locks
-    # (hogwild-style); results are not bit-reproducible.
-    shards = [sequences[i :: config.workers] for i in range(config.workers)]
-    row_shards = (
-        [None] * config.workers
-        if target_rows is None
-        else [target_rows[i :: config.workers] for i in range(config.workers)]
-    )
-    for epoch in range(config.epochs):
-        epoch_total = 0.0
-        lock = threading.Lock()
-        threads = []
-
-        def work(shard, rows, seed):
-            nonlocal epoch_total
-            rng = np.random.default_rng(seed)
-            n = sum(len(s) for s in shard)
-            start = epoch / config.epochs
-            span = 1.0 / config.epochs
-            progress = (start + span * i / max(1, n) for i in range(n))
-            total = _train_pass(
-                shard, rows, input_vectors, output_vectors, dist, config, rng, progress
-            )
-            with lock:
-                epoch_total += total
-
-        for i, (shard, rows) in enumerate(zip(shards, row_shards)):
-            t = threading.Thread(target=work, args=(shard, rows, config.seed + 1000 * epoch + i))
-            t.start()
-            threads.append(t)
-        for t in threads:
-            t.join()
-        objectives.append(-epoch_total / centers)
+    for _ in range(config.epochs):
+        total = _train_pass(
+            sequences, target_rows, input_vectors, output_vectors, dist, config, rng, progress
+        )
+        objectives.append(-total / centers)
     return objectives
 
 
 def train_skipgram(
     songs: Sequence[TokenizedSong], vocab: Vocabulary, config: Optional[SkipgramConfig] = None
 ) -> Embeddings:
-    """Learn token embeddings; deterministic (bit-reproducible) when workers=1."""
+    """Learn token embeddings; bit-reproducible under the config seed."""
     config = config or SkipgramConfig()
     sequences = _encode_corpus(songs, vocab)
     rng = np.random.default_rng(config.seed)

@@ -272,7 +272,7 @@ def test_criterion_6_invariant_suite(tmp_path):
     for label in ("alpha", "beta"):
         assert sum(s.label == label for s in test) == 1  # floor(3 * 0.25 + 0.5)
 
-    # End-to-end byte-identical reruns in deterministic (single-worker) mode.
+    # End-to-end byte-identical reruns under a fixed seed.
     config = ExperimentConfig(
         embedding=SkipgramConfig(dim=8, window=2, negatives=2, epochs=2, seed=0),
         classifier=ClassifierConfig(hidden=5, attention_dim=3, epochs=2, max_len=30, seed=0),

@@ -14,13 +14,12 @@ from folkmotif.attention import (
     SongExample,
     TrainingDiverged,
     _energy_grad,
+    _forward,
     _param_arrays,
+    _sigmoid,
     alpha_csv,
-    attend,
     backward,
-    bgru_encode,
     forward_loss,
-    gru_step,
     init_model,
     load_model,
     make_examples,
@@ -53,6 +52,23 @@ def randomized_model(seed, dim=3, hidden=4, attention_dim=3, labels=("a", "b")):
     return model
 
 
+def gru_step(x, h_prev, p):
+    """Reference GRU update from the definition: h = (1 - z) * h_prev + z * candidate."""
+    z = _sigmoid(p.w_z @ x + p.u_z @ h_prev + p.b_z)
+    r = _sigmoid(p.w_r @ x + p.u_r @ h_prev + p.b_r)
+    h_cand = np.tanh(p.w_h @ x + p.u_h @ (r * h_prev) + p.b_h)
+    return (1.0 - z) * h_prev + z * h_cand
+
+
+def reference_scan(xs, p):
+    h = np.zeros(p.b_z.shape[0])
+    states = []
+    for x in xs:
+        h = gru_step(x, h, p)
+        states.append(h)
+    return np.array(states)
+
+
 def test_gru_step_zero_parameters_halve_the_state():
     p = zero_direction(2, 3)
     h = gru_step(np.ones(3), np.array([1.0, -1.0]), p)
@@ -64,13 +80,14 @@ def test_gru_step_zero_state_is_a_fixed_point():
     np.testing.assert_allclose(gru_step(np.ones(3), np.zeros(2), p), np.zeros(2))
 
 
-def test_bgru_single_step_matches_definition():
+def test_bgru_annotations_match_definition():
     model = randomized_model(1)
-    x = np.random.default_rng(2).normal(size=(1, 3))
-    ann = bgru_encode(x, model.params)
-    fwd = gru_step(x[0], np.zeros(4), model.params.gru_fwd)
-    bwd = gru_step(x[0], np.zeros(4), model.params.gru_bwd)
-    np.testing.assert_allclose(ann[0], np.concatenate([fwd, bwd]))
+    for T in (1, 2, 7):
+        x = np.random.default_rng(2 + T).normal(size=(T, 3))
+        fwd = reference_scan(x, model.params.gru_fwd)
+        bwd = reference_scan(x[::-1], model.params.gru_bwd)[::-1]
+        ann = _forward(x, model.params).annotations
+        np.testing.assert_allclose(ann, np.concatenate([fwd, bwd], axis=1), rtol=1e-12)
 
 
 def test_bgru_zero_parameters_give_zero_annotations():
@@ -80,7 +97,7 @@ def test_bgru_zero_parameters_give_zero_annotations():
         attn=AttentionParams(w=np.zeros((3, 8)), b=np.zeros(3), u=np.zeros(3)),
         out=OutputParams(w=np.zeros((2, 8)), b=np.zeros(2)),
     )
-    ann = bgru_encode(np.ones((6, 3)), params)
+    ann = _forward(np.ones((6, 3)), params).annotations
     assert ann.shape == (6, 8)
     np.testing.assert_array_equal(ann, np.zeros((6, 8)))
 
@@ -90,31 +107,35 @@ def test_bgru_zero_parameters_give_zero_annotations():
 def test_annotation_count_and_width(T, seed):
     model = randomized_model(5)
     x = np.random.default_rng(seed).normal(size=(T, 3))
-    assert bgru_encode(x, model.params).shape == (T, 2 * 4)
+    assert _forward(x, model.params).annotations.shape == (T, 2 * 4)
 
 
 def test_uniform_attention_when_query_is_zero():
-    attn = AttentionParams(w=np.ones((3, 2)), b=np.zeros(3), u=np.zeros(3))
-    annotations = np.random.default_rng(0).normal(size=(4, 2))
-    context, alpha = attend(annotations, attn)
-    np.testing.assert_allclose(alpha, [0.25] * 4)
-    np.testing.assert_allclose(context, annotations.mean(axis=0))
+    model = randomized_model(0)
+    model.params.attn.u[...] = 0.0
+    cache = _forward(np.random.default_rng(0).normal(size=(4, 3)), model.params)
+    np.testing.assert_allclose(cache.alpha, [0.25] * 4)
+    np.testing.assert_allclose(cache.context, cache.annotations.mean(axis=0))
 
 
 def test_attention_weights_match_analytic_softmax():
-    # energies come out as (ln 2, 0), so the weights must be (2/3, 1/3)
-    attn = AttentionParams(w=np.array([[1.0, 0.0]]), b=np.zeros(1), u=np.array([1.0]))
-    annotations = np.array([[np.arctanh(np.log(2.0)), 5.0], [0.0, -3.0]])
-    _, alpha = attend(annotations, attn)
-    np.testing.assert_allclose(alpha, [2 / 3, 1 / 3])
+    # The annotations do not depend on the attention parameters, so these
+    # can be set to make the energies (ln 2, 0); the weights must be (2/3, 1/3).
+    model = randomized_model(1, attention_dim=1)
+    x = np.random.default_rng(3).normal(size=(2, 3))
+    h = _forward(x, model.params).annotations[:, 0]
+    scale = np.arctanh(np.log(2.0)) / (h[0] - h[1])
+    model.params.attn = AttentionParams(
+        w=np.eye(1, 8) * scale, b=np.array([-scale * h[1]]), u=np.array([1.0])
+    )
+    np.testing.assert_allclose(_forward(x, model.params).alpha, [2 / 3, 1 / 3])
 
 
 def test_single_annotation_takes_all_attention():
-    attn = AttentionParams(w=np.ones((2, 3)), b=np.ones(2), u=np.ones(2))
-    annotations = np.random.default_rng(1).normal(size=(1, 3))
-    context, alpha = attend(annotations, attn)
-    np.testing.assert_allclose(alpha, [1.0])
-    np.testing.assert_allclose(context, annotations[0])
+    model = randomized_model(1)
+    cache = _forward(np.random.default_rng(1).normal(size=(1, 3)), model.params)
+    np.testing.assert_allclose(cache.alpha, [1.0])
+    np.testing.assert_allclose(cache.context, cache.annotations[0])
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))
@@ -253,17 +274,6 @@ def test_training_is_bit_reproducible():
     assert save_model(a) == save_model(b)
 
 
-def test_parallel_batches_match_serial_updates():
-    emb = _toy_embeddings()
-    examples = make_examples(_separable_songs(per_class=6), emb, ["alpha", "beta"])
-    serial = ClassifierConfig(hidden=5, attention_dim=3, epochs=2, seed=0, workers=1)
-    parallel = ClassifierConfig(hidden=5, attention_dim=3, epochs=2, seed=0, workers=3)
-    a = train_classifier(examples, ["alpha", "beta"], serial)
-    b = train_classifier(examples, ["alpha", "beta"], parallel)
-    for (_, pa), (_, pb) in zip(_param_arrays(a.params), _param_arrays(b.params)):
-        np.testing.assert_allclose(pa, pb, atol=1e-12)
-
-
 def test_divergent_learning_rate_aborts():
     emb = _toy_embeddings()
     examples = make_examples(_separable_songs(per_class=4), emb, ["alpha", "beta"])
@@ -330,6 +340,11 @@ def test_make_examples_truncates_long_songs():
     (ex,) = make_examples([song], emb, ["alpha", "beta"], max_len=7)
     assert ex.x.shape == (7, 5)
     assert len(ex.tokens) == 7
+
+
+def test_config_rejects_empty_max_len():
+    with pytest.raises(ValueError, match="max_len"):
+        ClassifierConfig(max_len=0)
 
 
 def test_make_examples_rejects_unknown_class():

@@ -60,7 +60,10 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
-    assert "subcommand" in capsys.readouterr().out or True
+    out = capsys.readouterr().out
+    for name in ("ingest", "tokenize", "train-embeddings", "similar", "train-classifier",
+                 "baseline", "evaluate", "experiment", "synth-corpus"):
+        assert name in out, name
 
 
 def test_malformed_source_pair_is_usage_error(tmp_path, capsys):
@@ -247,6 +250,15 @@ def test_experiment_bad_config_is_data_error(tmp_path, capsys):
     assert main(["experiment", "1", f"a={paths['alpha']}", f"b={paths['beta']}",
                  "--config", str(config)]) == 2
     assert "unknown experiment config fields" in capsys.readouterr().err
+
+
+def test_experiment_config_with_workers_is_data_error(tmp_path, capsys):
+    paths = write_single_label_corpora(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"embedding": {"workers": 4}}))
+    assert main(["experiment", "1", f"a={paths['alpha']}", f"b={paths['beta']}",
+                 "--config", str(config)]) == 2
+    assert "workers" in capsys.readouterr().err
 
 
 def test_synth_corpus_custom_inventories(tmp_path):

@@ -1,13 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from folkmotif.attention import ClassifierConfig
-from folkmotif.baselines import SvmConfig
+from folkmotif.attention import ClassifierConfig, _param_arrays, load_model
+from folkmotif.baselines import SvmConfig, read_svm
 from folkmotif.experiment import ExperimentConfig, ExperimentError, run_experiment
 from folkmotif.melody import LabeledCorpus
-from folkmotif.sgns import SkipgramConfig
+from folkmotif.sgns import SkipgramConfig, read_embeddings
 from folkmotif.synth import SynthConfig, generate_corpus
 
 
@@ -69,6 +70,59 @@ def test_rerun_is_byte_identical(tmp_path):
     assert set(first) == set(second)
     for name in first:
         assert Path(first[name]).read_bytes() == Path(second[name]).read_bytes(), name
+
+
+# Sum and norm over all the arrays parsed back from each artifact, plus the
+# test predictions, recorded before any rewrite of the training numerics. Values
+# are compared with a tolerance, not as bytes, so BLAS differences between
+# machines do not break the pin.
+EMBEDDINGS_DIGEST = [2.034446341782605, 0.8251741575535161]
+GOLDEN = {
+    "attention": (
+        {"embeddings.txt": EMBEDDINGS_DIGEST, "model.txt": [19.04312047999857, 9.357270893674931]},
+        ["alpha"] + ["beta"] * 5,
+    ),
+    "average": (
+        {
+            "embeddings.txt": EMBEDDINGS_DIGEST,
+            "svm.txt": [0.1438393130497236, 1.903274126829793],
+            "song_vectors.txt": [0.645067949136019, 0.17811367467352304],
+        },
+        ["beta"] * 6,
+    ),
+    "doc2vec": (
+        {
+            "embeddings.txt": EMBEDDINGS_DIGEST,
+            "svm.txt": [0.21082866665202044, 3.153407197944245],
+            "song_vectors.txt": [0.5945979964451131, 0.4830282346461232],
+        },
+        ["beta"] * 6,
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN))
+def test_artifacts_match_golden_digest(tmp_path, model):
+    _, artifacts = run_experiment(fast_config(model=model), small_corpus(), tmp_path)
+    text = {name: Path(path).read_text() for name, path in artifacts.items()}
+    arrays = {"embeddings.txt": [read_embeddings(text["embeddings.txt"])[1]]}
+    if model == "attention":
+        params = load_model(text["model.txt"])[0].params
+        arrays["model.txt"] = [a for _, a in _param_arrays(params)]
+    else:
+        svm, _ = read_svm(text["svm.txt"])
+        arrays["svm.txt"] = [svm.weights, svm.biases]
+        arrays["song_vectors.txt"] = [read_embeddings(text["song_vectors.txt"])[1]]
+    digest = {
+        name: [sum(a.sum() for a in arrs), np.sqrt(sum((a * a).sum() for a in arrs))]
+        for name, arrs in arrays.items()
+    }
+    expected_digest, expected_predictions = GOLDEN[model]
+    assert set(digest) == set(expected_digest)
+    for name, values in expected_digest.items():
+        np.testing.assert_allclose(digest[name], values, rtol=1e-9, err_msg=name)
+    predicted = [row.split(",")[2] for row in text["predictions.csv"].splitlines()[1:]]
+    assert predicted == expected_predictions
 
 
 def test_report_returned_without_out_dir():

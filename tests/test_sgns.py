@@ -143,13 +143,6 @@ def test_huge_learning_rate_diverges(fixture_songs):
         train_skipgram(fixture_songs, vocab, config)
 
 
-def test_parallel_mode_produces_finite_embeddings(fixture_songs):
-    vocab = build_vocab([s.tokens for s in fixture_songs])
-    config = SkipgramConfig(dim=8, window=2, negatives=3, epochs=2, seed=0, workers=2)
-    emb = train_skipgram(fixture_songs, vocab, config)
-    assert np.isfinite(emb.input_vectors).all()
-
-
 def test_doc_vectors_group_identical_songs():
     songs = [
         TokenizedSong(id="s1", label="x", tokens=("p", "q", "p", "q") * 8),
