@@ -31,17 +31,13 @@ from .vocab import Vocabulary, write_vocab
 
 @dataclass
 class GruDirection:
-    """One scan direction: update (z), reset (r), and candidate (h) gates."""
+    """One scan direction with its update (z), reset (r) and candidate (h)
+    gates fused: rows come in gate blocks [z; r; h]. The h block of u
+    multiplies r * state, as in Cho et al. 2014."""
 
-    w_z: np.ndarray  # H x d
-    u_z: np.ndarray  # H x H
-    b_z: np.ndarray  # H
-    w_r: np.ndarray
-    u_r: np.ndarray
-    b_r: np.ndarray
-    w_h: np.ndarray
-    u_h: np.ndarray
-    b_h: np.ndarray
+    w: np.ndarray  # 3H x d
+    u: np.ndarray  # 3H x H
+    b: np.ndarray  # 3H
 
 
 @dataclass
@@ -74,11 +70,11 @@ class AttentionModel:
 
     @property
     def dim(self) -> int:
-        return self.params.gru_fwd.w_z.shape[1]
+        return self.params.gru_fwd.w.shape[1]
 
     @property
     def hidden(self) -> int:
-        return self.params.gru_fwd.w_z.shape[0]
+        return self.params.gru_fwd.u.shape[1]
 
     @property
     def attention_dim(self) -> int:
@@ -153,17 +149,9 @@ def init_model(
     h, a, L = hidden, attention_dim, len(labels)
 
     def direction():
-        return GruDirection(
-            w_z=_xavier(rng, h, dim),
-            u_z=_xavier(rng, h, h),
-            b_z=np.zeros(h),
-            w_r=_xavier(rng, h, dim),
-            u_r=_xavier(rng, h, h),
-            b_r=np.zeros(h),
-            w_h=_xavier(rng, h, dim),
-            u_h=_xavier(rng, h, h),
-            b_h=np.zeros(h),
-        )
+        # per gate z, r, h: its input block, then its recurrent block
+        blocks = [_xavier(rng, h, cols) for cols in (dim, h) * 3]
+        return GruDirection(np.vstack(blocks[0::2]), np.vstack(blocks[1::2]), np.zeros(3 * h))
 
     params = ModelParams(
         gru_fwd=direction(),
@@ -194,27 +182,24 @@ class _ScanCache:
 
 
 def _scan(xs: np.ndarray, p: GruDirection) -> _ScanCache:
-    T = xs.shape[0]
-    H = p.b_z.shape[0]
+    T, H = xs.shape[0], p.u.shape[1]
     # The input projections do not depend on the recurrent state, so they
     # are batched over all timesteps.
-    xz = xs @ p.w_z.T + p.b_z
-    xr = xs @ p.w_r.T + p.b_r
-    xh = xs @ p.w_h.T + p.b_h
-    z = np.empty((T, H))
-    r = np.empty((T, H))
+    xa = xs @ p.w.T + p.b
+    u_zr, u_h = p.u[: 2 * H], p.u[2 * H :]
+    zr = np.empty((T, 2 * H))
     h_cand = np.empty((T, H))
     h_prev = np.empty((T, H))
     h = np.empty((T, H))
     state = np.zeros(H)
     for t in range(T):
         h_prev[t] = state
-        z[t] = _sigmoid(xz[t] + p.u_z @ state)
-        r[t] = _sigmoid(xr[t] + p.u_r @ state)
-        h_cand[t] = np.tanh(xh[t] + p.u_h @ (r[t] * state))
-        state = (1.0 - z[t]) * state + z[t] * h_cand[t]
+        zr[t] = _sigmoid(xa[t, : 2 * H] + u_zr @ state)
+        z, r = zr[t, :H], zr[t, H:]
+        h_cand[t] = np.tanh(xa[t, 2 * H :] + u_h @ (r * state))
+        state = (1.0 - z) * state + z * h_cand[t]
         h[t] = state
-    return _ScanCache(xs=xs, z=z, r=r, h_cand=h_cand, h_prev=h_prev, h=h)
+    return _ScanCache(xs=xs, z=zr[:, :H], r=zr[:, H:], h_cand=h_cand, h_prev=h_prev, h=h)
 
 
 def _scan_grad(dh_seq: np.ndarray, cache: _ScanCache, p: GruDirection, g: GruDirection) -> None:
@@ -222,26 +207,25 @@ def _scan_grad(dh_seq: np.ndarray, cache: _ScanCache, p: GruDirection, g: GruDir
 
     dh_seq holds the loss gradient w.r.t. each emitted state, in processing
     order. Gradients w.r.t. the inputs are not needed (frozen embeddings).
+    Only the recurrence runs step by step; the weight gradients are taken
+    after it, over all timesteps at once, as the forward input projection is.
     """
-    carry = np.zeros_like(dh_seq[0])
-    for t in range(dh_seq.shape[0] - 1, -1, -1):
+    T, H = dh_seq.shape
+    u_zr, u_h = p.u[: 2 * H], p.u[2 * H :]
+    da = np.empty((T, 3 * H))  # gate pre-activation gradients, blocks [z; r; h]
+    carry = np.zeros(H)
+    for t in range(T - 1, -1, -1):
         dh = dh_seq[t] + carry
-        z, r, hc, hp, x = cache.z[t], cache.r[t], cache.h_cand[t], cache.h_prev[t], cache.xs[t]
-        dz = dh * (hc - hp)
-        dah = (dh * z) * (1.0 - hc * hc)
-        daz = dz * z * (1.0 - z)
-        uh_dah = p.u_h.T @ dah
-        dar = (uh_dah * hp) * r * (1.0 - r)
-        carry = dh * (1.0 - z) + p.u_z.T @ daz + p.u_r.T @ dar + uh_dah * r
-        g.w_z += np.outer(daz, x)
-        g.u_z += np.outer(daz, hp)
-        g.b_z += daz
-        g.w_r += np.outer(dar, x)
-        g.u_r += np.outer(dar, hp)
-        g.b_r += dar
-        g.w_h += np.outer(dah, x)
-        g.u_h += np.outer(dah, r * hp)
-        g.b_h += dah
+        z, r, hc, hp = cache.z[t], cache.r[t], cache.h_cand[t], cache.h_prev[t]
+        da[t, :H] = dh * (hc - hp) * z * (1.0 - z)
+        da[t, 2 * H :] = (dh * z) * (1.0 - hc * hc)
+        uh_dah = u_h.T @ da[t, 2 * H :]
+        da[t, H : 2 * H] = (uh_dah * hp) * r * (1.0 - r)
+        carry = dh * (1.0 - z) + u_zr.T @ da[t, : 2 * H] + uh_dah * r
+    g.w += da.T @ cache.xs
+    g.u[: 2 * H] += da[:, : 2 * H].T @ cache.h_prev
+    g.u[2 * H :] += da[:, 2 * H :].T @ (cache.r * cache.h_prev)
+    g.b += da.sum(axis=0)
 
 
 @dataclass
@@ -307,7 +291,7 @@ def backward(x: np.ndarray, label: int, params: ModelParams) -> tuple[float, Mod
     g.attn.b += d_a.sum(axis=0)
     d_annotations = np.outer(alpha, d_context) + d_a @ params.attn.w
 
-    H = params.gru_fwd.b_z.shape[0]
+    H = params.gru_fwd.u.shape[1]
     _scan_grad(d_annotations[:, :H], cache.fwd, params.gru_fwd, g.gru_fwd)
     _scan_grad(d_annotations[::-1, H:], cache.bwd, params.gru_bwd, g.gru_bwd)
 
@@ -328,6 +312,14 @@ def _sgd_step(params: ModelParams, grads: ModelParams, lr: float, clip_norm: flo
         p -= lr * scale * g
 
 
+def _song_rows(song: TokenizedSong, embeddings: Embeddings, max_len: int):
+    """A song's in-vocabulary motifs, cut to max_len, and their vectors as rows."""
+    kept = tuple(t for t in song.tokens if t in embeddings.vocab)[:max_len]
+    if not kept:
+        raise ValueError(f"untokenizable song {song.id!r}: no in-vocabulary motifs")
+    return embeddings.input_vectors[embeddings.vocab.encode(kept)], kept
+
+
 def make_examples(
     songs: Iterable[TokenizedSong],
     embeddings: Embeddings,
@@ -338,21 +330,10 @@ def make_examples(
     class_index = {c: i for i, c in enumerate(classes)}
     examples = []
     for song in songs:
-        kept = [t for t in song.tokens if t in embeddings.vocab]
-        if not kept:
-            raise ValueError(f"untokenizable song {song.id!r}: no in-vocabulary motifs")
-        kept = kept[:max_len]
-        rows = embeddings.vocab.encode(kept)
+        x, kept = _song_rows(song, embeddings, max_len)
         if song.label not in class_index:
             raise ValueError(f"song {song.id!r} has unknown class {song.label!r}")
-        examples.append(
-            SongExample(
-                id=song.id,
-                x=embeddings.input_vectors[rows].copy(),
-                label=class_index[song.label],
-                tokens=tuple(kept),
-            )
-        )
+        examples.append(SongExample(id=song.id, x=x, label=class_index[song.label], tokens=kept))
     return examples
 
 
@@ -432,10 +413,7 @@ def predict_song(
     model: AttentionModel, song: TokenizedSong, embeddings: Embeddings, max_len: int = 500
 ) -> tuple[str, np.ndarray, list[tuple[str, float]]]:
     """Predicted label plus (motif, attention weight) pairs for inspection."""
-    kept = [t for t in song.tokens if t in embeddings.vocab][:max_len]
-    if not kept:
-        raise ValueError(f"untokenizable song {song.id!r}: no in-vocabulary motifs")
-    x = embeddings.input_vectors[embeddings.vocab.encode(kept)]
+    x, kept = _song_rows(song, embeddings, max_len)
     label, probs, alpha = predict(model, x)
     return model.labels[label], probs, list(zip(kept, alpha.tolist()))
 
@@ -454,10 +432,14 @@ def vocab_digest(vocab: Vocabulary) -> str:
     return hashlib.sha256(write_vocab(vocab).encode("utf-8")).hexdigest()
 
 
+CHECKPOINT_FORMAT = 2  # the fused w/u/b of GruDirection
+
+
 def save_model(model: AttentionModel, vocab_hash: str = "") -> str:
     """Checkpoint: one JSON config line, then each parameter in the
     embedding text format (name as the header's first field)."""
     meta = {
+        "format": CHECKPOINT_FORMAT,
         "labels": model.labels,
         "dim": model.dim,
         "hidden": model.hidden,
@@ -477,6 +459,9 @@ def load_model(text: str) -> tuple[AttentionModel, dict]:
     if not lines:
         raise ValueError("empty model file")
     meta = json.loads(lines[0])
+    fmt = meta.get("format", 1)  # format 1, nine arrays per GRU direction, had no key
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"checkpoint format {fmt} is not {CHECKPOINT_FORMAT}; retrain the model")
     arrays: dict[str, np.ndarray] = {}
     i = 1
     while i < len(lines):

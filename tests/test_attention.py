@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from folkmotif.attention import (
     _energy_grad,
     _forward,
     _param_arrays,
+    _sgd_step,
     _sigmoid,
     alpha_csv,
     backward,
@@ -35,12 +38,7 @@ from folkmotif.vocab import Vocabulary
 
 
 def zero_direction(h, d):
-    z = np.zeros
-    return GruDirection(
-        w_z=z((h, d)), u_z=z((h, h)), b_z=z(h),
-        w_r=z((h, d)), u_r=z((h, h)), b_r=z(h),
-        w_h=z((h, d)), u_h=z((h, h)), b_h=z(h),
-    )
+    return GruDirection(w=np.zeros((3 * h, d)), u=np.zeros((3 * h, h)), b=np.zeros(3 * h))
 
 
 def randomized_model(seed, dim=3, hidden=4, attention_dim=3, labels=("a", "b")):
@@ -52,16 +50,24 @@ def randomized_model(seed, dim=3, hidden=4, attention_dim=3, labels=("a", "b")):
     return model
 
 
+def gate_blocks(p):
+    """Split a fused direction into (w, u, b) per gate, in its [z; r; h] row order."""
+    H = p.u.shape[1]
+    gates = [slice(k * H, (k + 1) * H) for k in range(3)]
+    return [(p.w[g], p.u[g], p.b[g]) for g in gates]
+
+
 def gru_step(x, h_prev, p):
     """Reference GRU update from the definition: h = (1 - z) * h_prev + z * candidate."""
-    z = _sigmoid(p.w_z @ x + p.u_z @ h_prev + p.b_z)
-    r = _sigmoid(p.w_r @ x + p.u_r @ h_prev + p.b_r)
-    h_cand = np.tanh(p.w_h @ x + p.u_h @ (r * h_prev) + p.b_h)
+    (w_z, u_z, b_z), (w_r, u_r, b_r), (w_h, u_h, b_h) = gate_blocks(p)
+    z = _sigmoid(w_z @ x + u_z @ h_prev + b_z)
+    r = _sigmoid(w_r @ x + u_r @ h_prev + b_r)
+    h_cand = np.tanh(w_h @ x + u_h @ (r * h_prev) + b_h)
     return (1.0 - z) * h_prev + z * h_cand
 
 
 def reference_scan(xs, p):
-    h = np.zeros(p.b_z.shape[0])
+    h = np.zeros(p.u.shape[1])
     states = []
     for x in xs:
         h = gru_step(x, h, p)
@@ -185,18 +191,36 @@ def test_certain_prediction_has_zero_loss_and_vanishing_output_gradient():
     assert np.linalg.norm(g.out.b) < 1e-6
 
 
-@pytest.mark.parametrize("point", [0, 1, 2])
-def test_every_parameter_gradient_matches_finite_differences(point):
+# T=1 is the edge case for the weight gradients taken after the scan; the
+# T=5 cases keep their original ids.
+@pytest.mark.parametrize(
+    "point,T",
+    [(0, 5), (1, 5), (2, 5), (0, 1), (1, 1), (2, 1)],
+    ids=["0", "1", "2", "0-T1", "1-T1", "2-T1"],
+)
+def test_every_parameter_gradient_matches_finite_differences(point, T):
     """Keystone check: full-model analytic gradients vs central differences."""
     model = randomized_model(point)
     rng = np.random.default_rng(100 + point)
-    x = rng.normal(size=(5, 3))
+    x = rng.normal(size=(T, 3))
     label = point % 2
     _, grads = backward(x, label, model.params)
     analytic = dict(_param_arrays(grads))
     for name, arr in _param_arrays(model.params):
         numeric = central_difference(lambda _: forward_loss(x, label, model.params)[1], arr)
         assert_gradients_close(analytic[name], numeric, what=name)
+
+
+@pytest.mark.parametrize("clip_norm", [0.5, 1e6])
+def test_sgd_step_clips_the_update_norm(clip_norm):
+    params = randomized_model(20).params
+    before = [arr.copy() for _, arr in _param_arrays(params)]
+    grads = randomized_model(21).params
+    g_norm = np.sqrt(sum((g * g).sum() for _, g in _param_arrays(grads)))
+    assert 0.5 < g_norm < 1e6
+    _sgd_step(params, grads, lr=0.1, clip_norm=clip_norm)
+    step = np.sqrt(sum(((b - a) ** 2).sum() for b, (_, a) in zip(before, _param_arrays(params))))
+    assert step == pytest.approx(0.1 * min(clip_norm, g_norm), rel=1e-9)
 
 
 def test_energy_gradient_sums_to_zero():
@@ -373,6 +397,17 @@ def test_checkpoint_missing_parameter_is_error():
     truncated = "\n".join(text.splitlines()[:-6]) + "\n"
     with pytest.raises(ValueError):
         load_model(truncated)
+
+
+@pytest.mark.parametrize("fmt", [1, None])
+def test_checkpoint_of_another_format_is_refused(fmt):
+    meta, rest = save_model(randomized_model(14)).split("\n", 1)
+    meta = json.loads(meta)
+    del meta["format"]
+    if fmt is not None:
+        meta["format"] = fmt
+    with pytest.raises(ValueError, match="checkpoint format 1 .*retrain"):
+        load_model(json.dumps(meta) + "\n" + rest)
 
 
 def test_alpha_csv_format():
