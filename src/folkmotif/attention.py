@@ -117,21 +117,11 @@ def _param_arrays(obj, prefix: str = ""):
             yield from _param_arrays(value, f"{prefix}{f.name}.")
 
 
-def _map_arrays(fn, obj):
-    kwargs = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, np.ndarray):
-            kwargs[f.name] = fn(value)
-        elif dataclasses.is_dataclass(value):
-            kwargs[f.name] = _map_arrays(fn, value)
-        else:
-            kwargs[f.name] = value
-    return type(obj)(**kwargs)
-
-
 def zero_gradients(params: ModelParams) -> ModelParams:
-    return _map_arrays(np.zeros_like, params)
+    grads = copy.deepcopy(params)
+    for _, g in _param_arrays(grads):
+        g[...] = 0.0
+    return grads
 
 
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -268,41 +258,39 @@ def _energy_grad(alpha: np.ndarray, d_alpha: np.ndarray) -> np.ndarray:
     return alpha * (d_alpha - alpha @ d_alpha)
 
 
-def backward(x: np.ndarray, label: int, params: ModelParams) -> tuple[float, ModelParams]:
-    """Loss and its gradient w.r.t. every parameter (embeddings stay frozen)."""
+def backward(x: np.ndarray, label: int, params: ModelParams, grads: ModelParams) -> float:
+    """Add the loss gradient w.r.t. every parameter into grads; return the loss.
+
+    Embeddings stay frozen. Each array of grads gets exactly one addition,
+    so grads that start at zero end up holding the gradient itself.
+    """
     cache = _forward(x, params)
     probs, alpha, q, annotations = cache.probs, cache.alpha, cache.q, cache.annotations
     with np.errstate(divide="ignore"):
         loss = float(-np.log(probs[label]))
-    g = zero_gradients(params)
 
     d_logits = probs.copy()
     d_logits[label] -= 1.0
-    g.out.w += np.outer(d_logits, cache.context)
-    g.out.b += d_logits
+    grads.out.w += np.outer(d_logits, cache.context)
+    grads.out.b += d_logits
     d_context = params.out.w.T @ d_logits
 
     d_alpha = annotations @ d_context
     d_energy = _energy_grad(alpha, d_alpha)
-    g.attn.u += q.T @ d_energy
+    grads.attn.u += q.T @ d_energy
     d_q = np.outer(d_energy, params.attn.u)
     d_a = d_q * (1.0 - q * q)
-    g.attn.w += d_a.T @ annotations
-    g.attn.b += d_a.sum(axis=0)
+    grads.attn.w += d_a.T @ annotations
+    grads.attn.b += d_a.sum(axis=0)
     d_annotations = np.outer(alpha, d_context) + d_a @ params.attn.w
 
     H = params.gru_fwd.u.shape[1]
-    _scan_grad(d_annotations[:, :H], cache.fwd, params.gru_fwd, g.gru_fwd)
-    _scan_grad(d_annotations[::-1, H:], cache.bwd, params.gru_bwd, g.gru_bwd)
+    _scan_grad(d_annotations[:, :H], cache.fwd, params.gru_fwd, grads.gru_fwd)
+    _scan_grad(d_annotations[::-1, H:], cache.bwd, params.gru_bwd, grads.gru_bwd)
 
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss {loss}; lower the learning rate")
-    return loss, g
-
-
-def _accumulate(total: ModelParams, part: ModelParams) -> None:
-    for (_, t), (_, p) in zip(_param_arrays(total), _param_arrays(part)):
-        t += p
+    return loss
 
 
 def _sgd_step(params: ModelParams, grads: ModelParams, lr: float, clip_norm: float) -> None:
@@ -376,9 +364,7 @@ def train_classifier(
             batch = [train[i] for i in order[start : start + config.batch]]
             grads = zero_gradients(model.params)
             for ex in batch:
-                loss, g = backward(ex.x, ex.label, model.params)
-                epoch_loss += loss
-                _accumulate(grads, g)
+                epoch_loss += backward(ex.x, ex.label, model.params, grads)
             for _, g in _param_arrays(grads):
                 g /= len(batch)
             _sgd_step(model.params, grads, config.lr, config.clip_norm)
@@ -455,6 +441,7 @@ def save_model(model: AttentionModel, vocab_hash: str = "") -> str:
 
 
 def load_model(text: str) -> tuple[AttentionModel, dict]:
+    """Inverse of save_model; the arrays must come in save_model's order."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty model file")
@@ -462,36 +449,30 @@ def load_model(text: str) -> tuple[AttentionModel, dict]:
     fmt = meta.get("format", 1)  # format 1, nine arrays per GRU direction, had no key
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {fmt} is not {CHECKPOINT_FORMAT}; retrain the model")
-    arrays: dict[str, np.ndarray] = {}
-    i = 1
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        if not lines[i].startswith("@"):
-            raise ValueError(f"line {i + 1}: expected a @parameter header")
-        name, ndim = lines[i][1:].rsplit(" ", 1)
-        if i + 1 >= len(lines):
-            raise ValueError(f"truncated checkpoint: no data after parameter {name}")
-        n_rows = int(lines[i + 1].split()[0])
-        if i + 2 + n_rows > len(lines):
-            raise ValueError(f"truncated checkpoint inside parameter {name}")
-        block = "\n".join(lines[i + 1 : i + 2 + n_rows]) + "\n"
-        _, matrix = read_embeddings(block)
-        arrays[name] = matrix[0] if int(ndim) == 1 else matrix
-        i += 2 + n_rows
     model = init_model(
         dim=meta["dim"],
         labels=meta["labels"],
         hidden=meta["hidden"],
         attention_dim=meta["attention_dim"],
     )
+    i = 1
     for name, arr in _param_arrays(model.params):
-        if name not in arrays:
+        if i >= len(lines):
             raise ValueError(f"checkpoint is missing parameter {name}")
-        if arrays[name].shape != arr.shape:
-            raise ValueError(
-                f"parameter {name} has shape {arrays[name].shape}, expected {arr.shape}"
-            )
-        arr[...] = arrays[name]
+        if lines[i] != f"@{name} {arr.ndim}":
+            raise ValueError(f"line {i + 1}: expected parameter {name}, found {lines[i][:60]!r}")
+        shape = np.atleast_2d(arr).shape  # as save_model writes it
+        block = lines[i + 1 : i + 2 + shape[0]]
+        if len(block) < 1 + shape[0]:
+            raise ValueError(f"truncated checkpoint inside parameter {name}")
+        try:
+            _, matrix = read_embeddings("\n".join(block) + "\n")
+        except ValueError as exc:
+            raise ValueError(f"parameter {name}: {exc}") from None
+        if matrix.shape != shape:
+            raise ValueError(f"parameter {name} has shape {matrix.shape}, expected {shape}")
+        arr[...] = matrix.reshape(arr.shape)
+        i += 1 + len(block)
+    if i < len(lines):
+        raise ValueError(f"line {i + 1}: unexpected content after the last parameter")
     return model, meta

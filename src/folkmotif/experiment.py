@@ -98,10 +98,7 @@ class ExperimentConfig:
 def _check_fields(cls, obj, where: str) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"{where} config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    if where == "experiment":
-        known -= {"embedding", "classifier", "svm"}
-    unknown = set(obj) - known
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {where} config fields: {sorted(unknown)}")
 

@@ -31,20 +31,18 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _duration(durnum: int, dots: int, line: int) -> Fraction:
-    # Kern writes a breve as 0 and a longa as 00; every other value is a
-    # plain reciprocal (4/durnum quarters).
-    if durnum == 0:
-        base = Fraction(8)
+def _duration(digits: str, dots: int) -> Fraction:
+    # Kern writes a breve as 0 and a longa as 00: n zeros are 8 * 2^(n-1)
+    # quarters. Every other value is a plain reciprocal (4/n quarters).
+    if int(digits) == 0:
+        base = Fraction(8 * 2 ** (len(digits) - 1))
     else:
-        base = Fraction(4, durnum)
+        base = Fraction(4, int(digits))
     total = base
     extension = base
     for _ in range(dots):
         extension /= 2
         total += extension
-    if total <= 0:
-        raise ParseError(f"non-positive duration {durnum!r}", line)
     return total
 
 
@@ -114,7 +112,9 @@ def parse_kern(text: str, id: str = "", label: str = "") -> Melody:
                 measure += 1
                 onset = Fraction(0)
                 events_in_measure = 0
-                num, den = _active_meter(meter, measure, lineno)
+                # set_meter gives every meter a start no later than the
+                # measure after the current one, so the last is in effect.
+                _, num, den = meter[-1]
                 capacity = Fraction(4 * num, den)
             continue
         token = line.split()[0]
@@ -130,7 +130,7 @@ def parse_kern(text: str, id: str = "", label: str = "") -> Melody:
             raise ParseError(f"unknown token {token!r}", lineno)
         if capacity is None:
             raise ParseError("note before any meter", lineno)
-        dur = _duration(int(m.group("dur")), len(m.group("dots")), lineno)
+        dur = _duration(m.group("dur"), len(m.group("dots")))
         if onset + dur > capacity:
             raise ParseError(
                 f"measure {measure} overfull: {onset + dur} > {capacity} quarters", lineno
@@ -139,8 +139,6 @@ def parse_kern(text: str, id: str = "", label: str = "") -> Melody:
         events.append(NoteEvent(pitch=pitch, duration=dur, onset=onset, measure=measure))
         onset += dur
         events_in_measure += 1
-    else:
-        pass  # EOF without *- is accepted
 
     if not header_seen:
         raise ParseError("missing **kern header", 1)
@@ -149,13 +147,3 @@ def parse_kern(text: str, id: str = "", label: str = "") -> Melody:
     melody = Melody(id=id, label=label, meter=meter, events=events)
     melody.validate()
     return melody
-
-
-def _active_meter(meter: list[MeterChange], measure: int, line: int) -> tuple[int, int]:
-    active = None
-    for start, num, den in meter:
-        if start <= measure:
-            active = (num, den)
-    if active is None:
-        raise ParseError("no meter in effect", line)
-    return active

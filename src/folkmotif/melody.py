@@ -44,10 +44,6 @@ class NoteEvent:
         if self.pitch is not None and not 0 <= self.pitch <= 127:
             raise ValueError(f"pitch out of MIDI range: {self.pitch}")
 
-    @property
-    def is_rest(self) -> bool:
-        return self.pitch is None
-
 
 # (first measure index the meter applies to, numerator, denominator)
 MeterChange = tuple[int, int, int]

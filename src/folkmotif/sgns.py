@@ -102,15 +102,19 @@ def pair_objective(
         return loss, g @ ctx, np.outer(g, w)
 
 
-def _encode_corpus(songs: Iterable[TokenizedSong], vocab: Vocabulary) -> list[np.ndarray]:
-    encoded = []
+def _encode_corpus(
+    songs: Iterable[TokenizedSong], vocab: Vocabulary
+) -> tuple[list[str], list[np.ndarray]]:
+    """The ids and token indices of the songs with any in-vocabulary token."""
+    ids, encoded = [], []
     for song in songs:
         idx = vocab.encode(song.tokens)
         if idx:
+            ids.append(song.id)
             encoded.append(np.asarray(idx, dtype=np.int64))
     if not encoded:
         raise ValueError("no song has any in-vocabulary token")
-    return encoded
+    return ids, encoded
 
 
 def _train_pass(
@@ -121,23 +125,26 @@ def _train_pass(
     dist: SamplingDist,
     config: SkipgramConfig,
     rng: np.random.Generator,
-    progress: Iterable[float],
+    epoch: int,
 ) -> float:
     """One epoch of SGD over all (target, context) pairs.
 
     ``target_rows`` selects the input row per sequence (PV-DBOW document
     mode); when None the targets are the tokens themselves (skip-gram).
+    The learning rate decays linearly over the centers of all epochs.
     Returns the total pair loss; raises TrainingDiverged on non-finite loss.
     """
     k = config.negatives
     labels = np.zeros(k + 1)
     labels[0] = 1.0
     idx = np.empty(k + 1, dtype=np.int64)
+    centers = sum(len(seq) for seq in sequences)
+    step, steps = epoch * centers, config.epochs * centers
     total = 0.0
-    progress_iter = iter(progress)
     for s, seq in enumerate(sequences):
         for t in range(len(seq)):
-            lr = max(config.lr_min, config.lr * (1.0 - next(progress_iter)))
+            lr = max(config.lr_min, config.lr * (1.0 - step / steps))
+            step += 1
             if target_rows is None:
                 b = int(rng.integers(1, config.window + 1))
                 contexts = np.concatenate([seq[max(0, t - b) : t], seq[t + 1 : t + 1 + b]])
@@ -160,11 +167,6 @@ def _train_pass(
     return total
 
 
-def _linear_progress(epochs: int, centers_per_epoch: int):
-    total = epochs * centers_per_epoch
-    return (i / total for i in range(total))
-
-
 def _run_epochs(
     sequences: list[np.ndarray],
     target_rows: Optional[list[int]],
@@ -175,11 +177,10 @@ def _run_epochs(
 ) -> list[float]:
     centers = sum(len(s) for s in sequences)
     rng = np.random.default_rng(config.seed)
-    progress = _linear_progress(config.epochs, centers)
     objectives = []
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         total = _train_pass(
-            sequences, target_rows, input_vectors, output_vectors, dist, config, rng, progress
+            sequences, target_rows, input_vectors, output_vectors, dist, config, rng, epoch
         )
         objectives.append(-total / centers)
     return objectives
@@ -190,7 +191,7 @@ def train_skipgram(
 ) -> Embeddings:
     """Learn token embeddings; bit-reproducible under the config seed."""
     config = config or SkipgramConfig()
-    sequences = _encode_corpus(songs, vocab)
+    _, sequences = _encode_corpus(songs, vocab)
     rng = np.random.default_rng(config.seed)
     V, d = len(vocab), config.dim
     input_vectors = (rng.random((V, d)) - 0.5) / d
@@ -210,15 +211,7 @@ def train_pvdbow(
 ) -> DocVectors:
     """Learn one vector per song that predicts the song's tokens (PV-DBOW)."""
     config = config or SkipgramConfig()
-    ids = []
-    sequences = []
-    for song in songs:
-        idx = vocab.encode(song.tokens)
-        if idx:
-            ids.append(song.id)
-            sequences.append(np.asarray(idx, dtype=np.int64))
-    if not ids:
-        raise ValueError("no song has any in-vocabulary token")
+    ids, sequences = _encode_corpus(songs, vocab)
     rng = np.random.default_rng(config.seed)
     d = config.dim
     doc_vectors = (rng.random((len(ids), d)) - 0.5) / d

@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from folkmotif.attention import (
     save_model,
     train_classifier,
     vocab_digest,
+    zero_gradients,
 )
 from folkmotif.sgns import Embeddings
 from folkmotif.tokens import TokenizedSong
@@ -186,9 +189,28 @@ def test_certain_prediction_has_zero_loss_and_vanishing_output_gradient():
     probs, loss = forward_loss(x, 0, model.params)
     assert probs[0] == pytest.approx(1.0)
     assert loss == pytest.approx(0.0, abs=1e-12)
-    _, g = backward(x, 0, model.params)
+    g = zero_gradients(model.params)
+    backward(x, 0, model.params, g)
     assert np.linalg.norm(g.out.w) < 1e-6
     assert np.linalg.norm(g.out.b) < 1e-6
+
+
+def test_backward_adds_into_the_given_gradients():
+    model = randomized_model(5)
+    x = np.random.default_rng(6).normal(size=(4, 3))
+    once = zero_gradients(model.params)
+    loss = backward(x, 1, model.params, once)
+    start = zero_gradients(model.params)
+    rng = np.random.default_rng(7)
+    for _, arr in _param_arrays(start):
+        arr[...] = rng.normal(size=arr.shape)
+    grads = copy.deepcopy(start)
+    assert backward(x, 1, model.params, grads) == loss
+    assert backward(x, 1, model.params, grads) == loss
+    for (name, total), (_, s0), (_, g) in zip(
+        _param_arrays(grads), _param_arrays(start), _param_arrays(once)
+    ):
+        np.testing.assert_array_equal(total, s0 + g + g, err_msg=name)
 
 
 # T=1 is the edge case for the weight gradients taken after the scan; the
@@ -204,7 +226,8 @@ def test_every_parameter_gradient_matches_finite_differences(point, T):
     rng = np.random.default_rng(100 + point)
     x = rng.normal(size=(T, 3))
     label = point % 2
-    _, grads = backward(x, label, model.params)
+    grads = zero_gradients(model.params)
+    backward(x, label, model.params, grads)
     analytic = dict(_param_arrays(grads))
     for name, arr in _param_arrays(model.params):
         numeric = central_difference(lambda _: forward_loss(x, label, model.params)[1], arr)
@@ -397,6 +420,49 @@ def test_checkpoint_missing_parameter_is_error():
     truncated = "\n".join(text.splitlines()[:-6]) + "\n"
     with pytest.raises(ValueError):
         load_model(truncated)
+
+
+def _cut_inside(text, name):
+    """The checkpoint up to the middle of the second row of parameter name."""
+    lines = text.splitlines(keepends=True)
+    at = lines.index(f"@{name} 2\n")
+    return "".join(lines[: at + 3]) + lines[at + 3][:10]
+
+
+def _with_meta(text, **changes):
+    meta, rest = text.split("\n", 1)
+    return json.dumps({**json.loads(meta), **changes}) + "\n" + rest
+
+
+def _drop_last_float(text, name):
+    """The checkpoint with one float cut from the first row of parameter name."""
+    lines = text.splitlines(keepends=True)
+    at = lines.index(f"@{name} 1\n") + 2
+    lines[at] = lines[at].rsplit(" ", 1)[0] + "\n"
+    return "".join(lines)
+
+
+def _swap_blocks(text, a, b):
+    meta, rest = text.split("\n", 1)
+    blocks = {blk.split(" ", 1)[0][1:]: blk for blk in re.split(r"(?m)^(?=@)", rest)[1:]}
+    blocks[a], blocks[b] = blocks[b], blocks[a]
+    return meta + "\n" + "".join(blocks.values())
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda t: _cut_inside(t, "gru_bwd.u"), "truncated checkpoint inside parameter gru_bwd.u"),
+        (lambda t: _with_meta(t, dim=4), r"parameter gru_fwd.w has shape \(12, 3\), expected \(12, 4\)"),
+        (lambda t: _drop_last_float(t, "attn.u"), "parameter attn.u: line 2: expected token and 3"),
+        (lambda t: _swap_blocks(t, "attn.w", "out.w"), "expected parameter attn.w, found '@out.w 2'"),
+    ],
+    ids=["cut", "width", "short-row", "swapped"],
+)
+def test_corrupt_checkpoint_error_names_the_parameter(corrupt, message):
+    text = save_model(randomized_model(15))
+    with pytest.raises(ValueError, match=message):
+        load_model(corrupt(text))
 
 
 @pytest.mark.parametrize("fmt", [1, None])

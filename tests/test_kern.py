@@ -114,9 +114,10 @@ def test_beam_marks_stripped():
     assert [e.pitch for e in m.events] == [60, 62]
 
 
-def test_breve_duration():
-    m = parse_kern("**kern\n*M8/2\n0c\n=\n*-")
-    assert m.events[0].duration == Fraction(8)
+@pytest.mark.parametrize("token,quarters", [("0c", 8), ("00c", 16)])
+def test_breve_duration(token, quarters):
+    m = parse_kern(f"**kern\n*M8/2\n{token}\n=\n*-")
+    assert m.events[0].duration == Fraction(quarters)
 
 
 @given(st.text(alphabet="kern*M/=48cdr#-.[]{}\n\t qX", max_size=80))
