@@ -98,6 +98,10 @@ class ClassifierConfig:
             raise ValueError("hidden, attention_dim, batch, epochs, and max_len must be positive")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
 
 
 @dataclass

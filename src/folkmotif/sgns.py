@@ -8,6 +8,11 @@ with negatives drawn from the count^0.75 unigram distribution. The input
 matrix holds the queried vectors v_w; the output matrix holds context
 vectors v_c. PV-DBOW reuses the same objective with a per-song document
 vector standing in for v_w.
+
+Training is per-pair SGD in corpus order. A center's negatives, k for each
+of its n context pairs, are drawn in one call of n*k samples, which takes
+the same values from the generator as n calls of k, so the trained matrices
+equal those of drawing per pair, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ class SkipgramConfig:
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.negatives < 1 or self.epochs < 1:
             raise ValueError("dim, window, negatives, and epochs must be positive")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 <= self.lr_min <= self.lr:
+            raise ValueError(f"lr_min must be in [0, lr={self.lr}], got {self.lr_min}")
 
 
 @dataclass
@@ -91,15 +100,14 @@ def pair_objective(
 
     labels holds 1 for the positive context and 0 for negatives. Returns
     (loss, d loss/d w, d loss/d ctx); minimizing this loss ascends the
-    objective.
+    objective. Scores that overflow give a non-finite loss; callers that
+    expect that wrap the call in ``np.errstate``.
     """
-    # Divergence shows up as overflowing scores; that is detected via the
-    # finiteness of the loss, so the overflow itself is not worth a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores = ctx @ w
-        loss = -float(np.where(labels == 1, _log_sigmoid(scores), _log_sigmoid(-scores)).sum())
-        g = _sigmoid(scores) - labels
-        return loss, g @ ctx, np.outer(g, w)
+    scores = ctx @ w
+    # -log sigmoid(+-score) is logaddexp(0, -+score); the label flips the sign.
+    loss = float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * scores).sum())
+    g = _sigmoid(scores) - labels
+    return loss, g @ ctx, g[:, None] * w
 
 
 def _encode_corpus(
@@ -135,31 +143,41 @@ def _train_pass(
     Returns the total pair loss; raises TrainingDiverged on non-finite loss.
     """
     k = config.negatives
+    d = output_vectors.shape[1]
     labels = np.zeros(k + 1)
     labels[0] = 1.0
-    idx = np.empty(k + 1, dtype=np.int64)
+    flat_output = output_vectors.reshape(-1)
+    columns = np.arange(d)
     centers = sum(len(seq) for seq in sequences)
     step, steps = epoch * centers, config.epochs * centers
     total = 0.0
-    for s, seq in enumerate(sequences):
-        for t in range(len(seq)):
-            lr = max(config.lr_min, config.lr * (1.0 - step / steps))
-            step += 1
-            if target_rows is None:
-                b = int(rng.integers(1, config.window + 1))
-                contexts = np.concatenate([seq[max(0, t - b) : t], seq[t + 1 : t + 1 + b]])
-                row = seq[t]
-            else:
-                contexts = seq[t : t + 1]
-                row = target_rows[s]
-            w = input_vectors[row]
-            for c in contexts:
-                idx[0] = c
-                idx[1:] = dist.draw(rng, k)
-                loss, grad_w, grad_ctx = pair_objective(w, output_vectors[idx], labels)
-                total += loss
-                np.add.at(output_vectors, idx, -lr * grad_ctx)
-                input_vectors[row] = w - lr * grad_w
+    # Divergence shows up as overflowing scores; that is detected via the
+    # finiteness of the loss, so the overflow itself is not worth a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, seq in enumerate(sequences):
+            for t in range(len(seq)):
+                lr = max(config.lr_min, config.lr * (1.0 - step / steps))
+                step += 1
+                if target_rows is None:
+                    b = int(rng.integers(1, config.window + 1))
+                    contexts = np.concatenate([seq[max(0, t - b) : t], seq[t + 1 : t + 1 + b]])
+                    row = seq[t]
+                else:
+                    contexts = seq[t : t + 1]
+                    row = target_rows[s]
+                n = len(contexts)
+                idx = np.empty((n, k + 1), dtype=np.int64)
+                idx[:, 0] = contexts
+                idx[:, 1:] = dist.draw(rng, n * k).reshape(n, k)
+                w = input_vectors[row]
+                for ix in idx:
+                    loss, grad_w, grad_ctx = pair_objective(w, output_vectors[ix], labels)
+                    total += loss
+                    grad_ctx *= -lr
+                    # The flat form of np.add.at(output_vectors, ix, grad_ctx): a
+                    # repeated row takes each of its updates in turn.
+                    np.add.at(flat_output, (ix[:, None] * d + columns).ravel(), grad_ctx.ravel())
+                    w -= lr * grad_w
     if not np.isfinite(total):
         raise TrainingDiverged(
             f"non-finite training objective {total}; lower the learning rate ({config.lr})"

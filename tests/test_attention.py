@@ -394,6 +394,16 @@ def test_config_rejects_empty_max_len():
         ClassifierConfig(max_len=0)
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [({"lr": 0.0}, "lr"), ({"lr": -0.05}, "lr"), ({"clip_norm": 0.0}, "clip_norm"),
+     ({"clip_norm": -5.0}, "clip_norm")],
+)
+def test_config_rejects_nonpositive_step_settings(overrides, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        ClassifierConfig(**overrides)
+
+
 def test_make_examples_rejects_unknown_class():
     emb = _toy_embeddings()
     song = TokenizedSong(id="s", label="gamma", tokens=("a1",))

@@ -261,6 +261,19 @@ def test_experiment_config_with_workers_is_data_error(tmp_path, capsys):
     assert "workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad, field",
+    [({"embedding": {"lr_min": 1.0}}, "lr_min"), ({"classifier": {"clip_norm": 0}}, "clip_norm")],
+)
+def test_experiment_config_with_bad_step_setting_is_data_error(tmp_path, capsys, bad, field):
+    paths = write_single_label_corpora(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(bad))
+    assert main(["experiment", "1", f"a={paths['alpha']}", f"b={paths['beta']}",
+                 "--config", str(config)]) == 2
+    assert f"{field} must" in capsys.readouterr().err
+
+
 def test_synth_corpus_custom_inventories(tmp_path):
     out = tmp_path / "c.jsonl"
     assert main(["synth-corpus", "--inventory", "x=1", "--inventory", "y=4,6",

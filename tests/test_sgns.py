@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_gradients_close, central_difference
 
+from folkmotif import sgns
 from folkmotif.sgns import (
     DocVectors,
     Embeddings,
@@ -42,6 +43,20 @@ def test_pair_objective_matches_finite_differences():
     num_ctx = central_difference(lambda c: pair_objective(w, c, labels)[0], ctx)
     assert_gradients_close(grad_w, num_w, what="d loss / d target vector")
     assert_gradients_close(grad_ctx, num_ctx, what="d loss / d context rows")
+
+
+@pytest.mark.parametrize("scale", [0.5, 30.0, 1e160])
+def test_pair_objective_equals_the_term_by_term_form_bit_for_bit(scale):
+    """The largest scale overflows the scores to infinity."""
+    rng = np.random.default_rng(7)
+    w = rng.normal(scale=scale, size=5)
+    ctx = rng.normal(scale=scale, size=(6, 5))
+    labels = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = pair_objective(w, ctx, labels)
+    want = _reference_pair_objective(w, ctx, labels)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_cosine_orthogonal():
@@ -136,11 +151,114 @@ def test_matrices_stay_finite(fixture_songs):
     assert np.isfinite(emb.output_vectors).all()
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"lr": 0.0}, "lr"),
+        ({"lr": -0.1}, "lr"),
+        ({"lr_min": -1e-4}, "lr_min"),
+        ({"lr": 0.01, "lr_min": 0.02}, "lr_min"),
+    ],
+)
+def test_config_rejects_bad_learning_rates(overrides, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        SkipgramConfig(**overrides)
+
+
+def test_config_accepts_a_constant_learning_rate():
+    assert SkipgramConfig(lr=0.01, lr_min=0.01).lr_min == 0.01
+
+
 def test_huge_learning_rate_diverges(fixture_songs):
     vocab = build_vocab([s.tokens for s in fixture_songs])
     config = SkipgramConfig(dim=8, window=2, negatives=3, epochs=3, lr=1e8, lr_min=1e8, seed=0)
     with pytest.raises(TrainingDiverged, match="learning rate"):
         train_skipgram(fixture_songs, vocab, config)
+
+
+def _reference_pair_objective(w, ctx, labels):
+    """pair_objective written out term by term: np.where on the labels, np.outer."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = ctx @ w
+        log_sig = -np.logaddexp(0.0, -scores)
+        log_sig_neg = -np.logaddexp(0.0, scores)
+        loss = -float(np.where(labels == 1, log_sig, log_sig_neg).sum())
+        g = np.exp(log_sig) - labels
+        return loss, g @ ctx, np.outer(g, w)
+
+
+def _reference_train_pass(
+    sequences, target_rows, input_vectors, output_vectors, dist, config, rng, epoch
+):
+    """The per-pair loop that sgns._train_pass must equal bit for bit.
+
+    One draw of k negatives per pair, the step through the term-by-term
+    objective and the context-row update through the 2-D np.add.at.
+    """
+    k = config.negatives
+    labels = np.zeros(k + 1)
+    labels[0] = 1.0
+    idx = np.empty(k + 1, dtype=np.int64)
+    centers = sum(len(seq) for seq in sequences)
+    step, steps = epoch * centers, config.epochs * centers
+    total = 0.0
+    for s, seq in enumerate(sequences):
+        for t in range(len(seq)):
+            lr = max(config.lr_min, config.lr * (1.0 - step / steps))
+            step += 1
+            if target_rows is None:
+                b = int(rng.integers(1, config.window + 1))
+                contexts = np.concatenate([seq[max(0, t - b) : t], seq[t + 1 : t + 1 + b]])
+                row = seq[t]
+            else:
+                contexts = seq[t : t + 1]
+                row = target_rows[s]
+            w = input_vectors[row]
+            for c in contexts:
+                idx[0] = c
+                idx[1:] = dist.draw(rng, k)
+                loss, grad_w, grad_ctx = _reference_pair_objective(w, output_vectors[idx], labels)
+                total += loss
+                np.add.at(output_vectors, idx, -lr * grad_ctx)
+                input_vectors[row] = w - lr * grad_w
+    return total
+
+
+def _three_token_songs():
+    """Pairs draw 3 rows from 3 tokens, so most of them repeat a row."""
+    rng = np.random.default_rng(11)
+    songs = [
+        TokenizedSong(id=f"s{i}", label="x", tokens=tuple(rng.choice(["a", "b", "c"], size=n)))
+        for i, n in enumerate([1, 2, 9, 17, 30])
+    ]
+    return songs, SkipgramConfig(dim=7, window=3, negatives=2, epochs=3, lr=0.2, seed=4)
+
+
+def _many_token_songs():
+    """Pairs draw 6 rows from 240 tokens, so most of their rows are distinct."""
+    rng = np.random.default_rng(12)
+    tokens = [f"t{i}" for i in range(240)]
+    songs = [
+        TokenizedSong(id=f"s{i}", label="x", tokens=tuple(rng.choice(tokens, size=n)))
+        for i, n in enumerate([1, 40, 120, 200, 260, 300])
+    ]
+    return songs, SkipgramConfig(dim=9, window=4, negatives=5, epochs=2, lr=0.1, seed=5)
+
+
+@pytest.mark.parametrize("corpus", [_three_token_songs, _many_token_songs])
+def test_training_equals_the_per_pair_reference_bit_for_bit(monkeypatch, corpus):
+    songs, config = corpus()
+    vocab = build_vocab([s.tokens for s in songs])
+    emb = train_skipgram(songs, vocab, config)
+    docs = train_pvdbow(songs, vocab, config)
+    monkeypatch.setattr(sgns, "_train_pass", _reference_train_pass)
+    ref_emb = train_skipgram(songs, vocab, config)
+    ref_docs = train_pvdbow(songs, vocab, config)
+    assert np.array_equal(emb.input_vectors, ref_emb.input_vectors)
+    assert np.array_equal(emb.output_vectors, ref_emb.output_vectors)
+    assert emb.epoch_objectives == ref_emb.epoch_objectives
+    assert np.array_equal(docs.vectors, ref_docs.vectors)
+    assert docs.epoch_objectives == ref_docs.epoch_objectives
 
 
 def test_doc_vectors_group_identical_songs():

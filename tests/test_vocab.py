@@ -108,6 +108,28 @@ def test_draws_are_deterministic_under_a_fixed_seed():
     assert np.array_equal(a, b)
 
 
+@given(
+    st.lists(st.integers(min_value=0, max_value=8), max_size=12),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_one_draw_per_center_takes_the_stream_of_one_draw_per_pair(contexts, k, seed):
+    """draw(rng, n*k) equals n draws of k, with the window draws in between.
+
+    A skip-gram center draws its window size, then k negatives for each of
+    its n contexts; the trainer makes those n draws as one.
+    """
+    v = Vocabulary(tokens=["a", "b", "c", "d", "e"], counts=np.array([9, 5, 3, 2, 1]))
+    dist = negative_sampling_dist(v)
+    per_center, per_pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in contexts:
+        assert per_center.integers(1, 5) == per_pair.integers(1, 5)
+        batched = dist.draw(per_center, n * k).reshape(n, k)
+        for row in batched:
+            assert np.array_equal(row, dist.draw(per_pair, k))
+    assert per_center.random() == per_pair.random()
+
+
 def test_invalid_probability_table_rejected():
     with pytest.raises(ValueError, match="sum"):
         SamplingDist(probs=np.array([0.5, 0.4]))
