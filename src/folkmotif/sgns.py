@@ -9,10 +9,10 @@ matrix holds the queried vectors v_w; the output matrix holds context
 vectors v_c. PV-DBOW reuses the same objective with a per-song document
 vector standing in for v_w.
 
-Training is per-pair SGD in corpus order. A center's negatives, k for each
-of its n context pairs, are drawn in one call of n*k samples, which takes
-the same values from the generator as n calls of k, so the trained matrices
-equal those of drawing per pair, bit for bit.
+Training takes one simultaneous SGD step per center, in corpus order: its n
+context pairs, with k negatives each drawn in one call of n*k samples, are
+scored as one block of n*(k+1) rows. PV-DBOW has one pair per center, so its
+vectors equal those of per-pair SGD, bit for bit.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _train_pass(
     rng: np.random.Generator,
     epoch: int,
 ) -> float:
-    """One epoch of SGD over all (target, context) pairs.
+    """One epoch of SGD: one step per center, over all of its context pairs.
 
     ``target_rows`` selects the input row per sequence (PV-DBOW document
     mode); when None the targets are the tokens themselves (skip-gram).
@@ -144,8 +144,8 @@ def _train_pass(
     """
     k = config.negatives
     d = output_vectors.shape[1]
-    labels = np.zeros(k + 1)
-    labels[0] = 1.0
+    labels = np.zeros(2 * config.window * (k + 1))
+    labels[:: k + 1] = 1.0
     flat_output = output_vectors.reshape(-1)
     columns = np.arange(d)
     centers = sum(len(seq) for seq in sequences)
@@ -169,15 +169,15 @@ def _train_pass(
                 idx = np.empty((n, k + 1), dtype=np.int64)
                 idx[:, 0] = contexts
                 idx[:, 1:] = dist.draw(rng, n * k).reshape(n, k)
+                ix = idx.ravel()
                 w = input_vectors[row]
-                for ix in idx:
-                    loss, grad_w, grad_ctx = pair_objective(w, output_vectors[ix], labels)
-                    total += loss
-                    grad_ctx *= -lr
-                    # The flat form of np.add.at(output_vectors, ix, grad_ctx): a
-                    # repeated row takes each of its updates in turn.
-                    np.add.at(flat_output, (ix[:, None] * d + columns).ravel(), grad_ctx.ravel())
-                    w -= lr * grad_w
+                loss, grad_w, grad_ctx = pair_objective(w, output_vectors[ix], labels[: len(ix)])
+                total += loss
+                grad_ctx *= -lr
+                # The flat form of np.add.at(output_vectors, ix, grad_ctx): a
+                # repeated row takes each of its updates in turn.
+                np.add.at(flat_output, (ix[:, None] * d + columns).ravel(), grad_ctx.ravel())
+                w -= lr * grad_w
     if not np.isfinite(total):
         raise TrainingDiverged(
             f"non-finite training objective {total}; lower the learning rate ({config.lr})"

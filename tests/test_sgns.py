@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,41 +189,47 @@ def _reference_pair_objective(w, ctx, labels):
         return loss, g @ ctx, np.outer(g, w)
 
 
-def _reference_train_pass(
-    sequences, target_rows, input_vectors, output_vectors, dist, config, rng, epoch
-):
-    """The per-pair loop that sgns._train_pass must equal bit for bit.
+def _reference_train_pass(per_center):
+    """The loop that sgns._train_pass must equal bit for bit.
 
-    One draw of k negatives per pair, the step through the term-by-term
-    objective and the context-row update through the 2-D np.add.at.
+    One draw of k negatives per pair and the term-by-term objective. With
+    per_center the center's pairs are scored as one flat block and take one
+    step; without it each pair takes its own step. The context rows are
+    updated through the 2-D np.add.at.
     """
-    k = config.negatives
-    labels = np.zeros(k + 1)
-    labels[0] = 1.0
-    idx = np.empty(k + 1, dtype=np.int64)
-    centers = sum(len(seq) for seq in sequences)
-    step, steps = epoch * centers, config.epochs * centers
-    total = 0.0
-    for s, seq in enumerate(sequences):
-        for t in range(len(seq)):
-            lr = max(config.lr_min, config.lr * (1.0 - step / steps))
-            step += 1
-            if target_rows is None:
-                b = int(rng.integers(1, config.window + 1))
-                contexts = np.concatenate([seq[max(0, t - b) : t], seq[t + 1 : t + 1 + b]])
-                row = seq[t]
-            else:
-                contexts = seq[t : t + 1]
-                row = target_rows[s]
-            w = input_vectors[row]
-            for c in contexts:
-                idx[0] = c
-                idx[1:] = dist.draw(rng, k)
-                loss, grad_w, grad_ctx = _reference_pair_objective(w, output_vectors[idx], labels)
-                total += loss
-                np.add.at(output_vectors, idx, -lr * grad_ctx)
-                input_vectors[row] = w - lr * grad_w
-    return total
+
+    def train_pass(sequences, target_rows, input_vectors, output_vectors, dist, config, rng, epoch):
+        k = config.negatives
+        centers = sum(len(seq) for seq in sequences)
+        step, steps = epoch * centers, config.epochs * centers
+        total = 0.0
+        for s, seq in enumerate(sequences):
+            for t in range(len(seq)):
+                lr = max(config.lr_min, config.lr * (1.0 - step / steps))
+                step += 1
+                if target_rows is None:
+                    b = int(rng.integers(1, config.window + 1))
+                    contexts = np.concatenate([seq[max(0, t - b) : t], seq[t + 1 : t + 1 + b]])
+                    row = seq[t]
+                else:
+                    contexts = seq[t : t + 1]
+                    row = target_rows[s]
+                pairs = np.array(
+                    [np.concatenate(([c], dist.draw(rng, k))) for c in contexts], dtype=np.int64
+                )
+                w = input_vectors[row]
+                for ix in [pairs.ravel()] if per_center else pairs:
+                    labels = np.zeros(len(ix))
+                    labels[:: k + 1] = 1.0
+                    loss, grad_w, grad_ctx = _reference_pair_objective(
+                        w, output_vectors[ix], labels
+                    )
+                    total += loss
+                    np.add.at(output_vectors, ix, -lr * grad_ctx)
+                    input_vectors[row] = w - lr * grad_w
+        return total
+
+    return train_pass
 
 
 def _three_token_songs():
@@ -246,19 +254,63 @@ def _many_token_songs():
 
 
 @pytest.mark.parametrize("corpus", [_three_token_songs, _many_token_songs])
-def test_training_equals_the_per_pair_reference_bit_for_bit(monkeypatch, corpus):
+def test_skipgram_equals_the_per_center_reference_bit_for_bit(monkeypatch, corpus):
     songs, config = corpus()
     vocab = build_vocab([s.tokens for s in songs])
     emb = train_skipgram(songs, vocab, config)
+    monkeypatch.setattr(sgns, "_train_pass", _reference_train_pass(per_center=True))
+    ref = train_skipgram(songs, vocab, config)
+    assert np.array_equal(emb.input_vectors, ref.input_vectors)
+    assert np.array_equal(emb.output_vectors, ref.output_vectors)
+    assert emb.epoch_objectives == ref.epoch_objectives
+
+
+@pytest.mark.parametrize("corpus", [_three_token_songs, _many_token_songs])
+def test_pvdbow_equals_the_per_pair_reference_bit_for_bit(monkeypatch, corpus):
+    """PV-DBOW has one pair per center, so its doc vectors keep the per-pair values."""
+    songs, config = corpus()
+    vocab = build_vocab([s.tokens for s in songs])
     docs = train_pvdbow(songs, vocab, config)
-    monkeypatch.setattr(sgns, "_train_pass", _reference_train_pass)
-    ref_emb = train_skipgram(songs, vocab, config)
-    ref_docs = train_pvdbow(songs, vocab, config)
-    assert np.array_equal(emb.input_vectors, ref_emb.input_vectors)
-    assert np.array_equal(emb.output_vectors, ref_emb.output_vectors)
-    assert emb.epoch_objectives == ref_emb.epoch_objectives
-    assert np.array_equal(docs.vectors, ref_docs.vectors)
-    assert docs.epoch_objectives == ref_docs.epoch_objectives
+    monkeypatch.setattr(sgns, "_train_pass", _reference_train_pass(per_center=False))
+    ref = train_pvdbow(songs, vocab, config)
+    assert np.array_equal(docs.vectors, ref.vectors)
+    assert docs.epoch_objectives == ref.epoch_objectives
+
+
+@pytest.mark.parametrize("train", [train_skipgram, train_pvdbow])
+def test_training_makes_one_pair_objective_call_per_center(monkeypatch, train):
+    songs, config = _many_token_songs()
+    vocab = build_vocab([s.tokens for s in songs])
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return pair_objective(*args)
+
+    monkeypatch.setattr(sgns, "pair_objective", counted)
+    train(songs, vocab, config)
+    centers = sum(len(s.tokens) for s in songs)
+    assert len(calls) == centers * config.epochs
+
+
+def test_skipgram_objective_rises_every_epoch():
+    songs, config = _many_token_songs()
+    vocab = build_vocab([s.tokens for s in songs])
+    emb = train_skipgram(songs, vocab, replace(config, epochs=4))
+    objectives = emb.epoch_objectives
+    assert len(objectives) == 4
+    assert all(later > earlier for earlier, later in zip(objectives, objectives[1:]))
+
+
+def test_skipgram_on_one_token_songs_leaves_the_matrices_untouched():
+    """No song has a context pair, so every center scores an empty block."""
+    songs = [TokenizedSong(id=f"s{i}", label="x", tokens=(tok,)) for i, tok in enumerate("abcab")]
+    vocab = build_vocab([s.tokens for s in songs])
+    emb = train_skipgram(songs, vocab, FAST)
+    initial = (np.random.default_rng(FAST.seed).random((len(vocab), FAST.dim)) - 0.5) / FAST.dim
+    assert np.array_equal(emb.input_vectors, initial)
+    assert not emb.output_vectors.any()
+    assert emb.epoch_objectives == [0.0] * FAST.epochs
 
 
 def test_doc_vectors_group_identical_songs():
