@@ -2,10 +2,14 @@
 
 An experiment is fully described by an ExperimentConfig (JSON-serializable,
 so config files mirror it field for field). Artifacts — token file, vocab,
-embeddings, model, predictions, metrics JSON, text report — are written to
-an output directory, and reruns with the same config and corpus are
-byte-identical. The CLI trains and predicts through the same per-model
-functions, ``run_attention`` and ``run_svm``.
+model, predictions, metrics JSON, text report — are written to an output
+directory, and reruns with the same config and corpus are byte-identical.
+The attention and average models read skip-gram motif vectors, so only they
+train skip-gram and write ``embeddings.txt``. Doc2vec is PV-DBOW, which
+learns its song vectors straight from the tokens; for it the ``embedding``
+block configures PV-DBOW, which does not use ``window``. The CLI trains and
+predicts through the same per-model functions, ``run_attention`` and
+``run_svm``.
 """
 
 from __future__ import annotations
@@ -142,11 +146,11 @@ def run_svm(train, test, vectors, classes, config: SvmConfig):
     return predictions, write_svm(svm, classes)
 
 
-def _song_vectors(train, test, songs, embeddings, config):
+def _song_vectors(train, test, songs, vocab, embeddings, config):
     if config.model == "average":
         ids = [s.id for s in [*train, *test]]
         return ids, np.array([average_embedding(s.tokens, embeddings) for s in [*train, *test]])
-    docs = train_pvdbow(songs, embeddings.vocab, config.embedding)
+    docs = train_pvdbow(songs, vocab, config.embedding)
     return docs.ids, docs.vectors
 
 
@@ -168,9 +172,11 @@ def run_experiment(
     songs = [s for s in songs if any(t in vocab for t in s.tokens)]
     if not songs:
         raise ExperimentError("vocabulary", ValueError("min_count pruned every song"))
-    embeddings = _stage("embeddings", train_skipgram, songs, vocab, config.embedding)
     train, test = _stage("split", split_dataset, songs, config.split_ratio, config.seed)
     classes = sorted({s.label for s in songs})
+    embeddings = None  # PV-DBOW (doc2vec) reads no motif vectors
+    if config.model != "doc2vec":
+        embeddings = _stage("embeddings", train_skipgram, songs, vocab, config.embedding)
 
     if config.model == "attention":
         predictions, checkpoint, _ = _stage(
@@ -178,7 +184,9 @@ def run_experiment(
         )
         model_files = {"model.txt": checkpoint}
     else:
-        ids, matrix = _stage("baseline", _song_vectors, train, test, songs, embeddings, config)
+        ids, matrix = _stage(
+            "baseline", _song_vectors, train, test, songs, vocab, embeddings, config
+        )
         predictions, svm_text = _stage(
             "baseline", run_svm, train, test, dict(zip(ids, matrix)), classes, config.svm
         )
@@ -198,7 +206,11 @@ def run_experiment(
             "experiment.json": json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n",
             "tokens.tsv": write_token_file(songs),
             "vocab.tsv": write_vocab(vocab),
-            "embeddings.txt": write_embeddings(vocab.tokens, embeddings.input_vectors),
+            **(
+                {"embeddings.txt": write_embeddings(vocab.tokens, embeddings.input_vectors)}
+                if embeddings is not None
+                else {}
+            ),
             **model_files,
             "predictions.csv": "id,gold,predicted\n" + prediction_rows,
             "metrics.json": report.to_json(),

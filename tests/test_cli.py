@@ -274,6 +274,19 @@ def test_experiment_config_with_bad_step_setting_is_data_error(tmp_path, capsys,
     assert f"{field} must" in capsys.readouterr().err
 
 
+def test_experiment_doc2vec_divergence_exit_code(tmp_path, capsys):
+    paths = write_single_label_corpora(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **FAST_EXPERIMENT,
+        "model": "doc2vec",
+        "embedding": {**FAST_EXPERIMENT["embedding"], "lr": 1e8, "lr_min": 1e8},
+    }))
+    assert main(["experiment", "1", f"a={paths['alpha']}", f"b={paths['beta']}",
+                 "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+    assert "diverged" in capsys.readouterr().err
+
+
 def test_synth_corpus_custom_inventories(tmp_path):
     out = tmp_path / "c.jsonl"
     assert main(["synth-corpus", "--inventory", "x=1", "--inventory", "y=4,6",

@@ -6,9 +6,10 @@ import pytest
 
 from folkmotif.attention import ClassifierConfig, _param_arrays, load_model
 from folkmotif.baselines import SvmConfig, read_svm
+import folkmotif.experiment
 from folkmotif.experiment import ExperimentConfig, ExperimentError, run_experiment
 from folkmotif.melody import LabeledCorpus
-from folkmotif.sgns import SkipgramConfig, read_embeddings
+from folkmotif.sgns import SkipgramConfig, TrainingDiverged, read_embeddings
 from folkmotif.synth import SynthConfig, generate_corpus
 
 
@@ -59,12 +60,45 @@ def test_attention_experiment_writes_artifacts(tmp_path):
 @pytest.mark.parametrize("model,extra", [("average", "svm.txt"), ("doc2vec", "svm.txt")])
 def test_baseline_experiments_write_svm_artifacts(tmp_path, model, extra):
     report, artifacts = run_experiment(fast_config(model=model), small_corpus(), tmp_path)
-    assert set(artifacts) == EXPECTED_COMMON | {extra, "song_vectors.txt"}
+    # PV-DBOW learns song vectors from the tokens alone: no motif embeddings.
+    common = EXPECTED_COMMON - {"embeddings.txt"} if model == "doc2vec" else EXPECTED_COMMON
+    assert set(artifacts) == common | {extra, "song_vectors.txt"}
     assert 0.0 <= report.accuracy <= 1.0
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    config = fast_config()
+def test_doc2vec_experiment_trains_no_skipgram(monkeypatch):
+    original, calls = folkmotif.experiment.train_skipgram, []
+
+    def counted(*args):
+        calls.append(model)
+        return original(*args)
+
+    monkeypatch.setattr(folkmotif.experiment, "train_skipgram", counted)
+    for model in ("attention", "average", "doc2vec"):
+        run_experiment(fast_config(model=model), small_corpus())
+    assert calls == ["attention", "average"]
+
+
+def test_one_song_class_fails_at_split_before_skipgram(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("skip-gram trained before the split")
+
+    monkeypatch.setattr(folkmotif.experiment, "train_skipgram", forbidden)
+    corpus = small_corpus()
+    corpus.melodies[0].label = "gamma"
+    with pytest.raises(ExperimentError, match="stage 'split'.*'gamma'"):
+        run_experiment(fast_config(), corpus)
+
+
+def test_doc2vec_divergence_is_reported_as_training_diverged():
+    embedding = SkipgramConfig(dim=8, window=2, negatives=2, epochs=2, lr=1e8, lr_min=1e8, seed=0)
+    with pytest.raises(TrainingDiverged, match="learning rate"):
+        run_experiment(fast_config(model="doc2vec", embedding=embedding), small_corpus())
+
+
+@pytest.mark.parametrize("model", ["attention", "average", "doc2vec"])
+def test_rerun_is_byte_identical(tmp_path, model):
+    config = fast_config(model=model)
     _, first = run_experiment(config, small_corpus(), tmp_path / "a")
     _, second = run_experiment(config, small_corpus(), tmp_path / "b")
     assert set(first) == set(second)
@@ -92,7 +126,6 @@ GOLDEN = {
     ),
     "doc2vec": (
         {
-            "embeddings.txt": EMBEDDINGS_DIGEST,
             "svm.txt": [0.21082866665202044, 3.153407197944245],
             "song_vectors.txt": [0.5945979964451131, 0.4830282346461232],
         },
@@ -105,7 +138,9 @@ GOLDEN = {
 def test_artifacts_match_golden_digest(tmp_path, model):
     _, artifacts = run_experiment(fast_config(model=model), small_corpus(), tmp_path)
     text = {name: Path(path).read_text() for name, path in artifacts.items()}
-    arrays = {"embeddings.txt": [read_embeddings(text["embeddings.txt"])[1]]}
+    arrays = {}
+    if "embeddings.txt" in text:
+        arrays["embeddings.txt"] = [read_embeddings(text["embeddings.txt"])[1]]
     if model == "attention":
         params = load_model(text["model.txt"])[0].params
         arrays["model.txt"] = [a for _, a in _param_arrays(params)]
