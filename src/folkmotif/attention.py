@@ -13,6 +13,7 @@ differences in the test suite; no autodiff is involved.
 
 from __future__ import annotations
 
+import base64
 import copy
 import csv
 import dataclasses
@@ -24,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .sgns import Embeddings, TrainingDiverged, read_embeddings, write_embeddings
+from .sgns import Embeddings, TrainingDiverged
 from .tokens import TokenizedSong
 from .vocab import Vocabulary, write_vocab
 
@@ -109,7 +110,6 @@ class SongExample:
     id: str
     x: np.ndarray  # T x d, frozen motif vectors
     label: int
-    tokens: tuple[str, ...]  # the in-vocabulary motifs behind the rows of x
 
 
 def _param_arrays(obj, prefix: str = ""):
@@ -322,10 +322,10 @@ def make_examples(
     class_index = {c: i for i, c in enumerate(classes)}
     examples = []
     for song in songs:
-        x, kept = _song_rows(song, embeddings, max_len)
+        x, _ = _song_rows(song, embeddings, max_len)
         if song.label not in class_index:
             raise ValueError(f"song {song.id!r} has unknown class {song.label!r}")
-        examples.append(SongExample(id=song.id, x=x, label=class_index[song.label], tokens=kept))
+        examples.append(SongExample(id=song.id, x=x, label=class_index[song.label]))
     return examples
 
 
@@ -422,12 +422,12 @@ def vocab_digest(vocab: Vocabulary) -> str:
     return hashlib.sha256(write_vocab(vocab).encode("utf-8")).hexdigest()
 
 
-CHECKPOINT_FORMAT = 2  # the fused w/u/b of GruDirection
+CHECKPOINT_FORMAT = 3  # one base64 line per parameter array
 
 
 def save_model(model: AttentionModel, vocab_hash: str = "") -> str:
-    """Checkpoint: one JSON config line, then each parameter in the
-    embedding text format (name as the header's first field)."""
+    """Checkpoint: one JSON config line, then one line per parameter array,
+    ``<name> <base64 of its little-endian float64 bytes>``, in a fixed order."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "labels": model.labels,
@@ -436,12 +436,10 @@ def save_model(model: AttentionModel, vocab_hash: str = "") -> str:
         "attention_dim": model.attention_dim,
         "vocab_sha256": vocab_hash,
     }
-    chunks = [json.dumps(meta, sort_keys=True) + "\n"]
+    lines = [json.dumps(meta, sort_keys=True)]
     for name, arr in _param_arrays(model.params):
-        matrix = arr.reshape(1, -1) if arr.ndim == 1 else arr
-        rows = write_embeddings([f"{name}[{i}]" for i in range(matrix.shape[0])], matrix)
-        chunks.append(f"@{name} {arr.ndim}\n{rows}")
-    return "".join(chunks)
+        lines.append(f"{name} {base64.b64encode(arr.astype('<f8').tobytes()).decode('ascii')}")
+    return "\n".join(lines) + "\n"
 
 
 def load_model(text: str) -> tuple[AttentionModel, dict]:
@@ -450,33 +448,36 @@ def load_model(text: str) -> tuple[AttentionModel, dict]:
     if not lines:
         raise ValueError("empty model file")
     meta = json.loads(lines[0])
+    if not isinstance(meta, dict):
+        raise ValueError("the checkpoint meta line must be a JSON object")
     fmt = meta.get("format", 1)  # format 1, nine arrays per GRU direction, had no key
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {fmt} is not {CHECKPOINT_FORMAT}; retrain the model")
-    model = init_model(
-        dim=meta["dim"],
-        labels=meta["labels"],
-        hidden=meta["hidden"],
-        attention_dim=meta["attention_dim"],
-    )
-    i = 1
-    for name, arr in _param_arrays(model.params):
-        if i >= len(lines):
-            raise ValueError(f"checkpoint is missing parameter {name}")
-        if lines[i] != f"@{name} {arr.ndim}":
-            raise ValueError(f"line {i + 1}: expected parameter {name}, found {lines[i][:60]!r}")
-        shape = np.atleast_2d(arr).shape  # as save_model writes it
-        block = lines[i + 1 : i + 2 + shape[0]]
-        if len(block) < 1 + shape[0]:
-            raise ValueError(f"truncated checkpoint inside parameter {name}")
+    try:
+        model = init_model(
+            dim=meta["dim"],
+            labels=meta["labels"],
+            hidden=meta["hidden"],
+            attention_dim=meta["attention_dim"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"checkpoint meta has no {exc.args[0]!r} key") from None
+    except TypeError as exc:
+        raise ValueError(f"checkpoint meta: {exc}") from None
+    arrays = list(_param_arrays(model.params))
+    for (name, arr), line in zip(arrays, lines[1:]):
+        found, _, payload = line.partition(" ")
+        if found != name:
+            raise ValueError(f"expected parameter {name}, found {found[:60]!r}")
         try:
-            _, matrix = read_embeddings("\n".join(block) + "\n")
+            raw = base64.b64decode(payload, validate=True)
         except ValueError as exc:
-            raise ValueError(f"parameter {name}: {exc}") from None
-        if matrix.shape != shape:
-            raise ValueError(f"parameter {name} has shape {matrix.shape}, expected {shape}")
-        arr[...] = matrix.reshape(arr.shape)
-        i += 1 + len(block)
-    if i < len(lines):
-        raise ValueError(f"line {i + 1}: unexpected content after the last parameter")
+            raise ValueError(f"parameter {name} is not base64: {exc}") from None
+        if len(raw) != arr.nbytes:
+            raise ValueError(f"parameter {name} has {len(raw)} bytes, expected {arr.nbytes}")
+        arr[...] = np.frombuffer(raw, "<f8").reshape(arr.shape)
+    if len(lines) - 1 < len(arrays):
+        raise ValueError(f"checkpoint is missing parameter {arrays[len(lines) - 1][0]}")
+    if len(lines) - 1 > len(arrays):
+        raise ValueError(f"line {len(arrays) + 2}: unexpected content after the last parameter")
     return model, meta

@@ -137,10 +137,6 @@ def predict_svm(model: LinearSvmModel, x: np.ndarray) -> int:
     return int(np.argmax(model.scores(x)))
 
 
-def predict_svm_batch(model: LinearSvmModel, X: np.ndarray) -> np.ndarray:
-    return np.argmax(model.scores(X), axis=1)
-
-
 def write_svm(model: LinearSvmModel, class_names: Sequence[str]) -> str:
     """Text form: header with lambda, then per class "name bias weights...";
     floats are repr-formatted so the round trip is exact."""

@@ -25,7 +25,7 @@ import numpy as np
 from .attention import (
     ClassifierConfig,
     make_examples,
-    predict,
+    predict_song,
     save_model,
     train_classifier,
     vocab_digest,
@@ -125,10 +125,10 @@ def run_attention(train, test, embeddings, classes, config: ClassifierConfig):
     examples = make_examples(train, embeddings, classes, config.max_len)
     model = train_classifier(examples, classes, config)
     predictions, weighted = [], []
-    for ex in make_examples(test, embeddings, classes, config.max_len):
-        label, _, alpha = predict(model, ex.x)
-        predictions.append(classes[label])
-        weighted.append(list(zip(ex.tokens, alpha.tolist())))
+    for song in test:
+        label, _, pairs = predict_song(model, song, embeddings, config.max_len)
+        predictions.append(label)
+        weighted.append(pairs)
     return predictions, save_model(model, vocab_digest(embeddings.vocab)), weighted
 
 

@@ -27,10 +27,6 @@ def format_duration(duration: Fraction) -> str:
     return f"{scaled // 10_000}.{scaled % 10_000:04d}".rstrip("0")
 
 
-def parse_duration(text: str) -> Fraction:
-    return Fraction(text)
-
-
 @dataclass(frozen=True)
 class IntervalToken:
     size: int  # chromatic semitones, >= 0
@@ -74,23 +70,7 @@ class RhythmToken:
         parts = text.split("-")
         if len(parts) != 3 or parts[0] not in "01" or parts[1] not in "01":
             raise ValueError(f"not a rhythm token: {text!r}")
-        return cls(is_note=parts[0] == "1", is_downbeat=parts[1] == "1", duration=parse_duration(parts[2]))
-
-
-@dataclass(frozen=True)
-class MultiwordToken:
-    parts: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.parts) < 2:
-            raise ValueError("a multiword needs at least 2 parts")
-
-    def render(self) -> str:
-        return "_".join(self.parts)
-
-    @classmethod
-    def parse(cls, text: str) -> "MultiwordToken":
-        return cls(parts=tuple(text.split("_")))
+        return cls(is_note=parts[0] == "1", is_downbeat=parts[1] == "1", duration=Fraction(parts[2]))
 
 
 def interval_token(prev: NoteEvent, nxt: NoteEvent) -> IntervalToken:

@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 import re
@@ -386,7 +387,9 @@ def test_make_examples_truncates_long_songs():
     song = TokenizedSong(id="s", label="alpha", tokens=("a1",) * 40)
     (ex,) = make_examples([song], emb, ["alpha", "beta"], max_len=7)
     assert ex.x.shape == (7, 5)
-    assert len(ex.tokens) == 7
+    model = randomized_model(3, dim=5, hidden=4, attention_dim=3)
+    _, _, weighted = predict_song(model, song, emb, max_len=7)
+    assert [m for m, _ in weighted] == ["a1"] * 7
 
 
 def test_config_rejects_empty_max_len():
@@ -424,6 +427,13 @@ def test_checkpoint_round_trip():
     np.testing.assert_array_equal(predict(model, x)[1], predict(restored, x)[1])
 
 
+def test_checkpoint_is_ascii_and_resaves_byte_for_byte():
+    text = save_model(randomized_model(16), "ab" * 32)
+    assert text.isascii()
+    restored, meta = load_model(text)
+    assert save_model(restored, meta["vocab_sha256"]) == text
+
+
 def test_checkpoint_missing_parameter_is_error():
     model = randomized_model(13)
     text = save_model(model)
@@ -432,11 +442,18 @@ def test_checkpoint_missing_parameter_is_error():
         load_model(truncated)
 
 
-def _cut_inside(text, name):
-    """The checkpoint up to the middle of the second row of parameter name."""
+def _edit_line(text, name, edit):
+    """The checkpoint with parameter name's line replaced by edit(line)."""
     lines = text.splitlines(keepends=True)
-    at = lines.index(f"@{name} 2\n")
-    return "".join(lines[: at + 3]) + lines[at + 3][:10]
+    at = [line.split(" ", 1)[0] for line in lines].index(name)
+    lines[at] = edit(lines[at])
+    return "".join(lines)
+
+
+def _cut_inside(text, name):
+    """The checkpoint up to the middle of parameter name's payload."""
+    start = text.index(f"\n{name} ") + 1
+    return text[: (start + text.index("\n", start)) // 2]
 
 
 def _with_meta(text, **changes):
@@ -444,30 +461,31 @@ def _with_meta(text, **changes):
     return json.dumps({**json.loads(meta), **changes}) + "\n" + rest
 
 
-def _drop_last_float(text, name):
-    """The checkpoint with one float cut from the first row of parameter name."""
+def _drop_last_float(line):
+    name, payload = line.split()
+    return f"{name} {base64.b64encode(base64.b64decode(payload)[:-8]).decode()}\n"
+
+
+def _swap_lines(text, a, b):
     lines = text.splitlines(keepends=True)
-    at = lines.index(f"@{name} 1\n") + 2
-    lines[at] = lines[at].rsplit(" ", 1)[0] + "\n"
+    names = [line.split(" ", 1)[0] for line in lines]
+    i, j = names.index(a), names.index(b)
+    lines[i], lines[j] = lines[j], lines[i]
     return "".join(lines)
-
-
-def _swap_blocks(text, a, b):
-    meta, rest = text.split("\n", 1)
-    blocks = {blk.split(" ", 1)[0][1:]: blk for blk in re.split(r"(?m)^(?=@)", rest)[1:]}
-    blocks[a], blocks[b] = blocks[b], blocks[a]
-    return meta + "\n" + "".join(blocks.values())
 
 
 @pytest.mark.parametrize(
     "corrupt,message",
     [
-        (lambda t: _cut_inside(t, "gru_bwd.u"), "truncated checkpoint inside parameter gru_bwd.u"),
-        (lambda t: _with_meta(t, dim=4), r"parameter gru_fwd.w has shape \(12, 3\), expected \(12, 4\)"),
-        (lambda t: _drop_last_float(t, "attn.u"), "parameter attn.u: line 2: expected token and 3"),
-        (lambda t: _swap_blocks(t, "attn.w", "out.w"), "expected parameter attn.w, found '@out.w 2'"),
+        (lambda t: _cut_inside(t, "gru_bwd.u"), r"^parameter gru_bwd\.u is not base64"),
+        (lambda t: _with_meta(t, dim=4), r"^parameter gru_fwd\.w has 288 bytes, expected 384$"),
+        (lambda t: _edit_line(t, "attn.u", _drop_last_float), r"^parameter attn\.u has 16 bytes, expected 24$"),
+        (lambda t: _edit_line(t, "attn.u", lambda line: line.replace(" ", " !", 1)), r"^parameter attn\.u is not base64"),
+        (lambda t: _swap_lines(t, "attn.w", "out.w"), r"^expected parameter attn\.w, found 'out\.w'$"),
+        (lambda t: _edit_line(t, "out.b", lambda line: ""), r"^checkpoint is missing parameter out\.b$"),
+        (lambda t: t + "out.c AAAA\n", r"^line 13: unexpected content after the last parameter$"),
     ],
-    ids=["cut", "width", "short-row", "swapped"],
+    ids=["cut", "width", "short-row", "not-base64", "swapped", "missing-last", "extra"],
 )
 def test_corrupt_checkpoint_error_names_the_parameter(corrupt, message):
     text = save_model(randomized_model(15))
@@ -475,15 +493,30 @@ def test_corrupt_checkpoint_error_names_the_parameter(corrupt, message):
         load_model(corrupt(text))
 
 
-@pytest.mark.parametrize("fmt", [1, None])
+@pytest.mark.parametrize("fmt", [1, 2, None])
 def test_checkpoint_of_another_format_is_refused(fmt):
     meta, rest = save_model(randomized_model(14)).split("\n", 1)
     meta = json.loads(meta)
     del meta["format"]
     if fmt is not None:
         meta["format"] = fmt
-    with pytest.raises(ValueError, match="checkpoint format 1 .*retrain"):
+    with pytest.raises(ValueError, match=f"checkpoint format {fmt or 1} .*retrain"):
         load_model(json.dumps(meta) + "\n" + rest)
+
+
+@pytest.mark.parametrize(
+    "meta_line,message",
+    [
+        ("[]", "meta line must be a JSON object"),
+        ('{"format": 3}', "no 'dim' key"),
+        ('{"format": 3, "dim": 1.5, "labels": ["a", "b"], "hidden": 2, "attention_dim": 2}',
+         "checkpoint meta: 'float' object"),
+    ],
+    ids=["not-an-object", "missing-key", "float-dim"],
+)
+def test_malformed_checkpoint_meta_is_a_value_error(meta_line, message):
+    with pytest.raises(ValueError, match=message):
+        load_model(meta_line + "\n")
 
 
 def test_alpha_csv_format():

@@ -10,7 +10,6 @@ from folkmotif.baselines import (
     SvmConfig,
     average_embedding,
     predict_svm,
-    predict_svm_batch,
     read_svm,
     svm_objective,
     train_linear_svm,
@@ -81,7 +80,7 @@ def test_duplicating_points_leaves_predictions_unchanged():
     doubled = train_linear_svm(
         np.concatenate([X, X]), list(labels) + list(labels), config=SvmConfig(seed=3)
     )
-    np.testing.assert_array_equal(predict_svm_batch(base, X), predict_svm_batch(doubled, X))
+    assert [predict_svm(base, x) for x in X] == [predict_svm(doubled, x) for x in X]
 
 
 def test_heavy_regularization_shrinks_weights():

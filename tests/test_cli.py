@@ -1,11 +1,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from folkmotif.attention import alpha_csv, load_model, predict_song, vocab_digest
 from folkmotif.cli import main
 from folkmotif.melody import read_jsonl, write_jsonl
+from folkmotif.sgns import Embeddings, read_embeddings
 from folkmotif.tokens import read_token_file
+from folkmotif.vocab import read_vocab
 
 KERN_SONG = """**kern
 *M4/4
@@ -151,9 +155,18 @@ def test_train_classifier_writes_model_metrics_alphas(tmp_path, capsys):
     assert "accuracy" in out
     assert model.is_file()
     assert 0.0 <= json.loads(metrics.read_text())["accuracy"] <= 1.0
-    csvs = list(alphas.glob("*.csv"))
+    csvs = sorted(alphas.glob("*.csv"))
     assert len(csvs) == 4  # 25% of 16 songs
     assert csvs[0].read_text().splitlines()[0] == "motif,weight"
+
+    # The written checkpoint reloads to the model that wrote the alpha CSVs.
+    restored, meta = load_model(model.read_text())
+    _, matrix = read_embeddings(emb.read_text())
+    embeddings = Embeddings(read_vocab(vocab.read_text()), matrix, np.zeros_like(matrix))
+    assert meta["vocab_sha256"] == vocab_digest(embeddings.vocab)
+    songs = {s.id: s for s in read_token_file(tokens.read_text())}
+    _, _, weighted = predict_song(restored, songs[csvs[0].stem], embeddings, max_len=30)
+    assert alpha_csv(weighted) == csvs[0].read_text()
 
 
 def test_classifier_divergence_exit_code(tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from folkmotif.melody import Melody, NoteEvent
 from folkmotif.tokens import (
     IntervalToken,
-    MultiwordToken,
     RhythmToken,
     TokenizedSong,
     build_multiwords,
@@ -195,12 +194,6 @@ def test_rhythm_render_is_idempotent_for_triplets():
     reparsed = RhythmToken.parse(token.render())
     assert reparsed.duration == Fraction(3333, 10000)
     assert RhythmToken.parse(reparsed.render()) == reparsed
-
-
-def test_multiword_split_recovers_parts():
-    token = MultiwordToken(parts=("1-0-0.25", "1-1-0.5"))
-    assert token.render() == "1-0-0.25_1-1-0.5"
-    assert MultiwordToken.parse(token.render()) == token
 
 
 def test_token_file_round_trip():
