@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .sgns import Embeddings, TrainingDiverged
+from .sgns import Embeddings, TrainingDiverged, _sigmoid
 from .tokens import TokenizedSong
 from .vocab import Vocabulary, write_vocab
 
@@ -156,10 +156,6 @@ def init_model(
     return AttentionModel(labels=list(labels), params=params)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.exp(-np.logaddexp(0.0, -x))
-
-
 def _softmax(x: np.ndarray) -> np.ndarray:
     shifted = np.exp(x - x.max())
     return shifted / shifted.sum()
@@ -167,12 +163,10 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _ScanCache:
-    xs: np.ndarray  # T x d in processing order
     z: np.ndarray  # T x H
     r: np.ndarray
     h_cand: np.ndarray
-    h_prev: np.ndarray  # state entering each step
-    h: np.ndarray  # state leaving each step
+    hs: np.ndarray  # (T+1) x H: the zero start state, then the state leaving each step
 
 
 def _scan(xs: np.ndarray, p: GruDirection) -> _ScanCache:
@@ -183,24 +177,23 @@ def _scan(xs: np.ndarray, p: GruDirection) -> _ScanCache:
     u_zr, u_h = p.u[: 2 * H], p.u[2 * H :]
     zr = np.empty((T, 2 * H))
     h_cand = np.empty((T, H))
-    h_prev = np.empty((T, H))
-    h = np.empty((T, H))
-    state = np.zeros(H)
+    hs = np.zeros((T + 1, H))
     for t in range(T):
-        h_prev[t] = state
+        state = hs[t]
         zr[t] = _sigmoid(xa[t, : 2 * H] + u_zr @ state)
         z, r = zr[t, :H], zr[t, H:]
         h_cand[t] = np.tanh(xa[t, 2 * H :] + u_h @ (r * state))
-        state = (1.0 - z) * state + z * h_cand[t]
-        h[t] = state
-    return _ScanCache(xs=xs, z=zr[:, :H], r=zr[:, H:], h_cand=h_cand, h_prev=h_prev, h=h)
+        hs[t + 1] = (1.0 - z) * state + z * h_cand[t]
+    return _ScanCache(z=zr[:, :H], r=zr[:, H:], h_cand=h_cand, hs=hs)
 
 
-def _scan_grad(dh_seq: np.ndarray, cache: _ScanCache, p: GruDirection, g: GruDirection) -> None:
+def _scan_grad(
+    dh_seq: np.ndarray, xs: np.ndarray, cache: _ScanCache, p: GruDirection, g: GruDirection
+) -> None:
     """Backpropagate through one scan, accumulating parameter grads into g.
 
-    dh_seq holds the loss gradient w.r.t. each emitted state, in processing
-    order. Gradients w.r.t. the inputs are not needed (frozen embeddings).
+    dh_seq holds the loss gradient w.r.t. each emitted state and xs the input,
+    both in processing order. Input gradients are not needed (frozen embeddings).
     Only the recurrence runs step by step; the weight gradients are taken
     after it, over all timesteps at once, as the forward input projection is.
     """
@@ -210,15 +203,15 @@ def _scan_grad(dh_seq: np.ndarray, cache: _ScanCache, p: GruDirection, g: GruDir
     carry = np.zeros(H)
     for t in range(T - 1, -1, -1):
         dh = dh_seq[t] + carry
-        z, r, hc, hp = cache.z[t], cache.r[t], cache.h_cand[t], cache.h_prev[t]
+        z, r, hc, hp = cache.z[t], cache.r[t], cache.h_cand[t], cache.hs[t]
         da[t, :H] = dh * (hc - hp) * z * (1.0 - z)
         da[t, 2 * H :] = (dh * z) * (1.0 - hc * hc)
         uh_dah = u_h.T @ da[t, 2 * H :]
         da[t, H : 2 * H] = (uh_dah * hp) * r * (1.0 - r)
         carry = dh * (1.0 - z) + u_zr.T @ da[t, : 2 * H] + uh_dah * r
-    g.w += da.T @ cache.xs
-    g.u[: 2 * H] += da[:, : 2 * H].T @ cache.h_prev
-    g.u[2 * H :] += da[:, 2 * H :].T @ (cache.r * cache.h_prev)
+    g.w += da.T @ xs
+    g.u[: 2 * H] += da[:, : 2 * H].T @ cache.hs[:-1]
+    g.u[2 * H :] += da[:, 2 * H :].T @ (cache.r * cache.hs[:-1])
     g.b += da.sum(axis=0)
 
 
@@ -236,7 +229,7 @@ class _ForwardCache:
 def _forward(x: np.ndarray, params: ModelParams) -> _ForwardCache:
     fwd = _scan(x, params.gru_fwd)
     bwd = _scan(x[::-1], params.gru_bwd)
-    annotations = np.concatenate([fwd.h, bwd.h[::-1]], axis=1)
+    annotations = np.concatenate([fwd.hs[1:], bwd.hs[1:][::-1]], axis=1)
     q = np.tanh(annotations @ params.attn.w.T + params.attn.b)
     alpha = _softmax(q @ params.attn.u)
     context = alpha @ annotations
@@ -289,8 +282,8 @@ def backward(x: np.ndarray, label: int, params: ModelParams, grads: ModelParams)
     d_annotations = np.outer(alpha, d_context) + d_a @ params.attn.w
 
     H = params.gru_fwd.u.shape[1]
-    _scan_grad(d_annotations[:, :H], cache.fwd, params.gru_fwd, grads.gru_fwd)
-    _scan_grad(d_annotations[::-1, H:], cache.bwd, params.gru_bwd, grads.gru_bwd)
+    _scan_grad(d_annotations[:, :H], x, cache.fwd, params.gru_fwd, grads.gru_fwd)
+    _scan_grad(d_annotations[::-1, H:], x[::-1], cache.bwd, params.gru_bwd, grads.gru_bwd)
 
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss {loss}; lower the learning rate")
@@ -453,6 +446,10 @@ def load_model(text: str) -> tuple[AttentionModel, dict]:
     fmt = meta.get("format", 1)  # format 1, nine arrays per GRU direction, had no key
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {fmt} is not {CHECKPOINT_FORMAT}; retrain the model")
+    labels = meta.get("labels")  # a missing key is reported with the others below
+    strings = isinstance(labels, list) and all(isinstance(name, str) for name in labels)
+    if "labels" in meta and not (strings and len(set(labels)) == len(labels) >= 2):
+        raise ValueError(f"checkpoint meta 'labels' must be 2 or more distinct strings: {labels!r}")
     try:
         model = init_model(
             dim=meta["dim"],

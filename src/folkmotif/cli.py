@@ -19,21 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .attention import ClassifierConfig, alpha_csv
-from .baselines import SvmConfig, average_embedding
+from .baselines import SvmConfig
 from .experiment import ExperimentConfig, ExperimentError, run_attention, run_experiment, run_svm
+from .experiment import REPRESENTATIONS, song_vectors, songs_with_motifs
 from .kern import ParseError
 from .melody import CorpusError, load_corpus, read_jsonl, write_jsonl
 from .metrics import evaluate, render_report, split_dataset
-from .sgns import (
-    Embeddings,
-    SkipgramConfig,
-    TrainingDiverged,
-    most_similar,
-    read_embeddings,
-    train_pvdbow,
-    train_skipgram,
-    write_embeddings,
-)
+from .sgns import Embeddings, SkipgramConfig, TrainingDiverged, most_similar, read_embeddings
+from .sgns import train_skipgram, write_embeddings
 from .synth import SynthConfig, generate_corpus
 from .tokens import read_token_file, tokenize_corpus, write_token_file
 from .vocab import Vocabulary, build_vocab, read_vocab, write_vocab
@@ -152,6 +145,7 @@ def _cmd_similar(args) -> None:
 def _cmd_train_classifier(args) -> None:
     songs = read_token_file(Path(args.tokens).read_text(encoding="utf-8"))
     emb = _read_embedding_set(args.embeddings, args.vocab)
+    songs = songs_with_motifs(songs, emb.vocab)
     classes = sorted({s.label for s in songs})
     config = ClassifierConfig(
         hidden=args.hidden,
@@ -179,22 +173,22 @@ def _cmd_train_classifier(args) -> None:
 
 def _cmd_baseline(args) -> None:
     songs = read_token_file(Path(args.tokens).read_text(encoding="utf-8"))
-    classes = sorted({s.label for s in songs})
-    train, test = split_dataset(songs, args.ratio, args.seed)
     if args.kind == "average":
         if not args.embeddings:
             raise UsageError("baseline average requires --embeddings")
         emb = _read_embedding_set(args.embeddings, args.vocab)
-        vectors = {s.id: average_embedding(s.tokens, emb) for s in songs}
+        vocab = emb.vocab
     else:
         if not args.vocab:
             raise UsageError("baseline doc2vec requires --vocab")
-        vocab = read_vocab(Path(args.vocab).read_text(encoding="utf-8"))
-        config = SkipgramConfig(
-            dim=args.dim, negatives=args.negatives, epochs=args.epochs, seed=args.seed
-        )
-        docs = train_pvdbow(songs, vocab, config)
-        vectors = dict(zip(docs.ids, docs.vectors))
+        emb, vocab = None, read_vocab(Path(args.vocab).read_text(encoding="utf-8"))
+    songs = songs_with_motifs(songs, vocab)
+    classes = sorted({s.label for s in songs})
+    train, test = split_dataset(songs, args.ratio, args.seed)
+    config = SkipgramConfig(
+        dim=args.dim, negatives=args.negatives, epochs=args.epochs, seed=args.seed
+    )
+    vectors = dict(zip([s.id for s in songs], song_vectors(args.kind, songs, vocab, emb, config)))
     svm_config = SvmConfig(lam=args.lam, epochs=args.svm_epochs, seed=args.seed)
     predictions, svm_text = run_svm(train, test, vectors, classes, svm_config)
     if args.out_svm:
@@ -265,8 +259,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("tokenize", help="turn a JSONL corpus into motif token strings")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=("intervallic", "rhythmic"), default="intervallic")
-    p.add_argument("--mw-size", type=int, choices=(1, 2, 3), default=2,
+    p.add_argument("--mode", choices=REPRESENTATIONS, default=ExperimentConfig.representation)
+    p.add_argument("--mw-size", type=int, choices=(1, 2, 3),
+                   default=ExperimentConfig.multiword_size,
                    help="multiword length; 1 keeps plain tokens")
     p.add_argument("--phrase-mode", action="store_true",
                    help="merge statistically attached bigrams instead of sliding n-grams")
@@ -275,12 +270,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train-embeddings", help="skip-gram embeddings from a token file")
     p.add_argument("--tokens", required=True)
-    p.add_argument("--dim", type=int, default=150)
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--dim", type=int, default=SkipgramConfig.dim)
+    p.add_argument("--window", type=int, default=SkipgramConfig.window)
+    p.add_argument("--negatives", type=int, default=SkipgramConfig.negatives)
+    p.add_argument("--epochs", type=int, default=SkipgramConfig.epochs)
+    p.add_argument("--seed", type=int, default=SkipgramConfig.seed)
+    p.add_argument("--min-count", type=int, default=ExperimentConfig.min_count)
     p.add_argument("--out-embeddings", default="embeddings.txt")
     p.add_argument("--out-vocab", default="vocab.tsv")
     p.set_defaults(fn=_cmd_train_embeddings)
@@ -295,16 +290,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--tokens", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--ratio", type=float, default=0.75, help="train fraction of the split")
-    p.add_argument("--hidden", type=int, default=200)
-    p.add_argument("--attention-dim", type=int, default=100)
-    p.add_argument("--batch", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--clip-norm", type=float, default=5.0)
-    p.add_argument("--max-len", type=int, default=500)
-    p.add_argument("--val-fraction", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--ratio", type=float, default=ExperimentConfig.split_ratio,
+                   help="train fraction of the split")
+    p.add_argument("--hidden", type=int, default=ClassifierConfig.hidden)
+    p.add_argument("--attention-dim", type=int, default=ClassifierConfig.attention_dim)
+    p.add_argument("--batch", type=int, default=ClassifierConfig.batch)
+    p.add_argument("--lr", type=float, default=ClassifierConfig.lr)
+    p.add_argument("--epochs", type=int, default=ClassifierConfig.epochs)
+    p.add_argument("--clip-norm", type=float, default=ClassifierConfig.clip_norm)
+    p.add_argument("--max-len", type=int, default=ClassifierConfig.max_len)
+    p.add_argument("--val-fraction", type=float, default=ClassifierConfig.val_fraction)
+    p.add_argument("--seed", type=int, default=ClassifierConfig.seed)
     p.add_argument("--out", default="model.txt")
     p.add_argument("--out-json", default=None, help="also write metrics JSON here")
     p.add_argument("--alpha-dir", default=None,
@@ -316,13 +312,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--tokens", required=True)
     p.add_argument("--embeddings", default=None, help="required for kind=average")
     p.add_argument("--vocab", default=None)
-    p.add_argument("--ratio", type=float, default=0.75)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=150, help="doc2vec vector size")
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5, help="doc2vec training epochs")
-    p.add_argument("--lam", type=float, default=0.01, help="SVM regularization strength")
-    p.add_argument("--svm-epochs", type=int, default=200)
+    p.add_argument("--ratio", type=float, default=ExperimentConfig.split_ratio)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p.add_argument("--dim", type=int, default=SkipgramConfig.dim, help="doc2vec vector size")
+    p.add_argument("--negatives", type=int, default=SkipgramConfig.negatives)
+    p.add_argument("--epochs", type=int, default=SkipgramConfig.epochs,
+                   help="doc2vec training epochs")
+    p.add_argument("--lam", type=float, default=SvmConfig.lam, help="SVM regularization strength")
+    p.add_argument("--svm-epochs", type=int, default=SvmConfig.epochs)
     p.add_argument("--out-svm", default=None)
     p.add_argument("--out-json", default=None)
     p.set_defaults(fn=_cmd_baseline)
@@ -343,12 +340,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth-corpus", help="generate a separable synthetic corpus")
     p.add_argument("--inventory", action="append", metavar="LABEL=SIZE[,SIZE...]",
                    help="interval sizes owned by a class; repeatable")
-    p.add_argument("--noise", default="3", help="comma-separated shared interval sizes")
-    p.add_argument("--songs-per-class", type=int, default=200)
-    p.add_argument("--min-length", type=int, default=20)
-    p.add_argument("--max-length", type=int, default=40)
-    p.add_argument("--noise-rate", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", default=",".join(map(str, SynthConfig.noise_sizes)),
+                   help="comma-separated shared interval sizes")
+    p.add_argument("--songs-per-class", type=int, default=SynthConfig.songs_per_class)
+    p.add_argument("--min-length", type=int, default=SynthConfig.min_length)
+    p.add_argument("--max-length", type=int, default=SynthConfig.max_length)
+    p.add_argument("--noise-rate", type=float, default=SynthConfig.noise_rate)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.add_argument("--out", default="synthetic.jsonl")
     p.set_defaults(fn=_cmd_synth_corpus)
     return parser

@@ -7,9 +7,9 @@ directory, and reruns with the same config and corpus are byte-identical.
 The attention and average models read skip-gram motif vectors, so only they
 train skip-gram and write ``embeddings.txt``. Doc2vec is PV-DBOW, which
 learns its song vectors straight from the tokens; for it the ``embedding``
-block configures PV-DBOW, which does not use ``window``. The CLI trains and
-predicts through the same per-model functions, ``run_attention`` and
-``run_svm``.
+block configures PV-DBOW, which does not use ``window``. The staged CLI
+commands call the same ``songs_with_motifs``, ``song_vectors``,
+``run_attention`` and ``run_svm``, so they make no model decision of their own.
 """
 
 from __future__ import annotations
@@ -146,12 +146,20 @@ def run_svm(train, test, vectors, classes, config: SvmConfig):
     return predictions, write_svm(svm, classes)
 
 
-def _song_vectors(train, test, songs, vocab, embeddings, config):
-    if config.model == "average":
-        ids = [s.id for s in [*train, *test]]
-        return ids, np.array([average_embedding(s.tokens, embeddings) for s in [*train, *test]])
-    docs = train_pvdbow(songs, vocab, config.embedding)
-    return docs.ids, docs.vectors
+def songs_with_motifs(songs, vocab):
+    """The songs with an in-vocabulary motif, in order; no model can take the others."""
+    kept = [s for s in songs if any(t in vocab for t in s.tokens)]
+    if not kept:
+        raise ValueError("no song has an in-vocabulary motif")
+    return kept
+
+
+def song_vectors(model, songs, vocab, embeddings, config: SkipgramConfig) -> np.ndarray:
+    """One SVM input row per song, in songs order; each song needs an in-vocabulary
+    motif. Average takes the mean motif embedding, doc2vec trains PV-DBOW under config."""
+    if model == "average":
+        return np.array([average_embedding(s.tokens, embeddings) for s in songs])
+    return train_pvdbow(songs, vocab, config).vectors
 
 
 def run_experiment(
@@ -169,9 +177,7 @@ def run_experiment(
     if not songs:
         raise ExperimentError("tokenize", ValueError("no melody survived tokenization"))
     vocab = _stage("vocabulary", build_vocab, [s.tokens for s in songs], config.min_count)
-    songs = [s for s in songs if any(t in vocab for t in s.tokens)]
-    if not songs:
-        raise ExperimentError("vocabulary", ValueError("min_count pruned every song"))
+    songs = _stage("vocabulary", songs_with_motifs, songs, vocab)
     train, test = _stage("split", split_dataset, songs, config.split_ratio, config.seed)
     classes = sorted({s.label for s in songs})
     embeddings = None  # PV-DBOW (doc2vec) reads no motif vectors
@@ -184,8 +190,9 @@ def run_experiment(
         )
         model_files = {"model.txt": checkpoint}
     else:
-        ids, matrix = _stage(
-            "baseline", _song_vectors, train, test, songs, vocab, embeddings, config
+        ids = [s.id for s in songs]
+        matrix = _stage(
+            "baseline", song_vectors, config.model, songs, vocab, embeddings, config.embedding
         )
         predictions, svm_text = _stage(
             "baseline", run_svm, train, test, dict(zip(ids, matrix)), classes, config.svm

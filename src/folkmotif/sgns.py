@@ -85,12 +85,8 @@ class DocVectors:
             raise KeyError(f"unknown song id {song_id!r}") from None
 
 
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -x)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.exp(_log_sigmoid(x))
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def pair_objective(

@@ -19,7 +19,6 @@ class Vocabulary:
 
     tokens: list[str]
     counts: np.ndarray
-    min_count: int = 1
     index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -54,7 +53,7 @@ def build_vocab(sequences: Iterable[Sequence[str]], min_count: int = 1) -> Vocab
         raise ValueError(f"empty vocabulary: no token reaches min_count={min_count}")
     tokens = [tok for tok, _ in kept]
     counts = np.array([cnt for _, cnt in kept], dtype=np.int64)
-    return Vocabulary(tokens=tokens, counts=counts, min_count=min_count)
+    return Vocabulary(tokens=tokens, counts=counts)
 
 
 def write_vocab(vocab: Vocabulary) -> str:
@@ -63,7 +62,7 @@ def write_vocab(vocab: Vocabulary) -> str:
     )
 
 
-def read_vocab(text: str, min_count: int = 1) -> Vocabulary:
+def read_vocab(text: str) -> Vocabulary:
     tokens: list[str] = []
     counts: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -77,7 +76,7 @@ def read_vocab(text: str, min_count: int = 1) -> Vocabulary:
             raise ValueError(f"line {lineno}: indices must be consecutive from 0")
         tokens.append(tok)
         counts.append(int(cnt))
-    return Vocabulary(tokens=tokens, counts=np.array(counts, dtype=np.int64), min_count=min_count)
+    return Vocabulary(tokens=tokens, counts=np.array(counts, dtype=np.int64))
 
 
 @dataclass

@@ -511,8 +511,15 @@ def test_checkpoint_of_another_format_is_refused(fmt):
         ('{"format": 3}', "no 'dim' key"),
         ('{"format": 3, "dim": 1.5, "labels": ["a", "b"], "hidden": 2, "attention_dim": 2}',
          "checkpoint meta: 'float' object"),
+        ('{"format": 3, "dim": 2, "labels": "ab", "hidden": 2, "attention_dim": 2}',
+         "^checkpoint meta 'labels' must be 2 or more distinct strings: 'ab'$"),
+        ('{"format": 3, "dim": 2, "labels": ["x", "x"], "hidden": 2, "attention_dim": 2}',
+         r"^checkpoint meta 'labels' must be 2 or more distinct strings: \['x', 'x'\]$"),
+        ('{"format": 3, "dim": 2, "labels": [1, 2], "hidden": 2, "attention_dim": 2}',
+         r"^checkpoint meta 'labels' must be 2 or more distinct strings: \[1, 2\]$"),
     ],
-    ids=["not-an-object", "missing-key", "float-dim"],
+    ids=["not-an-object", "missing-key", "float-dim", "labels-string", "labels-repeated",
+         "labels-not-strings"],
 )
 def test_malformed_checkpoint_meta_is_a_value_error(meta_line, message):
     with pytest.raises(ValueError, match=message):

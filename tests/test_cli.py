@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from folkmotif.attention import alpha_csv, load_model, predict_song, vocab_digest
 from folkmotif.cli import main
-from folkmotif.melody import read_jsonl, write_jsonl
+from folkmotif.melody import Melody, NoteEvent, read_jsonl, write_jsonl
 from folkmotif.sgns import Embeddings, read_embeddings
 from folkmotif.tokens import read_token_file
 from folkmotif.vocab import read_vocab
@@ -214,7 +215,14 @@ def test_evaluate_rejects_headerless_csv(tmp_path, capsys):
     assert main(["evaluate", "--predictions", str(preds)]) == 2
 
 
-def write_single_label_corpora(tmp_path):
+def melody(song_id, label, pitches):
+    events = [NoteEvent(pitch=p, duration=Fraction(1), onset=Fraction(j % 4), measure=j // 4)
+              for j, p in enumerate(pitches)]
+    return Melody(id=song_id, label=label, meter=[(0, 4, 4)], events=events)
+
+
+def write_single_label_corpora(tmp_path, extra=lambda label: []):
+    """One JSONL file per synthetic class; extra(label) lists melodies to append."""
     source = tmp_path / "all.jsonl"
     main(["synth-corpus", "--songs-per-class", "8", "--min-length", "10",
           "--max-length", "14", "--seed", "2", "--out", str(source)])
@@ -222,9 +230,14 @@ def write_single_label_corpora(tmp_path):
     paths = {}
     for label in ("alpha", "beta"):
         path = tmp_path / f"{label}.jsonl"
-        path.write_bytes(write_jsonl([m for m in melodies if m.label == label]))
+        path.write_bytes(write_jsonl([m for m in melodies if m.label == label] + extra(label)))
         paths[label] = path
     return paths
+
+
+def two_note_song(label):
+    """One interval, so no bigram motif: tokenize writes the song with no tokens."""
+    return [melody(f"short-{label}", label, [60, 62])]
 
 
 FAST_EXPERIMENT = {
@@ -247,6 +260,77 @@ def test_experiment_one_end_to_end(tmp_path, capsys):
     assert (out_dir / "model.txt").is_file()
     labels = json.loads((out_dir / "metrics.json").read_text())["labels"]
     assert labels == ["chinese", "german"]
+
+
+# The staged commands' flags that match FAST_EXPERIMENT's non-default values.
+FAST_STAGED = {
+    "train-embeddings": ["--dim", "8", "--window", "2", "--negatives", "2", "--epochs", "2"],
+    "train-classifier": ["--hidden", "5", "--attention-dim", "3", "--epochs", "2",
+                         "--max-len", "30"],
+    "baseline": ["--dim", "8", "--negatives", "2", "--epochs", "2", "--svm-epochs", "50"],
+}
+
+
+@pytest.mark.parametrize("model", ["attention", "doc2vec", "average"])
+def test_staged_commands_reproduce_experiment_one(tmp_path, model):
+    paths = write_single_label_corpora(tmp_path, extra=two_note_song)
+    sources = [f"alpha={paths['alpha']}", f"beta={paths['beta']}"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": model,
+        "seed": 3,
+        **{block: {**values, "seed": 3} for block, values in FAST_EXPERIMENT.items()},
+    }))
+    one_shot = tmp_path / "one-shot"
+    assert main(["experiment", "1", *sources, "--config", str(config),
+                 "--out-dir", str(one_shot)]) == 0
+
+    staged = tmp_path / "staged"
+    staged.mkdir()
+    corpus, tokens = staged / "corpus.jsonl", staged / "tokens.tsv"
+    emb, vocab = staged / "embeddings.txt", staged / "vocab.tsv"
+    seed = ["--seed", "3"]
+    assert main(["ingest", *sources, "--out", str(corpus)]) == 0
+    assert main(["tokenize", "--corpus", str(corpus), "--out", str(tokens)]) == 0
+    assert "short-alpha\talpha\t\n" in tokens.read_text()
+    assert main(["train-embeddings", "--tokens", str(tokens), *FAST_STAGED["train-embeddings"],
+                 *seed, "--out-embeddings", str(emb), "--out-vocab", str(vocab)]) == 0
+    common = ["--tokens", str(tokens), "--vocab", str(vocab), *seed,
+              "--out-json", str(staged / "metrics.json")]
+    if model == "attention":
+        assert main(["train-classifier", *common, "--embeddings", str(emb),
+                     *FAST_STAGED["train-classifier"], "--out", str(staged / "model.txt")]) == 0
+        compared = ["embeddings.txt", "model.txt"]
+    else:
+        with_emb = ["--embeddings", str(emb)] if model == "average" else []
+        assert main(["baseline", model, *common, *with_emb, *FAST_STAGED["baseline"],
+                     "--out-svm", str(staged / "svm.txt")]) == 0
+        compared = ["svm.txt"] + (["embeddings.txt"] if model == "average" else [])
+    for name in ["vocab.tsv", "metrics.json", *compared]:
+        assert (staged / name).read_bytes() == (one_shot / name).read_bytes(), name
+
+
+def test_train_classifier_skips_song_with_only_rare_motifs(tmp_path, capsys):
+    # Intervals of 37 and 41 occur nowhere else, so min_count 2 prunes the
+    # song's one bigram.
+    rare_song = melody("rare-beta", "beta", [20, 57, 98])
+    paths = write_single_label_corpora(
+        tmp_path, extra=lambda label: [rare_song] if label == "beta" else []
+    )
+    corpus, tokens = tmp_path / "corpus.jsonl", tmp_path / "tokens.tsv"
+    emb, vocab = tmp_path / "embeddings.txt", tmp_path / "vocab.tsv"
+    assert main(["ingest", f"alpha={paths['alpha']}", f"beta={paths['beta']}",
+                 "--out", str(corpus)]) == 0
+    assert main(["tokenize", "--corpus", str(corpus), "--out", str(tokens)]) == 0
+    assert main(["train-embeddings", "--tokens", str(tokens), *FAST_STAGED["train-embeddings"],
+                 "--min-count", "2", "--out-embeddings", str(emb),
+                 "--out-vocab", str(vocab)]) == 0
+    rare = next(s for s in read_token_file(tokens.read_text()) if s.id == "rare-beta")
+    assert rare.tokens and not any(t in read_vocab(vocab.read_text()) for t in rare.tokens)
+    assert main(["train-classifier", "--tokens", str(tokens), "--embeddings", str(emb),
+                 "--vocab", str(vocab), *FAST_STAGED["train-classifier"],
+                 "--out", str(tmp_path / "model.txt")]) == 0
+    assert "(12 train / 4 test)" in capsys.readouterr().out
 
 
 def test_experiment_source_count_enforced(tmp_path, capsys):
