@@ -107,7 +107,6 @@ class ClassifierConfig:
 
 @dataclass
 class SongExample:
-    id: str
     x: np.ndarray  # T x d, frozen motif vectors
     label: int
 
@@ -318,7 +317,7 @@ def make_examples(
         x, _ = _song_rows(song, embeddings, max_len)
         if song.label not in class_index:
             raise ValueError(f"song {song.id!r} has unknown class {song.label!r}")
-        examples.append(SongExample(id=song.id, x=x, label=class_index[song.label]))
+        examples.append(SongExample(x=x, label=class_index[song.label]))
     return examples
 
 

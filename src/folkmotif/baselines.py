@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .sgns import Embeddings
+from .sgns import Embeddings, read_embeddings, write_embeddings
 
 
 def average_embedding(tokens: Sequence[str], embeddings: Embeddings) -> np.ndarray:
@@ -41,7 +41,6 @@ class SvmConfig:
 class LinearSvmModel:
     weights: np.ndarray  # L x d, one row per class
     biases: np.ndarray  # L
-    lam: float
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -129,7 +128,7 @@ def train_linear_svm(
         y = np.where(labels == c, 1.0, -1.0)
         rng = np.random.default_rng([config.seed, c])
         weights[c], biases[c] = _pegasos_binary(X, y, config, rng)
-    return LinearSvmModel(weights=weights, biases=biases, lam=config.lam)
+    return LinearSvmModel(weights=weights, biases=biases)
 
 
 def predict_svm(model: LinearSvmModel, x: np.ndarray) -> int:
@@ -138,32 +137,11 @@ def predict_svm(model: LinearSvmModel, x: np.ndarray) -> int:
 
 
 def write_svm(model: LinearSvmModel, class_names: Sequence[str]) -> str:
-    """Text form: header with lambda, then per class "name bias weights...";
-    floats are repr-formatted so the round trip is exact."""
-    if len(class_names) != len(model.weights):
-        raise ValueError("class name count must match weight rows")
-    lines = [f"svm {len(class_names)} {model.weights.shape[1]} {repr(float(model.lam))}"]
-    for name, w, b in zip(class_names, model.weights, model.biases):
-        lines.append(name + " " + repr(float(b)) + " " + " ".join(repr(float(v)) for v in w))
-    return "\n".join(lines) + "\n"
+    """The embeddings text format with one row per class: its name, its bias,
+    then its weights."""
+    return write_embeddings(class_names, np.column_stack([model.biases, model.weights]))
 
 
 def read_svm(text: str) -> tuple[LinearSvmModel, list[str]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("svm "):
-        raise ValueError("not an svm model file")
-    _, L, d, lam = lines[0].split()
-    L, d = int(L), int(d)
-    if len(lines) != L + 1:
-        raise ValueError(f"expected {L} class rows, found {len(lines) - 1}")
-    names = []
-    weights = np.empty((L, d))
-    biases = np.empty(L)
-    for i, line in enumerate(lines[1:]):
-        fields = line.split(" ")
-        if len(fields) != d + 2:
-            raise ValueError(f"class row {i} must have a name, bias, and {d} weights")
-        names.append(fields[0])
-        biases[i] = float(fields[1])
-        weights[i] = [float(v) for v in fields[2:]]
-    return LinearSvmModel(weights=weights, biases=biases, lam=float(lam)), names
+    names, matrix = read_embeddings(text)
+    return LinearSvmModel(weights=matrix[:, 1:], biases=matrix[:, 0]), names

@@ -14,7 +14,9 @@ commands call the same ``songs_with_motifs``, ``song_vectors``,
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -208,7 +210,10 @@ def run_experiment(
             f"{config.representation} mw={config.multiword_size} {config.model} "
             f"({len(train)} train / {len(test)} test)"
         )
-        prediction_rows = "".join(f"{s.id},{s.label},{p}\n" for s, p in zip(test, predictions))
+        prediction_rows = io.StringIO()
+        writer = csv.writer(prediction_rows, lineterminator="\n")
+        writer.writerow(["id", "gold", "predicted"])
+        writer.writerows((s.id, s.label, p) for s, p in zip(test, predictions))
         files = {
             "experiment.json": json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n",
             "tokens.tsv": write_token_file(songs),
@@ -219,7 +224,7 @@ def run_experiment(
                 else {}
             ),
             **model_files,
-            "predictions.csv": "id,gold,predicted\n" + prediction_rows,
+            "predictions.csv": prediction_rows.getvalue(),
             "metrics.json": report.to_json(),
             "report.txt": render_report(report, title=title),
         }

@@ -38,7 +38,6 @@ class SkipgramConfig:
     epochs: int = 5
     lr: float = 0.025
     lr_min: float = 0.0001
-    power: float = 0.75
     seed: int = 0
 
     def __post_init__(self):
@@ -106,19 +105,13 @@ def pair_objective(
     return loss, g @ ctx, g[:, None] * w
 
 
-def _encode_corpus(
-    songs: Iterable[TokenizedSong], vocab: Vocabulary
-) -> tuple[list[str], list[np.ndarray]]:
-    """The ids and token indices of the songs with any in-vocabulary token."""
-    ids, encoded = [], []
-    for song in songs:
-        idx = vocab.encode(song.tokens)
-        if idx:
-            ids.append(song.id)
-            encoded.append(np.asarray(idx, dtype=np.int64))
-    if not encoded:
+def _encode_corpus(songs: Iterable[TokenizedSong], vocab: Vocabulary) -> list[np.ndarray]:
+    """The in-vocabulary token indices of every song, in order; a song with
+    none has an empty sequence, which has no center and draws no number."""
+    encoded = [np.asarray(vocab.encode(song.tokens), dtype=np.int64) for song in songs]
+    if not any(len(seq) for seq in encoded):
         raise ValueError("no song has any in-vocabulary token")
-    return ids, encoded
+    return encoded
 
 
 def _train_pass(
@@ -205,12 +198,12 @@ def train_skipgram(
 ) -> Embeddings:
     """Learn token embeddings; bit-reproducible under the config seed."""
     config = config or SkipgramConfig()
-    _, sequences = _encode_corpus(songs, vocab)
+    sequences = _encode_corpus(songs, vocab)
     rng = np.random.default_rng(config.seed)
     V, d = len(vocab), config.dim
     input_vectors = (rng.random((V, d)) - 0.5) / d
     output_vectors = np.zeros((V, d))
-    dist = negative_sampling_dist(vocab, config.power)
+    dist = negative_sampling_dist(vocab)
     objectives = _run_epochs(sequences, None, input_vectors, output_vectors, dist, config)
     return Embeddings(
         vocab=vocab,
@@ -225,12 +218,16 @@ def train_pvdbow(
 ) -> DocVectors:
     """Learn one vector per song that predicts the song's tokens (PV-DBOW)."""
     config = config or SkipgramConfig()
-    ids, sequences = _encode_corpus(songs, vocab)
+    sequences = _encode_corpus(songs, vocab)
+    for song, seq in zip(songs, sequences):
+        if not len(seq):
+            raise ValueError(f"song {song.id!r} has no in-vocabulary token")
+    ids = [song.id for song in songs]
     rng = np.random.default_rng(config.seed)
     d = config.dim
     doc_vectors = (rng.random((len(ids), d)) - 0.5) / d
     output_vectors = np.zeros((len(vocab), d))
-    dist = negative_sampling_dist(vocab, config.power)
+    dist = negative_sampling_dist(vocab)
     target_rows = list(range(len(ids)))
     objectives = _run_epochs(sequences, target_rows, doc_vectors, output_vectors, dist, config)
     return DocVectors(ids=ids, vectors=doc_vectors, epoch_objectives=objectives)

@@ -114,13 +114,14 @@ def tokenize_melody(melody: Melody, mode: Mode) -> list[str]:
     raise ValueError(f"unknown tokenization mode {mode!r}")
 
 
+_PHRASE_DELTA = 5.0  # discount on the bigram count
+_PHRASE_THRESHOLD = 1e-4
+
+
 def build_multiwords(
     seq: Sequence[str],
     n: int,
     mode: Literal["sliding", "phrase"] = "sliding",
-    *,
-    delta: float = 5.0,
-    threshold: float = 1e-4,
 ) -> list[str]:
     """Fixed-size multiwords from a token sequence.
 
@@ -134,18 +135,13 @@ def build_multiwords(
     if mode == "sliding":
         return ["_".join(seq[i : i + n]) for i in range(len(seq) - n + 1)]
     if mode == "phrase":
-        return phrase_merge([list(seq)], passes=n - 1, delta=delta, threshold=threshold)[0]
+        return phrase_merge([list(seq)], passes=n - 1)[0]
     raise ValueError(f"unknown multiword mode {mode!r}")
 
 
-def phrase_merge(
-    sequences: list[list[str]],
-    passes: int = 1,
-    delta: float = 5.0,
-    threshold: float = 1e-4,
-) -> list[list[str]]:
+def phrase_merge(sequences: list[list[str]], passes: int = 1) -> list[list[str]]:
     """Iterative bigram merging: join adjacent (a, b) into "a_b" when
-    (count(ab) - delta) / (count(a) * count(b)) exceeds the threshold."""
+    (count(ab) - _PHRASE_DELTA) / (count(a) * count(b)) exceeds _PHRASE_THRESHOLD."""
     current = [list(seq) for seq in sequences]
     for _ in range(passes):
         unigrams: Counter[str] = Counter()
@@ -161,8 +157,8 @@ def phrase_merge(
             while i < len(seq):
                 if i + 1 < len(seq):
                     a, b = seq[i], seq[i + 1]
-                    score = (bigrams[(a, b)] - delta) / (unigrams[a] * unigrams[b])
-                    if score > threshold:
+                    score = (bigrams[(a, b)] - _PHRASE_DELTA) / (unigrams[a] * unigrams[b])
+                    if score > _PHRASE_THRESHOLD:
                         out.append(f"{a}_{b}")
                         merged_any = True
                         i += 2

@@ -15,7 +15,7 @@ from folkmotif.baselines import (
     train_linear_svm,
     write_svm,
 )
-from folkmotif.sgns import Embeddings
+from folkmotif.sgns import Embeddings, read_embeddings
 from folkmotif.vocab import Vocabulary
 
 
@@ -97,16 +97,12 @@ def test_single_class_is_error():
 
 
 def test_predict_by_sign():
-    model = LinearSvmModel(
-        weights=np.array([[1.0, 0.0], [-1.0, 0.0]]), biases=np.zeros(2), lam=0.01
-    )
+    model = LinearSvmModel(weights=np.array([[1.0, 0.0], [-1.0, 0.0]]), biases=np.zeros(2))
     assert predict_svm(model, np.array([2.0, 0.0])) == 0
 
 
 def test_tie_goes_to_lowest_class_index():
-    model = LinearSvmModel(
-        weights=np.array([[1.0, 0.0], [-1.0, 0.0]]), biases=np.zeros(2), lam=0.01
-    )
+    model = LinearSvmModel(weights=np.array([[1.0, 0.0], [-1.0, 0.0]]), biases=np.zeros(2))
     assert predict_svm(model, np.array([0.0, 0.0])) == 0
 
 
@@ -116,13 +112,13 @@ def test_prediction_invariant_under_joint_rescaling(scale):
     weights = rng.normal(size=(3, 4))
     biases = rng.normal(size=3)
     x = rng.normal(size=4)
-    base = predict_svm(LinearSvmModel(weights, biases, 0.01), x)
-    scaled = predict_svm(LinearSvmModel(scale * weights, scale * biases, 0.01), x)
+    base = predict_svm(LinearSvmModel(weights, biases), x)
+    scaled = predict_svm(LinearSvmModel(scale * weights, scale * biases), x)
     assert base == scaled
 
 
 def test_dimension_mismatch_is_error():
-    model = LinearSvmModel(weights=np.ones((2, 3)), biases=np.zeros(2), lam=0.01)
+    model = LinearSvmModel(weights=np.ones((2, 3)), biases=np.zeros(2))
     with pytest.raises(ValueError, match="dim"):
         predict_svm(model, np.ones(4))
 
@@ -139,9 +135,17 @@ def test_training_is_deterministic():
 
 def test_svm_file_round_trip():
     rng = np.random.default_rng(6)
-    model = LinearSvmModel(weights=rng.normal(size=(2, 3)), biases=rng.normal(size=2), lam=0.01)
-    restored, names = read_svm(write_svm(model, ["german", "chinese"]))
+    model = LinearSvmModel(weights=rng.normal(size=(2, 3)), biases=rng.normal(size=2))
+    text = write_svm(model, ["german", "chinese"])
+    restored, names = read_svm(text)
     assert names == ["german", "chinese"]
     assert np.array_equal(restored.weights, model.weights)
     assert np.array_equal(restored.biases, model.biases)
-    assert restored.lam == model.lam
+    # The embeddings text format: one row per class, with the bias as column 0.
+    rows, matrix = read_embeddings(text)
+    assert rows == ["german", "chinese"]
+    assert matrix.shape == (2, 4)
+    assert np.array_equal(matrix[:, 0], model.biases)
+    old_header = "svm 2 3 0.01\n" + text.split("\n", 1)[1]
+    with pytest.raises(ValueError, match="bad header"):
+        read_svm(old_header)

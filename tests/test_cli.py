@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from folkmotif.attention import alpha_csv, load_model, predict_song, vocab_digest
+from folkmotif.baselines import SvmConfig, read_svm
 from folkmotif.cli import main
+from folkmotif.experiment import ExperimentConfig, run_experiment
 from folkmotif.melody import Melody, NoteEvent, read_jsonl, write_jsonl
-from folkmotif.sgns import Embeddings, read_embeddings
+from folkmotif.sgns import Embeddings, SkipgramConfig, read_embeddings
+from folkmotif.synth import SynthConfig, generate_corpus
 from folkmotif.tokens import read_token_file
 from folkmotif.vocab import read_vocab
 
@@ -184,7 +187,8 @@ def test_baseline_average(tmp_path, capsys):
     assert main(["baseline", "average", "--tokens", str(tokens), "--embeddings", str(emb),
                  "--vocab", str(vocab), "--out-svm", str(svm)]) == 0
     assert "accuracy" in capsys.readouterr().out
-    assert svm.read_text().startswith("svm ")
+    _, names = read_svm(svm.read_text())
+    assert names == ["alpha", "beta"]
 
 
 def test_baseline_average_requires_embeddings(tmp_path, capsys):
@@ -207,6 +211,22 @@ def test_evaluate_from_csv(tmp_path, capsys):
     assert main(["evaluate", "--predictions", str(preds), "--out-json", str(out_json)]) == 0
     assert "0.6667" in capsys.readouterr().out
     assert json.loads(out_json.read_text())["accuracy"] == pytest.approx(2 / 3)
+
+
+def test_evaluate_reads_experiment_predictions_with_quoted_ids(tmp_path):
+    corpus = generate_corpus(SynthConfig(songs_per_class=10, min_length=10, max_length=14, seed=1))
+    for i, melody in enumerate(corpus.melodies):
+        melody.id = f'song{i},"take{i}"'
+    config = ExperimentConfig(
+        model="average",
+        embedding=SkipgramConfig(dim=8, window=2, negatives=2, epochs=2),
+        svm=SvmConfig(epochs=50),
+    )
+    _, artifacts = run_experiment(config, corpus, tmp_path / "run")
+    out_json = tmp_path / "m.json"
+    assert main(["evaluate", "--predictions", artifacts["predictions.csv"],
+                 "--out-json", str(out_json)]) == 0
+    assert out_json.read_bytes() == Path(artifacts["metrics.json"]).read_bytes()
 
 
 def test_evaluate_rejects_headerless_csv(tmp_path, capsys):

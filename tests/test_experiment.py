@@ -7,10 +7,12 @@ import pytest
 from folkmotif.attention import ClassifierConfig, _param_arrays, load_model
 from folkmotif.baselines import SvmConfig, read_svm
 import folkmotif.experiment
-from folkmotif.experiment import ExperimentConfig, ExperimentError, run_experiment
+from folkmotif.experiment import ExperimentConfig, ExperimentError, run_experiment, song_vectors
 from folkmotif.melody import LabeledCorpus
 from folkmotif.sgns import SkipgramConfig, TrainingDiverged, read_embeddings
 from folkmotif.synth import SynthConfig, generate_corpus
+from folkmotif.tokens import TokenizedSong
+from folkmotif.vocab import build_vocab
 
 
 def small_corpus(seed=1, songs_per_class=10):
@@ -158,6 +160,18 @@ def test_artifacts_match_golden_digest(tmp_path, model):
         np.testing.assert_allclose(digest[name], values, rtol=1e-9, err_msg=name)
     predicted = [row.split(",")[2] for row in text["predictions.csv"].splitlines()[1:]]
     assert predicted == expected_predictions
+
+
+def test_doc2vec_song_vectors_refuse_a_song_with_no_in_vocabulary_motif():
+    songs = [
+        TokenizedSong(id="a", label="x", tokens=("p", "q")),
+        TokenizedSong(id="b", label="x", tokens=("zzz",)),
+        TokenizedSong(id="c", label="y", tokens=("q", "p")),
+    ]
+    vocab = build_vocab([songs[0].tokens])
+    config = SkipgramConfig(dim=4, negatives=2, epochs=1)
+    with pytest.raises(ValueError, match="song 'b'"):
+        song_vectors("doc2vec", songs, vocab, None, config)
 
 
 def test_report_returned_without_out_dir():

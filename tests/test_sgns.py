@@ -313,6 +313,30 @@ def test_skipgram_on_one_token_songs_leaves_the_matrices_untouched():
     assert emb.epoch_objectives == [0.0] * FAST.epochs
 
 
+def test_skipgram_ignores_a_song_with_no_in_vocabulary_token():
+    """Its empty sequence has no center, so it draws no random number."""
+    songs, config = _three_token_songs()
+    vocab = build_vocab([s.tokens for s in songs])
+    emb = train_skipgram(songs, vocab, config)
+    blank = TokenizedSong(id="blank", label="x", tokens=("zzz",))
+    with_blank = train_skipgram([*songs[:2], blank, *songs[2:]], vocab, config)
+    assert np.array_equal(emb.input_vectors, with_blank.input_vectors)
+    assert np.array_equal(emb.output_vectors, with_blank.output_vectors)
+    assert emb.epoch_objectives == with_blank.epoch_objectives
+
+
+def test_pvdbow_refuses_a_song_with_no_in_vocabulary_token():
+    """Dropping the song would shift every later row onto the wrong id."""
+    songs = [
+        TokenizedSong(id="a", label="x", tokens=("p", "q")),
+        TokenizedSong(id="b", label="x", tokens=("zzz",)),
+        TokenizedSong(id="c", label="y", tokens=("q", "p")),
+    ]
+    vocab = build_vocab([songs[0].tokens])
+    with pytest.raises(ValueError, match="song 'b' has no in-vocabulary token"):
+        train_pvdbow(songs, vocab, FAST)
+
+
 def test_doc_vectors_group_identical_songs():
     songs = [
         TokenizedSong(id="s1", label="x", tokens=("p", "q", "p", "q") * 8),
