@@ -7,6 +7,18 @@ context vector c = sum_j alpha_j h_j, which a single linear layer maps to
 class probabilities. Training minimizes the negative log likelihood by
 mini-batch SGD with gradient-norm clipping.
 
+One encoder serves training and prediction. It takes a mini-batch in the
+packed-sequence layout of cuDNN and PyTorch (Appleyard et al. 2016,
+arXiv:1604.01946): the songs are ranked longest first, and their rows are
+laid out time-major in one N x d array, N being the sum of the lengths, with
+no padding. Step t of a scan is then one n_t x H matrix product over the n_t
+songs still running, and the input projections and weight gradients are
+one product over all N rows. The backward direction packs each song
+reversed. Attention and the output layer run per song on that song's
+annotation rows. ``backward`` takes a whole mini-batch; ``predict`` and
+``forward_loss`` pass a batch of one. The GRU gates use the logistic
+function in its tanh form.
+
 All gradients are derived by hand and verified against central finite
 differences in the test suite; no autodiff is involved.
 """
@@ -25,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .sgns import Embeddings, TrainingDiverged, _sigmoid
+from .sgns import Embeddings, TrainingDiverged
 from .tokens import TokenizedSong
 from .vocab import Vocabulary, write_vocab
 
@@ -155,69 +167,104 @@ def init_model(
     return AttentionModel(labels=list(labels), params=params)
 
 
+def _gate_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function as 0.5 * (1 + tanh(x / 2)): one ufunc call, and
+    no overflow warning however large |x| grows."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def _softmax(x: np.ndarray) -> np.ndarray:
     shifted = np.exp(x - x.max())
     return shifted / shifted.sum()
 
 
+def _pack(lengths: Sequence[int]) -> tuple[list[int], list[np.ndarray]]:
+    """The packed layout of a mini-batch whose songs have these lengths.
+
+    Songs are ranked longest first, ties in batch order. Step t keeps the
+    n_t songs still running, ranks 0 to n_t - 1, in consecutive rows, and
+    the steps follow one another, so N = sum of the lengths rows hold the
+    batch without padding. Returns n_t for every step and, per song in
+    batch order, the row it takes at each of its steps.
+    """
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    rank = {i: k for k, i in enumerate(order)}
+    sizes = np.count_nonzero(np.asarray(lengths)[:, None] > np.arange(max(lengths)), axis=0)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return sizes.tolist(), [starts[:T] + rank[i] for i, T in enumerate(lengths)]
+
+
 @dataclass
 class _ScanCache:
-    z: np.ndarray  # T x H
-    r: np.ndarray
-    h_cand: np.ndarray
-    hs: np.ndarray  # (T+1) x H: the zero start state, then the state leaving each step
+    """One direction's scan over a packed batch, one row per packed row."""
+
+    xs: np.ndarray  # N x d: the packed input
+    zr: np.ndarray  # N x 2H: update and reset gates
+    h_cand: np.ndarray  # N x H
+    h_prev: np.ndarray  # N x H: the state each step starts from, zero at step 0
+    hs: np.ndarray  # N x H: the state each step emits
 
 
-def _scan(xs: np.ndarray, p: GruDirection) -> _ScanCache:
-    T, H = xs.shape[0], p.u.shape[1]
+def _scan(xs: np.ndarray, sizes: Sequence[int], p: GruDirection) -> _ScanCache:
+    N, H = xs.shape[0], p.u.shape[1]
     # The input projections do not depend on the recurrent state, so they
-    # are batched over all timesteps.
+    # are one matmul over every packed row.
     xa = xs @ p.w.T + p.b
-    u_zr, u_h = p.u[: 2 * H], p.u[2 * H :]
-    zr = np.empty((T, 2 * H))
-    h_cand = np.empty((T, H))
-    hs = np.zeros((T + 1, H))
-    for t in range(T):
-        state = hs[t]
-        zr[t] = _sigmoid(xa[t, : 2 * H] + u_zr @ state)
-        z, r = zr[t, :H], zr[t, H:]
-        h_cand[t] = np.tanh(xa[t, 2 * H :] + u_h @ (r * state))
-        hs[t + 1] = (1.0 - z) * state + z * h_cand[t]
-    return _ScanCache(z=zr[:, :H], r=zr[:, H:], h_cand=h_cand, hs=hs)
+    u_zr, u_h = p.u[: 2 * H].T, p.u[2 * H :].T
+    zr = np.empty((N, 2 * H))
+    h_cand = np.empty((N, H))
+    h_prev = np.zeros((N, H))
+    hs = np.empty((N, H))
+    start = 0
+    for n, n_next in zip(sizes, [*sizes[1:], 0]):
+        rows = slice(start, start + n)
+        state = h_prev[rows]
+        zr[rows] = _gate_sigmoid(xa[rows, : 2 * H] + state @ u_zr)
+        z, r = zr[rows, :H], zr[rows, H:]
+        h_cand[rows] = np.tanh(xa[rows, 2 * H :] + (r * state) @ u_h)
+        hs[rows] = (1.0 - z) * state + z * h_cand[rows]
+        # The songs still running at the next step are this step's first rows.
+        h_prev[start + n : start + n + n_next] = hs[start : start + n_next]
+        start += n
+    return _ScanCache(xs=xs, zr=zr, h_cand=h_cand, h_prev=h_prev, hs=hs)
 
 
 def _scan_grad(
-    dh_seq: np.ndarray, xs: np.ndarray, cache: _ScanCache, p: GruDirection, g: GruDirection
+    dh_seq: np.ndarray, sizes: Sequence[int], cache: _ScanCache, p: GruDirection, g: GruDirection
 ) -> None:
-    """Backpropagate through one scan, accumulating parameter grads into g.
+    """Backpropagate through one packed scan, accumulating parameter grads into g.
 
-    dh_seq holds the loss gradient w.r.t. each emitted state and xs the input,
-    both in processing order. Input gradients are not needed (frozen embeddings).
-    Only the recurrence runs step by step; the weight gradients are taken
-    after it, over all timesteps at once, as the forward input projection is.
+    dh_seq holds the loss gradient w.r.t. each emitted state, packed. Input
+    gradients are not needed (frozen embeddings). Only the recurrence runs
+    step by step; the weight gradients are taken after it, over all packed
+    rows at once, as the forward input projection is.
     """
-    T, H = dh_seq.shape
+    N, H = dh_seq.shape
     u_zr, u_h = p.u[: 2 * H], p.u[2 * H :]
-    da = np.empty((T, 3 * H))  # gate pre-activation gradients, blocks [z; r; h]
-    carry = np.zeros(H)
-    for t in range(T - 1, -1, -1):
-        dh = dh_seq[t] + carry
-        z, r, hc, hp = cache.z[t], cache.r[t], cache.h_cand[t], cache.hs[t]
-        da[t, :H] = dh * (hc - hp) * z * (1.0 - z)
-        da[t, 2 * H :] = (dh * z) * (1.0 - hc * hc)
-        uh_dah = u_h.T @ da[t, 2 * H :]
-        da[t, H : 2 * H] = (uh_dah * hp) * r * (1.0 - r)
-        carry = dh * (1.0 - z) + u_zr.T @ da[t, : 2 * H] + uh_dah * r
-    g.w += da.T @ xs
-    g.u[: 2 * H] += da[:, : 2 * H].T @ cache.hs[:-1]
-    g.u[2 * H :] += da[:, 2 * H :].T @ (cache.r * cache.hs[:-1])
+    da = np.empty((N, 3 * H))  # gate pre-activation gradients, blocks [z; r; h]
+    # Row k carries the state gradient of the song of rank k. Steps run from
+    # the last, so a song's row is still zero when its own last step comes.
+    carry = np.zeros((sizes[0], H))
+    start = N
+    for n in reversed(sizes):
+        start -= n
+        rows = slice(start, start + n)
+        dh = dh_seq[rows] + carry[:n]
+        z, r = cache.zr[rows, :H], cache.zr[rows, H:]
+        hc, hp = cache.h_cand[rows], cache.h_prev[rows]
+        da[rows, :H] = dh * (hc - hp) * z * (1.0 - z)
+        da[rows, 2 * H :] = (dh * z) * (1.0 - hc * hc)
+        uh_dah = da[rows, 2 * H :] @ u_h
+        da[rows, H : 2 * H] = (uh_dah * hp) * r * (1.0 - r)
+        carry[:n] = dh * (1.0 - z) + da[rows, : 2 * H] @ u_zr + uh_dah * r
+    g.w += da.T @ cache.xs
+    g.u[: 2 * H] += da[:, : 2 * H].T @ cache.h_prev
+    g.u[2 * H :] += da[:, 2 * H :].T @ (cache.zr[:, H:] * cache.h_prev)
     g.b += da.sum(axis=0)
 
 
 @dataclass
-class _ForwardCache:
-    fwd: _ScanCache
-    bwd: _ScanCache
+class _SongCache:
     annotations: np.ndarray  # T x 2H
     q: np.ndarray  # T x A
     alpha: np.ndarray  # T
@@ -225,17 +272,41 @@ class _ForwardCache:
     probs: np.ndarray  # L
 
 
-def _forward(x: np.ndarray, params: ModelParams) -> _ForwardCache:
-    fwd = _scan(x, params.gru_fwd)
-    bwd = _scan(x[::-1], params.gru_bwd)
-    annotations = np.concatenate([fwd.hs[1:], bwd.hs[1:][::-1]], axis=1)
-    q = np.tanh(annotations @ params.attn.w.T + params.attn.b)
-    alpha = _softmax(q @ params.attn.u)
-    context = alpha @ annotations
-    probs = _softmax(params.out.w @ context + params.out.b)
-    return _ForwardCache(
-        fwd=fwd, bwd=bwd, annotations=annotations, q=q, alpha=alpha, context=context, probs=probs
-    )
+@dataclass
+class _BatchCache:
+    sizes: list[int]  # n_t, as _pack returns it
+    rows: list[np.ndarray]  # per song, its packed row at each step
+    fwd: _ScanCache
+    bwd: _ScanCache
+    songs: list[_SongCache]  # in batch order
+
+
+def _encode(xs: Sequence[np.ndarray], params: ModelParams) -> _BatchCache:
+    """The one forward pass: both GRU scans over the packed batch, then
+    attention and the output layer on each song's annotation rows."""
+    sizes, rows = _pack([len(x) for x in xs])
+    fwd_in = np.empty((sum(sizes), xs[0].shape[1]))
+    bwd_in = np.empty_like(fwd_in)
+    for x, song_rows in zip(xs, rows):
+        fwd_in[song_rows] = x
+        bwd_in[song_rows] = x[::-1]
+    fwd = _scan(fwd_in, sizes, params.gru_fwd)
+    bwd = _scan(bwd_in, sizes, params.gru_bwd)
+    songs = []
+    for song_rows in rows:
+        # The backward scan reaches position j of a T-row song at its step T-1-j.
+        annotations = np.concatenate([fwd.hs[song_rows], bwd.hs[song_rows[::-1]]], axis=1)
+        q = np.tanh(annotations @ params.attn.w.T + params.attn.b)
+        alpha = _softmax(q @ params.attn.u)
+        context = alpha @ annotations
+        probs = _softmax(params.out.w @ context + params.out.b)
+        songs.append(_SongCache(annotations, q, alpha, context, probs))
+    return _BatchCache(sizes, rows, fwd, bwd, songs)
+
+
+def _forward(x: np.ndarray, params: ModelParams) -> _SongCache:
+    """One song through the batch encoder, as a batch of one."""
+    return _encode([x], params).songs[0]
 
 
 def forward_loss(x: np.ndarray, label: int, params: ModelParams) -> tuple[np.ndarray, float]:
@@ -254,46 +325,50 @@ def _energy_grad(alpha: np.ndarray, d_alpha: np.ndarray) -> np.ndarray:
     return alpha * (d_alpha - alpha @ d_alpha)
 
 
-def backward(x: np.ndarray, label: int, params: ModelParams, grads: ModelParams) -> float:
-    """Add the loss gradient w.r.t. every parameter into grads; return the loss.
+def backward(examples: Sequence[SongExample], params: ModelParams, grads: ModelParams) -> float:
+    """Add the gradient of a mini-batch's summed loss w.r.t. every parameter
+    into grads; return that summed loss. It is not finite when a song's
+    label gets probability 0; the caller decides what that means.
 
-    Embeddings stay frozen. Each array of grads gets exactly one addition,
-    so grads that start at zero end up holding the gradient itself.
+    Embeddings stay frozen. Each GRU array of grads gets one addition per
+    batch and each attention and output array one per song, so grads that
+    start at zero end up holding the gradient itself.
     """
-    cache = _forward(x, params)
-    probs, alpha, q, annotations = cache.probs, cache.alpha, cache.q, cache.annotations
-    with np.errstate(divide="ignore"):
-        loss = float(-np.log(probs[label]))
-
-    d_logits = probs.copy()
-    d_logits[label] -= 1.0
-    grads.out.w += np.outer(d_logits, cache.context)
-    grads.out.b += d_logits
-    d_context = params.out.w.T @ d_logits
-
-    d_alpha = annotations @ d_context
-    d_energy = _energy_grad(alpha, d_alpha)
-    grads.attn.u += q.T @ d_energy
-    d_q = np.outer(d_energy, params.attn.u)
-    d_a = d_q * (1.0 - q * q)
-    grads.attn.w += d_a.T @ annotations
-    grads.attn.b += d_a.sum(axis=0)
-    d_annotations = np.outer(alpha, d_context) + d_a @ params.attn.w
-
+    cache = _encode([ex.x for ex in examples], params)
     H = params.gru_fwd.u.shape[1]
-    _scan_grad(d_annotations[:, :H], x, cache.fwd, params.gru_fwd, grads.gru_fwd)
-    _scan_grad(d_annotations[::-1, H:], x[::-1], cache.bwd, params.gru_bwd, grads.gru_bwd)
+    d_fwd = np.empty((sum(cache.sizes), H))  # loss gradient w.r.t. each packed state
+    d_bwd = np.empty_like(d_fwd)
+    loss = 0.0
+    for ex, song, song_rows in zip(examples, cache.songs, cache.rows):
+        with np.errstate(divide="ignore"):
+            loss += float(-np.log(song.probs[ex.label]))
+        d_logits = song.probs.copy()
+        d_logits[ex.label] -= 1.0
+        grads.out.w += np.outer(d_logits, song.context)
+        grads.out.b += d_logits
+        d_context = params.out.w.T @ d_logits
 
-    if not np.isfinite(loss):
-        raise TrainingDiverged(f"non-finite loss {loss}; lower the learning rate")
+        d_energy = _energy_grad(song.alpha, song.annotations @ d_context)
+        grads.attn.u += song.q.T @ d_energy
+        d_a = np.outer(d_energy, params.attn.u) * (1.0 - song.q * song.q)
+        grads.attn.w += d_a.T @ song.annotations
+        grads.attn.b += d_a.sum(axis=0)
+        d_annotations = np.outer(song.alpha, d_context) + d_a @ params.attn.w
+        d_fwd[song_rows] = d_annotations[:, :H]
+        d_bwd[song_rows[::-1]] = d_annotations[:, H:]
+
+    _scan_grad(d_fwd, cache.sizes, cache.fwd, params.gru_fwd, grads.gru_fwd)
+    _scan_grad(d_bwd, cache.sizes, cache.bwd, params.gru_bwd, grads.gru_bwd)
     return loss
 
 
-def _sgd_step(params: ModelParams, grads: ModelParams, lr: float, clip_norm: float) -> None:
+def _sgd_step(params: ModelParams, grads: ModelParams, lr: float, clip_norm: float) -> float:
+    """Take one clipped step; return the gradient norm before clipping."""
     norm = np.sqrt(sum(float((g * g).sum()) for _, g in _param_arrays(grads)))
     scale = clip_norm / norm if norm > clip_norm else 1.0
     for (_, p), (_, g) in zip(_param_arrays(params), _param_arrays(grads)):
         p -= lr * scale * g
+    return norm
 
 
 def _song_rows(song: TokenizedSong, embeddings: Embeddings, max_len: int):
@@ -353,23 +428,32 @@ def train_classifier(
 
     best_val = np.inf
     best_params = None
-    for _ in range(config.epochs):
+    grads = zero_gradients(model.params)
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train))
         epoch_loss = 0.0
-        for start in range(0, len(order), config.batch):
+        for step, start in enumerate(range(0, len(order), config.batch), start=1):
             batch = [train[i] for i in order[start : start + config.batch]]
-            grads = zero_gradients(model.params)
-            for ex in batch:
-                epoch_loss += backward(ex.x, ex.label, model.params, grads)
             for _, g in _param_arrays(grads):
-                g /= len(batch)
-            _sgd_step(model.params, grads, config.lr, config.clip_norm)
-        mean_loss = epoch_loss / len(train)
-        if not np.isfinite(mean_loss):
-            raise TrainingDiverged(
-                f"epoch loss went non-finite ({mean_loss}); lower the learning rate"
-            )
-        model.epoch_losses.append(mean_loss)
+                g.fill(0.0)
+            # A step that overflows is reported below as TrainingDiverged.
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = backward(batch, model.params, grads)
+                for _, g in _param_arrays(grads):
+                    g /= len(batch)
+                norm = _sgd_step(model.params, grads, config.lr, config.clip_norm)
+            if not np.isfinite(norm):
+                name = next(n for n, g in _param_arrays(grads) if not np.isfinite((g * g).sum()))
+                raise TrainingDiverged(
+                    f"epoch {epoch}, step {step}: the gradient of {name} is not finite; "
+                    "lower the learning rate"
+                )
+            if not np.isfinite(loss):
+                raise TrainingDiverged(
+                    f"epoch {epoch}, step {step}: the loss is {loss}; lower the learning rate"
+                )
+            epoch_loss += loss
+        model.epoch_losses.append(epoch_loss / len(train))
         if val:
             val_loss = float(
                 np.mean([forward_loss(ex.x, ex.label, model.params)[1] for ex in val])

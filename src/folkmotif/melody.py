@@ -25,6 +25,32 @@ class CorpusError(ValueError):
         self.line = line
 
 
+def song_name_problem(song_id: str, label: str) -> Optional[str]:
+    """Why a song id or class name would break an output file, or None.
+
+    Ids name files (``--alpha-dir``) and, like class names, fill fields of
+    space-separated rows (``song_vectors.txt``, ``svm.txt``). So neither may
+    hold whitespace or a control character, and an id must be one non-empty
+    path component: no ``/`` or ``\\``, and not ``.`` or ``..``. An empty
+    class name is allowed; it marks an unlabeled kern file.
+    """
+    if song_id in ("", ".", ".."):
+        return f"song id {song_id!r} is not a file name"
+    bad = next((c for c in song_id if c in "/\\" or _breaks_a_row(c)), None)
+    if bad is not None:
+        return f"song id {song_id!r} holds {bad!r}"
+    bad = next((c for c in label if _breaks_a_row(c)), None)
+    if bad is not None:
+        return f"song {song_id!r}: class name {label!r} holds {bad!r}"
+    return None
+
+
+def _breaks_a_row(c: str) -> bool:
+    # The control characters (Unicode category Cc) are exactly U+0000-U+001F
+    # and U+007F-U+009F.
+    return c.isspace() or c < "\x20" or "\x7f" <= c <= "\x9f"
+
+
 @dataclass(frozen=True)
 class NoteEvent:
     """One note or rest. ``pitch`` is a MIDI number, ``None`` for a rest."""
@@ -189,6 +215,9 @@ def melody_from_dict(obj: dict, line: int = 0) -> Melody:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusError(f"malformed melody record: {exc}", line) from exc
+    problem = song_name_problem(melody.id, melody.label)
+    if problem:
+        raise CorpusError(problem, line)
     melody.validate()
     return melody
 
@@ -236,16 +265,21 @@ def load_corpus(paths: Sequence[tuple[str, Optional[str]]]) -> LabeledCorpus:
         try:
             if text.lstrip().startswith(("{", "[")) or p.suffix == ".jsonl":
                 loaded = read_jsonl(text.encode("utf-8"))
-                if label is not None:
-                    for m in loaded:
-                        m.label = label
-                melodies.extend(loaded)
             else:
-                melody = parse_kern(text, id=p.stem, label=label or "")
-                melodies.append(melody)
+                loaded = [parse_kern(text, id=p.stem, label=label or "")]
         except (ParseError, CorpusError) as exc:
             diagnostics.skipped.append((str(path), str(exc)))
             logger.warning("skipping %s: %s", path, exc)
+            continue
+        for m in loaded:
+            if label is not None:
+                m.label = label
+            # A kern id is the file stem and the label comes from the caller:
+            # a bad name is the corpus's problem, not a file to skip.
+            problem = song_name_problem(m.id, m.label)
+            if problem:
+                raise CorpusError(f"{path}: {problem}")
+        melodies.extend(loaded)
     if not melodies:
         raise CorpusError("empty corpus: no melody could be loaded")
     seen: set[str] = set()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
 
-from .melody import Melody, NoteEvent
+from .melody import Melody, NoteEvent, song_name_problem
 
 
 def format_duration(duration: Fraction) -> str:
@@ -193,6 +193,9 @@ def read_token_file(text: str) -> list[TokenizedSong]:
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected id<TAB>label<TAB>tokens")
         sid, label, toks = fields
+        problem = song_name_problem(sid, label)
+        if problem:
+            raise ValueError(f"line {lineno}: {problem}")
         songs.append(TokenizedSong(id=sid, label=label, tokens=tuple(toks.split())))
     return songs
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from folkmotif.attention import _param_arrays, backward, forward_loss, zero_gradients
 from folkmotif.tokens import TokenizedSong
 
 
@@ -36,6 +37,20 @@ def relative_error(analytic, numeric):
 def assert_gradients_close(analytic, numeric, rtol=1e-4, what="gradient"):
     err = relative_error(analytic, numeric)
     assert err < rtol, f"{what}: relative error {err:.3e} exceeds {rtol:.0e}"
+
+
+def assert_batch_gradient_matches_finite_differences(params, batch):
+    """backward's gradient of a mini-batch's summed loss, for every parameter
+    array, against central differences of the songs' single-song losses."""
+    grads = zero_gradients(params)
+    backward(batch, params, grads)
+    analytic = dict(_param_arrays(grads))
+
+    def summed_loss(_):
+        return sum(forward_loss(ex.x, ex.label, params)[1] for ex in batch)
+
+    for name, arr in _param_arrays(params):
+        assert_gradients_close(analytic[name], central_difference(summed_loss, arr), what=name)
 
 
 @pytest.fixture

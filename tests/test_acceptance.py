@@ -14,19 +14,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_gradients_close, central_difference
+from conftest import (
+    assert_batch_gradient_matches_finite_differences,
+    assert_gradients_close,
+    central_difference,
+)
 
 from folkmotif.attention import (
     ClassifierConfig,
-    _param_arrays,
-    backward,
-    forward_loss,
+    SongExample,
     init_model,
     make_examples,
     predict,
     predict_song,
     train_classifier,
-    zero_gradients,
 )
 from folkmotif.baselines import SvmConfig, average_embedding, predict_svm, svm_objective, train_linear_svm
 from folkmotif.cli import _expand_sources
@@ -132,14 +133,7 @@ def test_criterion_4_gradient_suite_matches_finite_differences():
         model = init_model(dim=3, labels=["a", "b"], hidden=4, attention_dim=3, seed=seed)
         x = rng.normal(size=(5, 3))
         label = int(seed % 2)
-        grads = zero_gradients(model.params)
-        backward(x, label, model.params, grads)
-        analytic = dict(_param_arrays(grads))
-        for name, array in _param_arrays(model.params):
-            numeric = central_difference(
-                lambda _: forward_loss(x, label, model.params)[1], array
-            )
-            assert_gradients_close(analytic[name], numeric, what=name)
+        assert_batch_gradient_matches_finite_differences(model.params, [SongExample(x, label)])
 
     # Hinge objective away from the kink.
     for seed in (21, 22, 23):

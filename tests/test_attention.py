@@ -2,13 +2,14 @@ import base64
 import copy
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_gradients_close, central_difference
+from conftest import assert_batch_gradient_matches_finite_differences, relative_error
 
 from folkmotif.attention import (
     AttentionParams,
@@ -18,11 +19,13 @@ from folkmotif.attention import (
     OutputParams,
     SongExample,
     TrainingDiverged,
+    _encode,
     _energy_grad,
     _forward,
+    _gate_sigmoid,
+    _pack,
     _param_arrays,
     _sgd_step,
-    _sigmoid,
     alpha_csv,
     backward,
     forward_loss,
@@ -61,11 +64,15 @@ def gate_blocks(p):
     return [(p.w[g], p.u[g], p.b[g]) for g in gates]
 
 
+def logistic(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def gru_step(x, h_prev, p):
     """Reference GRU update from the definition: h = (1 - z) * h_prev + z * candidate."""
     (w_z, u_z, b_z), (w_r, u_r, b_r), (w_h, u_h, b_h) = gate_blocks(p)
-    z = _sigmoid(w_z @ x + u_z @ h_prev + b_z)
-    r = _sigmoid(w_r @ x + u_r @ h_prev + b_r)
+    z = logistic(w_z @ x + u_z @ h_prev + b_z)
+    r = logistic(w_r @ x + u_r @ h_prev + b_r)
     h_cand = np.tanh(w_h @ x + u_h @ (r * h_prev) + b_h)
     return (1.0 - z) * h_prev + z * h_cand
 
@@ -77,6 +84,15 @@ def reference_scan(xs, p):
         h = gru_step(x, h, p)
         states.append(h)
     return np.array(states)
+
+
+def test_gate_sigmoid_matches_the_logistic_function():
+    x = np.linspace(-40.0, 40.0, 8001)
+    np.testing.assert_allclose(_gate_sigmoid(x), logistic(x), rtol=0.0, atol=1e-15)
+    assert _gate_sigmoid(np.array(0.0)) == 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(_gate_sigmoid(np.array([-800.0, 800.0])), [0.0, 1.0])
 
 
 def test_gru_step_zero_parameters_halve_the_state():
@@ -191,7 +207,7 @@ def test_certain_prediction_has_zero_loss_and_vanishing_output_gradient():
     assert probs[0] == pytest.approx(1.0)
     assert loss == pytest.approx(0.0, abs=1e-12)
     g = zero_gradients(model.params)
-    backward(x, 0, model.params, g)
+    backward([SongExample(x, 0)], model.params, g)
     assert np.linalg.norm(g.out.w) < 1e-6
     assert np.linalg.norm(g.out.b) < 1e-6
 
@@ -199,19 +215,59 @@ def test_certain_prediction_has_zero_loss_and_vanishing_output_gradient():
 def test_backward_adds_into_the_given_gradients():
     model = randomized_model(5)
     x = np.random.default_rng(6).normal(size=(4, 3))
+    batch = [SongExample(x, 1)]
     once = zero_gradients(model.params)
-    loss = backward(x, 1, model.params, once)
+    loss = backward(batch, model.params, once)
     start = zero_gradients(model.params)
     rng = np.random.default_rng(7)
     for _, arr in _param_arrays(start):
         arr[...] = rng.normal(size=arr.shape)
     grads = copy.deepcopy(start)
-    assert backward(x, 1, model.params, grads) == loss
-    assert backward(x, 1, model.params, grads) == loss
+    assert backward(batch, model.params, grads) == loss
+    assert backward(batch, model.params, grads) == loss
     for (name, total), (_, s0), (_, g) in zip(
         _param_arrays(grads), _param_arrays(start), _param_arrays(once)
     ):
         np.testing.assert_array_equal(total, s0 + g + g, err_msg=name)
+
+
+def test_pack_lays_songs_out_time_major_longest_first():
+    sizes, rows = _pack([3, 1, 3, 2])
+    # ranks: song 0, song 2 (a tie keeps batch order), song 3, song 1
+    assert sizes == [4, 3, 2]
+    assert [r.tolist() for r in rows] == [[0, 4, 7], [3], [1, 5, 8], [2, 6]]
+
+
+BATCH_LENGTHS = [(5, 2, 7, 1, 3), (4, 4, 2, 4), (1, 6, 1), (1,), (6,)]
+BATCH_IDS = ["mixed", "ties", "T1", "one-T1", "one"]
+
+
+def batch_of(lengths, seed=30):
+    rng = np.random.default_rng(seed)
+    return [SongExample(rng.normal(size=(T, 3)), i % 3) for i, T in enumerate(lengths)]
+
+
+@pytest.mark.parametrize("lengths", BATCH_LENGTHS, ids=BATCH_IDS)
+def test_batch_gradient_is_the_sum_of_song_gradients(lengths):
+    params = randomized_model(4, labels=("a", "b", "c")).params
+    batch = batch_of(lengths)
+    together = zero_gradients(params)
+    loss = backward(batch, params, together)
+    apart = zero_gradients(params)
+    losses = [backward([ex], params, apart) for ex in batch]
+    assert loss == pytest.approx(sum(losses), rel=1e-12)
+    for (name, a), (_, b) in zip(_param_arrays(together), _param_arrays(apart)):
+        assert relative_error(a, b) <= 1e-12, name
+
+
+@pytest.mark.parametrize("lengths", BATCH_LENGTHS, ids=BATCH_IDS)
+def test_song_is_encoded_alike_alone_and_in_a_batch(lengths):
+    params = randomized_model(5, labels=("a", "b", "c")).params
+    batch = batch_of(lengths)
+    for ex, song in zip(batch, _encode([ex.x for ex in batch], params).songs):
+        alone = _forward(ex.x, params)
+        np.testing.assert_allclose(song.probs, alone.probs, rtol=1e-12)
+        np.testing.assert_allclose(song.alpha, alone.alpha, rtol=1e-12)
 
 
 # T=1 is the edge case for the weight gradients taken after the scan; the
@@ -227,12 +283,14 @@ def test_every_parameter_gradient_matches_finite_differences(point, T):
     rng = np.random.default_rng(100 + point)
     x = rng.normal(size=(T, 3))
     label = point % 2
-    grads = zero_gradients(model.params)
-    backward(x, label, model.params, grads)
-    analytic = dict(_param_arrays(grads))
-    for name, arr in _param_arrays(model.params):
-        numeric = central_difference(lambda _: forward_loss(x, label, model.params)[1], arr)
-        assert_gradients_close(analytic[name], numeric, what=name)
+    assert_batch_gradient_matches_finite_differences(model.params, [SongExample(x, label)])
+
+
+def test_mixed_length_batch_gradient_matches_finite_differences():
+    model = randomized_model(3, labels=("a", "b", "c"))
+    rng = np.random.default_rng(103)
+    batch = [SongExample(rng.normal(size=(T, 3)), label) for T, label in ((2, 0), (5, 2), (1, 1))]
+    assert_batch_gradient_matches_finite_differences(model.params, batch)
 
 
 @pytest.mark.parametrize("clip_norm", [0.5, 1e6])
@@ -326,7 +384,16 @@ def test_divergent_learning_rate_aborts():
     emb = _toy_embeddings()
     examples = make_examples(_separable_songs(per_class=4), emb, ["alpha", "beta"])
     config = ClassifierConfig(hidden=5, attention_dim=3, epochs=20, lr=1e9, seed=0)
-    with pytest.raises(TrainingDiverged):
+    with pytest.raises(TrainingDiverged, match="^epoch 2, step 1: the loss is inf; lower"):
+        train_classifier(examples, ["alpha", "beta"], config)
+
+
+def test_divergence_names_the_epoch_step_and_gradient():
+    emb = _toy_embeddings()
+    examples = make_examples(_separable_songs(per_class=6), emb, ["alpha", "beta"])
+    config = ClassifierConfig(hidden=5, attention_dim=3, batch=4, epochs=20, lr=1e200, seed=0)
+    message = r"^epoch 1, step 2: the gradient of gru_fwd\.w is not finite; lower the learning rate$"
+    with pytest.raises(TrainingDiverged, match=message):
         train_classifier(examples, ["alpha", "beta"], config)
 
 

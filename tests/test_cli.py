@@ -95,6 +95,21 @@ def test_ingest_reports_counts_and_skips(kern_dirs, tmp_path, capsys):
     assert sorted({m.label for m in melodies}) == ["chinese", "german"]
 
 
+def test_ingest_refuses_a_class_name_with_a_space(kern_dirs, tmp_path, capsys):
+    german, _ = kern_dirs
+    assert main(["ingest", f"my class={german}", "--out", str(tmp_path / "c.jsonl")]) == 2
+    message = f"{german / 'g0.krn'}: song 'g0': class name 'my class' holds ' '"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_tokenize_refuses_a_song_id_with_a_tab(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(write_jsonl([melody("a\tb", "alpha", [60, 62, 64])]))
+    assert main(["tokenize", "--corpus", str(corpus), "--out", str(tmp_path / "t.tsv")]) == 2
+    assert "line 1: song id 'a\\tb' holds '\\t'" in capsys.readouterr().err
+
+
 def test_tokenize_writes_token_file(kern_dirs, tmp_path):
     german, chinese = kern_dirs
     corpus = tmp_path / "corpus.jsonl"
@@ -171,6 +186,19 @@ def test_train_classifier_writes_model_metrics_alphas(tmp_path, capsys):
     songs = {s.id: s for s in read_token_file(tokens.read_text())}
     _, _, weighted = predict_song(restored, songs[csvs[0].stem], embeddings, max_len=30)
     assert alpha_csv(weighted) == csvs[0].read_text()
+
+
+def test_train_classifier_refuses_song_ids_outside_the_alpha_dir(tmp_path, capsys):
+    _, tokens, emb, vocab = synth_pipeline(tmp_path)
+    rows = [line.split("\t", 1)[1] for line in tokens.read_text().splitlines()]
+    tokens.write_text("".join(f"../esc{i}\t{row}\n" for i, row in enumerate(rows)))
+    run = tmp_path / "run"
+    assert main(["train-classifier", "--tokens", str(tokens), "--embeddings", str(emb),
+                 "--vocab", str(vocab), "--hidden", "5", "--attention-dim", "3",
+                 "--epochs", "1", "--out", str(tmp_path / "model.txt"),
+                 "--alpha-dir", str(run / "alphas")]) == 2
+    assert "line 1: song id '../esc0' holds '/'" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("esc*.csv"))
 
 
 def test_classifier_divergence_exit_code(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from folkmotif.melody import (
     NoteEvent,
     load_corpus,
     read_jsonl,
+    song_name_problem,
     write_jsonl,
 )
 
@@ -174,3 +176,51 @@ def test_transposed_shifts_pitches_only():
     shifted = m.transposed(5)
     assert [e.pitch for e in shifted.events] == [65, None]
     assert [e.duration for e in shifted.events] == [Fraction(1), Fraction(1)]
+
+
+def one_note(song_id, label):
+    events = [NoteEvent(pitch=60, duration=Fraction(1), onset=Fraction(0), measure=0)]
+    return Melody(id=song_id, label=label, meter=[(0, 4, 4)], events=events)
+
+
+@pytest.mark.parametrize(
+    "song_id,label,message",
+    [
+        ("../esc3", "german", "song id '../esc3' holds '/'"),
+        ("a\\b", "german", "song id 'a\\\\b' holds '\\\\'"),
+        ("..", "german", "song id '..' is not a file name"),
+        ("", "german", "song id '' is not a file name"),
+        ("a\tb", "german", "song id 'a\\tb' holds '\\t'"),
+        ("my song", "german", "song id 'my song' holds ' '"),
+        ("a\x07", "german", "song id 'a\\x07' holds '\\x07'"),
+        ("s1", "my class", "song 's1': class name 'my class' holds ' '"),
+        ("s1", "ger\nman", "song 's1': class name 'ger\\nman' holds '\\n'"),
+    ],
+    ids=["parent-dir", "backslash", "dotdot", "empty", "tab", "space", "control",
+         "class-space", "class-newline"],
+)
+def test_read_jsonl_refuses_a_name_that_breaks_a_file(song_id, label, message):
+    with pytest.raises(CorpusError, match="^" + re.escape(f"line 1: {message}") + "$"):
+        read_jsonl(write_jsonl([one_note(song_id, label)]))
+
+
+def test_song_names_may_hold_punctuation_and_an_empty_class():
+    melody = one_note('song-1,"take_2"', "")
+    assert song_name_problem(melody.id, melody.label) is None
+    assert read_jsonl(write_jsonl([melody])) == [melody]
+
+
+def test_load_corpus_refuses_a_kern_stem_with_a_space(tmp_path):
+    (tmp_path / "a.krn").write_text(VALID_A)
+    (tmp_path / "my song.krn").write_text(VALID_B)
+    pairs = [(str(tmp_path / "a.krn"), "x"), (str(tmp_path / "my song.krn"), "x")]
+    message = f"{tmp_path / 'my song.krn'}: song id 'my song' holds ' '"
+    with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
+        load_corpus(pairs)
+
+
+def test_load_corpus_refuses_a_class_name_with_a_space(tmp_path):
+    (tmp_path / "a.krn").write_text(VALID_A)
+    message = f"{tmp_path / 'a.krn'}: song 'a': class name 'my class' holds ' '"
+    with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
+        load_corpus([(str(tmp_path / "a.krn"), "my class")])

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,20 @@ def test_token_file_round_trip():
 def test_token_file_rejects_malformed_line():
     with pytest.raises(ValueError, match="line 1"):
         read_token_file("missing-tabs\n")
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("../esc3\tgerman\t21_20", "song id '../esc3' holds '/'"),
+        ("my song\tgerman\t21_20", "song id 'my song' holds ' '"),
+        ("s\tmy class\t21_20", "song 's': class name 'my class' holds ' '"),
+    ],
+    ids=["parent-dir", "id-space", "class-space"],
+)
+def test_token_file_refuses_a_name_that_breaks_a_file(line, message):
+    with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
+        read_token_file(f"a\tgerman\t21_20\n{line}\n")
 
 
 def test_tokenize_corpus_drops_untokenizable_melodies():
