@@ -10,6 +10,7 @@ prediction takes the maximum margin score, ties to the lowest class index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,8 +34,11 @@ class SvmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam <= 0 or self.epochs < 1:
-            raise ValueError("lam must be positive and epochs at least 1")
+        # Written so that nan fails too; an infinite lam gives nan weights.
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
 
 
 @dataclass
@@ -78,9 +82,15 @@ def _pegasos_binary(
     the stability the plain last iterate lacks.
     """
     n, d = X.shape
+    # Python floats and a list of row views step without numpy scalar
+    # overhead; each operation is the one numpy scalars would do, in the same
+    # order, and np.linalg.norm of a 1-D float array is sqrt(w.dot(w)).
+    rows = list(X)
+    ys = y.tolist()
+    lam = config.lam
     w = np.zeros(d)
     b = 0.0
-    radius = 1.0 / np.sqrt(config.lam)
+    radius = 1.0 / math.sqrt(lam)
     total = config.epochs * n
     tail_start = total // 2
     w_sum = np.zeros(d)
@@ -88,15 +98,16 @@ def _pegasos_binary(
     tail = 0
     t = 0
     for _ in range(config.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
-            eta = 1.0 / (config.lam * t)
-            margin = y[i] * (X[i] @ w + b)
-            w *= 1.0 - eta * config.lam
+            eta = 1.0 / (lam * t)
+            yi = ys[i]
+            margin = yi * (float(rows[i].dot(w)) + b)
+            w *= 1.0 - eta * lam
             if margin < 1.0:
-                w += eta * y[i] * X[i]
-                b += eta * y[i]
-            norm = np.linalg.norm(w)
+                w += eta * yi * rows[i]
+                b += eta * yi
+            norm = math.sqrt(w.dot(w))
             if norm > radius:
                 w *= radius / norm
             if t > tail_start:
@@ -122,6 +133,9 @@ def train_linear_svm(
     if len(present) < 2:
         raise ValueError("training data contains a single class")
     L = n_classes if n_classes is not None else int(labels.max()) + 1
+    outside = labels[(labels < 0) | (labels >= L)]
+    if len(outside):
+        raise ValueError(f"label {int(outside[0])} is outside [0, {L})")
     weights = np.zeros((L, X.shape[1]))
     biases = np.zeros(L)
     for c in range(L):

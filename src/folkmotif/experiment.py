@@ -33,7 +33,7 @@ from .attention import (
     vocab_digest,
 )
 from .baselines import SvmConfig, average_embedding, predict_svm, train_linear_svm, write_svm
-from .melody import LabeledCorpus
+from .melody import CorpusError, LabeledCorpus, corpus_problem
 from .metrics import MetricsReport, evaluate, render_report, split_dataset
 from .sgns import TrainingDiverged, SkipgramConfig, train_pvdbow, train_skipgram, write_embeddings
 from .tokens import TokenizedSong, tokenize_corpus, write_token_file
@@ -167,7 +167,14 @@ def song_vectors(model, songs, vocab, embeddings, config: SkipgramConfig) -> np.
 def run_experiment(
     config: ExperimentConfig, corpus: LabeledCorpus, out_dir: Optional[str] = None
 ) -> tuple[MetricsReport, dict[str, str]]:
-    """Run the pipeline on an ingested corpus; returns (metrics, artifact paths)."""
+    """Run the pipeline on an ingested corpus; returns (metrics, artifact paths).
+
+    A corpus built in memory is checked as ``load_corpus`` checks one read
+    from files, before any stage runs.
+    """
+    found = corpus_problem(corpus.melodies)
+    if found is not None:
+        raise ExperimentError("corpus", CorpusError(found[1]))
     songs: list[TokenizedSong] = _stage(
         "tokenize",
         tokenize_corpus,

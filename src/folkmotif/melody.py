@@ -45,6 +45,23 @@ def song_name_problem(song_id: str, label: str) -> Optional[str]:
     return None
 
 
+def corpus_problem(melodies: Iterable[Melody]) -> Optional[tuple[int, str]]:
+    """The index of the first song that cannot join a corpus, and why; or None.
+
+    A song cannot join when ``song_name_problem`` finds its id or class name
+    would break an output file, or when an earlier song has its id.
+    """
+    seen: set[str] = set()
+    for i, m in enumerate(melodies):
+        problem = song_name_problem(m.id, m.label)
+        if problem is None and m.id in seen:
+            problem = f"duplicate melody id {m.id!r}"
+        if problem is not None:
+            return i, problem
+        seen.add(m.id)
+    return None
+
+
 def _breaks_a_row(c: str) -> bool:
     # The control characters (Unicode category Cc) are exactly U+0000-U+001F
     # and U+007F-U+009F.
@@ -253,6 +270,7 @@ def load_corpus(paths: Sequence[tuple[str, Optional[str]]]) -> LabeledCorpus:
     from .kern import ParseError, parse_kern
 
     melodies: list[Melody] = []
+    sources: list[str] = []  # the file of each melody
     diagnostics = CorpusDiagnostics()
     for path, label in sorted(paths, key=lambda pair: str(pair[0])):
         p = Path(path)
@@ -271,22 +289,18 @@ def load_corpus(paths: Sequence[tuple[str, Optional[str]]]) -> LabeledCorpus:
             diagnostics.skipped.append((str(path), str(exc)))
             logger.warning("skipping %s: %s", path, exc)
             continue
-        for m in loaded:
-            if label is not None:
+        if label is not None:
+            for m in loaded:
                 m.label = label
-            # A kern id is the file stem and the label comes from the caller:
-            # a bad name is the corpus's problem, not a file to skip.
-            problem = song_name_problem(m.id, m.label)
-            if problem:
-                raise CorpusError(f"{path}: {problem}")
         melodies.extend(loaded)
+        sources.extend([str(path)] * len(loaded))
     if not melodies:
         raise CorpusError("empty corpus: no melody could be loaded")
-    seen: set[str] = set()
-    for m in melodies:
-        if m.id in seen:
-            raise CorpusError(f"duplicate melody id {m.id!r}")
-        seen.add(m.id)
+    # A kern id is the file stem and the label comes from the caller: a bad
+    # name is the corpus's problem, not a file to skip.
+    found = corpus_problem(melodies)
+    if found is not None:
+        raise CorpusError(f"{sources[found[0]]}: {found[1]}")
     if diagnostics.skip_count:
         logger.info("loaded %d melodies, skipped %d files", len(melodies), diagnostics.skip_count)
     return LabeledCorpus(melodies=melodies, diagnostics=diagnostics)

@@ -10,14 +10,18 @@ vectors v_c. PV-DBOW reuses the same objective with a per-song document
 vector standing in for v_w.
 
 Training takes one simultaneous SGD step per center, in corpus order: its n
-context pairs, with k negatives each drawn in one call of n*k samples, are
-scored as one block of n*(k+1) rows. PV-DBOW has one pair per center, so its
-vectors equal those of per-pair SGD, bit for bit.
+context pairs, with k negatives each, are scored as one block of n*(k+1)
+rows. Skip-gram draws a center's window and then its n*k negatives in one
+call. PV-DBOW has one pair per center and draws nothing but negatives, so it
+draws a song's T*k negatives in one call, which takes the same numbers from
+the same stream as T calls of k; its vectors equal those of per-pair SGD,
+bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -114,6 +118,49 @@ def _encode_corpus(songs: Iterable[TokenizedSong], vocab: Vocabulary) -> list[np
     return encoded
 
 
+def _row_blocks(
+    contexts: np.ndarray, negatives: np.ndarray, columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block i holds context i then its row of negatives, as output-matrix
+    rows and as the flat indices of those rows' entries.
+
+    The flat form of np.add.at(output_vectors, rows, grad) lets a repeated
+    row take each of its updates in turn.
+    """
+    n, width = len(contexts), negatives.shape[1] + 1
+    rows = np.empty((n, width), dtype=np.int64)
+    rows[:, 0] = contexts
+    rows[:, 1:] = negatives
+    scatter = rows[:, :, None] * len(columns) + columns
+    return rows, scatter.reshape(n, width * len(columns))
+
+
+def _skipgram_centers(seq, input_vectors, dist, config, rng, columns):
+    """(w, rows, scatter) for each center of a song, drawn center by center.
+
+    The window draw takes half of a 64-bit output and keeps the other half
+    for the next center, so drawing negatives ahead would reorder the stream.
+    """
+    for t in range(len(seq)):
+        b = int(rng.integers(1, config.window + 1))
+        contexts = np.concatenate([seq[max(0, t - b) : t], seq[t + 1 : t + 1 + b]])
+        negatives = dist.draw(rng, len(contexts) * config.negatives)
+        rows, scatter = _row_blocks(contexts, negatives.reshape(-1, config.negatives), columns)
+        yield input_vectors[seq[t]], rows.ravel(), scatter.ravel()
+
+
+def _pvdbow_centers(seq, w, dist, config, rng, columns):
+    """(w, rows, scatter) for each center of a song, whose vector is w.
+
+    A center's only pair is (w, its token). The song draws nothing but its
+    negatives, and each double takes one 64-bit output, so one call of T*k
+    gives the same numbers as T calls of k.
+    """
+    negatives = dist.draw(rng, len(seq) * config.negatives)
+    rows, scatter = _row_blocks(seq, negatives.reshape(-1, config.negatives), columns)
+    return zip(repeat(w), rows, scatter)
+
+
 def _train_pass(
     sequences: Sequence[np.ndarray],
     target_rows: Sequence[int] | None,
@@ -132,11 +179,10 @@ def _train_pass(
     Returns the total pair loss; raises TrainingDiverged on non-finite loss.
     """
     k = config.negatives
-    d = output_vectors.shape[1]
     labels = np.zeros(2 * config.window * (k + 1))
     labels[:: k + 1] = 1.0
     flat_output = output_vectors.reshape(-1)
-    columns = np.arange(d)
+    columns = np.arange(output_vectors.shape[1])
     centers = sum(len(seq) for seq in sequences)
     step, steps = epoch * centers, config.epochs * centers
     total = 0.0
@@ -144,28 +190,20 @@ def _train_pass(
     # finiteness of the loss, so the overflow itself is not worth a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for s, seq in enumerate(sequences):
-            for t in range(len(seq)):
+            if target_rows is None:
+                song = _skipgram_centers(seq, input_vectors, dist, config, rng, columns)
+            else:
+                w = input_vectors[target_rows[s]]
+                song = _pvdbow_centers(seq, w, dist, config, rng, columns)
+            for w, rows, scatter in song:
                 lr = max(config.lr_min, config.lr * (1.0 - step / steps))
                 step += 1
-                if target_rows is None:
-                    b = int(rng.integers(1, config.window + 1))
-                    contexts = np.concatenate([seq[max(0, t - b) : t], seq[t + 1 : t + 1 + b]])
-                    row = seq[t]
-                else:
-                    contexts = seq[t : t + 1]
-                    row = target_rows[s]
-                n = len(contexts)
-                idx = np.empty((n, k + 1), dtype=np.int64)
-                idx[:, 0] = contexts
-                idx[:, 1:] = dist.draw(rng, n * k).reshape(n, k)
-                ix = idx.ravel()
-                w = input_vectors[row]
-                loss, grad_w, grad_ctx = pair_objective(w, output_vectors[ix], labels[: len(ix)])
+                loss, grad_w, grad_ctx = pair_objective(
+                    w, output_vectors[rows], labels[: len(rows)]
+                )
                 total += loss
                 grad_ctx *= -lr
-                # The flat form of np.add.at(output_vectors, ix, grad_ctx): a
-                # repeated row takes each of its updates in turn.
-                np.add.at(flat_output, (ix[:, None] * d + columns).ravel(), grad_ctx.ravel())
+                np.add.at(flat_output, scatter, grad_ctx.ravel())
                 w -= lr * grad_w
     if not np.isfinite(total):
         raise TrainingDiverged(

@@ -91,9 +91,73 @@ def test_heavy_regularization_shrinks_weights():
     assert np.linalg.norm(model.weights) < 1e-2
 
 
+def _reference_pegasos(X, y, config, rng):
+    """The Pegasos loop that train_linear_svm must equal bit for bit, written
+    with numpy scalars and np.linalg.norm."""
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    radius = 1.0 / np.sqrt(config.lam)
+    total = config.epochs * n
+    tail_start = total // 2
+    w_sum = np.zeros(d)
+    b_sum = 0.0
+    tail = 0
+    t = 0
+    for _ in range(config.epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (config.lam * t)
+            margin = y[i] * (X[i] @ w + b)
+            w *= 1.0 - eta * config.lam
+            if margin < 1.0:
+                w += eta * y[i] * X[i]
+                b += eta * y[i]
+            norm = np.linalg.norm(w)
+            if norm > radius:
+                w *= radius / norm
+            if t > tail_start:
+                w_sum += w
+                b_sum += b
+                tail += 1
+    return w_sum / tail, b_sum / tail
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_pegasos_equals_the_reference_loop_bit_for_bit(n_classes):
+    """Every row is longer than sqrt(lam), so the first step, w = x_i / lam,
+    leaves the 1/sqrt(lam) ball and is projected back. The classes overlap,
+    so hinge steps still fire in the tail."""
+    rng = np.random.default_rng(7)
+    centers = rng.normal(scale=0.5, size=(n_classes, 5))
+    labels = np.arange(40) % n_classes
+    X = rng.normal(size=(40, 5)) + centers[labels]
+    config = SvmConfig(lam=0.05, epochs=30, seed=11)
+    assert np.linalg.norm(X, axis=1).min() > np.sqrt(config.lam)
+    model = train_linear_svm(X, labels, n_classes=n_classes, config=config)
+    for c in range(n_classes):
+        y = np.where(labels == c, 1.0, -1.0)
+        w, b = _reference_pegasos(X, y, config, np.random.default_rng([config.seed, c]))
+        assert np.array_equal(model.weights[c], w)
+        assert model.biases[c] == b
+        assert np.any(y * (X @ w + b) < 1.0)
+
+
 def test_single_class_is_error():
     with pytest.raises(ValueError, match="single class"):
         train_linear_svm(np.ones((3, 2)), [1, 1, 1])
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_rejects_a_lam_that_is_not_positive_and_finite(lam):
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        SvmConfig(lam=lam)
+
+
+@pytest.mark.parametrize("labels,n_classes,bad", [([0, 1, 2, 1], 2, 2), ([0, 1, -1, 1], None, -1)])
+def test_label_outside_the_classes_is_error(labels, n_classes, bad):
+    with pytest.raises(ValueError, match=rf"^label {bad} is outside \[0, 2\)$"):
+        train_linear_svm(np.eye(4), labels, n_classes=n_classes)
 
 
 def test_predict_by_sign():

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,27 @@ def test_one_song_class_fails_at_split_before_skipgram(monkeypatch):
     corpus.melodies[0].label = "gamma"
     with pytest.raises(ExperimentError, match="stage 'split'.*'gamma'"):
         run_experiment(fast_config(), corpus)
+
+
+@pytest.mark.parametrize("model", ["attention", "average", "doc2vec"])
+@pytest.mark.parametrize("problem", ["space", "duplicate"])
+def test_in_memory_corpus_is_checked_before_any_stage(tmp_path, monkeypatch, model, problem):
+    """A name that breaks a row, or an id that would give two songs one vector."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(folkmotif.experiment, "tokenize_corpus", forbidden)
+    corpus = small_corpus()
+    if problem == "space":
+        corpus.melodies[3].id = "song 3"
+        message = "song id 'song 3' holds ' '"
+    else:
+        corpus.melodies[5].id = corpus.melodies[2].id
+        message = f"duplicate melody id {corpus.melodies[2].id!r}"
+    with pytest.raises(ExperimentError, match="^stage 'corpus': " + re.escape(message) + "$"):
+        run_experiment(fast_config(model=model), corpus, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_doc2vec_divergence_is_reported_as_training_diverged():

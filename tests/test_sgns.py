@@ -22,7 +22,7 @@ from folkmotif.sgns import (
     write_embeddings,
 )
 from folkmotif.tokens import TokenizedSong
-from folkmotif.vocab import Vocabulary, build_vocab
+from folkmotif.vocab import SamplingDist, Vocabulary, build_vocab
 
 FAST = SkipgramConfig(dim=8, window=2, negatives=3, epochs=5, seed=0)
 
@@ -291,6 +291,27 @@ def test_training_makes_one_pair_objective_call_per_center(monkeypatch, train):
     train(songs, vocab, config)
     centers = sum(len(s.tokens) for s in songs)
     assert len(calls) == centers * config.epochs
+
+
+@pytest.mark.parametrize("train", [train_skipgram, train_pvdbow])
+def test_negatives_are_drawn_once_per_song_in_pvdbow_and_once_per_center_in_skipgram(
+    monkeypatch, train
+):
+    songs, config = _many_token_songs()
+    vocab = build_vocab([s.tokens for s in songs])
+    sizes = []
+    draw = SamplingDist.draw
+
+    def counted(self, rng, size):
+        sizes.append(size)
+        return draw(self, rng, size)
+
+    monkeypatch.setattr(SamplingDist, "draw", counted)
+    train(songs, vocab, config)
+    if train is train_pvdbow:
+        assert sizes == [len(s.tokens) * config.negatives for s in songs] * config.epochs
+    else:
+        assert len(sizes) == sum(len(s.tokens) for s in songs) * config.epochs
 
 
 def test_skipgram_objective_rises_every_epoch():
