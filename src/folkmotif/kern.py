@@ -3,15 +3,20 @@
 Supported: `**kern` header, `*M<n>/<d>` meter tokens, barlines, notes
 `<dur><pitch><accidentals>`, rests `<dur>r`, duration dots, and the `*-`
 terminator. Phrase braces, fermatas, and comment/interpretation lines that
-the subset doesn't model are ignored. Ties and anything else unrecognized
-raise ParseError with the offending line number.
+the subset doesn't model are ignored. Ties, chords (a data record of more
+than one space-separated token) and anything else unrecognized raise
+ParseError with the offending line number.
+
+A note or rest token is parsed by a pure function of its text, cached, so a
+corpus pays for each distinct token once rather than once per event.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .melody import Melody, MeterChange, NoteEvent
 
@@ -21,6 +26,9 @@ _METER_RE = re.compile(r"^\*M(\d+)/(\d+)$")
 _TOKEN_RE = re.compile(
     r"^(?P<dur>\d+)(?P<dots>\.*)(?P<body>r|(?P<letters>([a-g])\5*|([A-G])\6*)(?P<acc>[#\-n]*))$"
 )
+# Phrase braces, slurs, fermatas, and beam marks carry no pitch or duration
+# information in this subset; L/J are never pitch letters.
+_MARKS_RE = re.compile(r"[{}();'\"`LJ]")
 
 
 class ParseError(ValueError):
@@ -46,25 +54,44 @@ def _duration(digits: str, dots: int) -> Fraction:
     return total
 
 
-def _pitch(letters: str, accidentals: str, line: int) -> int:
+def _pitch(letters: str, accidentals: str) -> int:
     step = _STEP_SEMITONES[letters[0].lower()]
     if letters[0].islower():
         octave = 3 + len(letters)  # c=C4, cc=C5, ...
     else:
         octave = 4 - len(letters)  # C=C3, CC=C2, ...
     midi = 12 * (octave + 1) + step
-    midi += accidentals.count("#") - accidentals.count("-")
-    if not 0 <= midi <= 127:
-        raise ParseError(f"pitch out of range: {letters}{accidentals}", line)
-    return midi
+    return midi + accidentals.count("#") - accidentals.count("-")
+
+
+# A corpus holds a few dozen to a few hundred distinct note and rest tokens.
+@functools.lru_cache(maxsize=1024)
+def _note_or_rest(token: str) -> Union[tuple[Fraction, Optional[int]], str]:
+    """The (duration, MIDI pitch) of one note or rest token, pitch None for a
+    rest; or, for a token the subset refuses, the reason."""
+    if any(ch in token for ch in "[]_"):
+        return "ties are not supported"
+    token = _MARKS_RE.sub("", token)
+    m = _TOKEN_RE.match(token)
+    if m is None:
+        if re.match(r"^\d", token):
+            return f"unknown pitch token {token!r}"
+        return f"unknown token {token!r}"
+    dur = _duration(m.group("dur"), len(m.group("dots")))
+    if m.group("body") == "r":
+        return dur, None
+    pitch = _pitch(m.group("letters"), m.group("acc"))
+    if not 0 <= pitch <= 127:
+        return f"pitch out of range: {m.group('letters')}{m.group('acc')}"
+    return dur, pitch
 
 
 def parse_kern(text: str, id: str = "", label: str = "") -> Melody:
     """Parse one monophonic kern file into a Melody.
 
     Raises ParseError (with line number) on anything outside the subset:
-    missing header, multiple spines, unknown tokens, ties, notes before a
-    meter, or a measure that overflows its meter.
+    missing header, multiple spines, chords, unknown tokens, ties, notes
+    before a meter, or a measure that overflows its meter.
     """
     lines = text.splitlines()
     header_seen = False
@@ -117,27 +144,20 @@ def parse_kern(text: str, id: str = "", label: str = "") -> Melody:
                 _, num, den = meter[-1]
                 capacity = Fraction(4 * num, den)
             continue
-        token = line.split()[0]
-        if any(ch in token for ch in "[]_"):
-            raise ParseError("ties are not supported", lineno)
-        # Phrase braces, slurs, fermatas, and beam marks carry no pitch or
-        # duration information in this subset; L/J are never pitch letters.
-        token = re.sub(r"[{}();'\"`LJ]", "", token)
-        m = _TOKEN_RE.match(token)
-        if m is None:
-            if re.match(r"^\d", token):
-                raise ParseError(f"unknown pitch token {token!r}", lineno)
-            raise ParseError(f"unknown token {token!r}", lineno)
+        fields = line.split()
+        if len(fields) > 1:
+            raise ParseError("chords are not supported", lineno)
+        parsed = _note_or_rest(fields[0])
+        if isinstance(parsed, str):
+            raise ParseError(parsed, lineno)
         if capacity is None:
             raise ParseError("note before any meter", lineno)
-        dur = _duration(m.group("dur"), len(m.group("dots")))
-        if onset + dur > capacity:
-            raise ParseError(
-                f"measure {measure} overfull: {onset + dur} > {capacity} quarters", lineno
-            )
-        pitch = None if m.group("body") == "r" else _pitch(m.group("letters"), m.group("acc"), lineno)
+        dur, pitch = parsed
+        end = onset + dur
+        if end > capacity:
+            raise ParseError(f"measure {measure} overfull: {end} > {capacity} quarters", lineno)
         events.append(NoteEvent(pitch=pitch, duration=dur, onset=onset, measure=measure))
-        onset += dur
+        onset = end
         events_in_measure += 1
 
     if not header_seen:

@@ -49,7 +49,8 @@ def corpus_problem(melodies: Iterable[Melody]) -> Optional[tuple[int, str]]:
     """The index of the first song that cannot join a corpus, and why; or None.
 
     A song cannot join when ``song_name_problem`` finds its id or class name
-    would break an output file, or when an earlier song has its id.
+    would break an output file, or when an earlier song has its id. Only
+    ``id`` and ``label`` are read, so tokenized songs are checked the same way.
     """
     seen: set[str] = set()
     for i, m in enumerate(melodies):
@@ -126,8 +127,12 @@ class Melody:
         if not self.meter:
             raise ValueError(f"melody {self.id!r} has no meter")
         prev: Optional[NoteEvent] = None
+        prev_end = measure = capacity = None
         for ev in self.events:
-            if ev.onset + ev.duration > self.measure_capacity(ev.measure):
+            if ev.measure != measure:
+                measure, capacity = ev.measure, self.measure_capacity(ev.measure)
+            end = ev.onset + ev.duration
+            if end > capacity:
                 raise ValueError(
                     f"melody {self.id!r}: event at measure {ev.measure} overflows the meter"
                 )
@@ -140,11 +145,11 @@ class Melody:
                             f"melody {self.id!r}: onsets not strictly increasing in "
                             f"measure {ev.measure}"
                         )
-                    if ev.onset < prev.onset + prev.duration:
+                    if ev.onset < prev_end:
                         raise ValueError(
                             f"melody {self.id!r}: overlapping events in measure {ev.measure}"
                         )
-            prev = ev
+            prev, prev_end = ev, end
 
     def transposed(self, semitones: int) -> "Melody":
         """Copy with all pitches shifted; rests untouched. Pitches must stay in range."""
@@ -188,13 +193,16 @@ def _frac_to_pair(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bools, which Python counts as ints.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _pair_to_frac(pair, line: int) -> Fraction:
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not all(isinstance(x, int) for x in pair)
-    ):
+    if not isinstance(pair, list) or len(pair) != 2 or not all(_is_int(x) for x in pair):
         raise CorpusError(f"rational must be a [num, den] integer pair, got {pair!r}", line)
+    if pair[1] == 0:
+        raise CorpusError(f"rational has a zero denominator: {pair!r}", line)
     return Fraction(pair[0], pair[1])
 
 
@@ -215,18 +223,24 @@ def melody_to_dict(melody: Melody) -> dict:
     }
 
 
+def _event_from_dict(e: dict, line: int) -> NoteEvent:
+    pitch, measure = e["pitch"], e["measure"]
+    if pitch is not None and not _is_int(pitch):
+        raise CorpusError(f"pitch must be an integer or null, got {pitch!r}", line)
+    if not _is_int(measure):
+        raise CorpusError(f"measure must be an integer, got {measure!r}", line)
+    return NoteEvent(
+        pitch=pitch,
+        duration=_pair_to_frac(e["duration"], line),
+        onset=_pair_to_frac(e["onset"], line),
+        measure=measure,
+    )
+
+
 def melody_from_dict(obj: dict, line: int = 0) -> Melody:
     try:
         meter = [(int(s), int(n), int(d)) for s, n, d in obj["meter"]]
-        events = [
-            NoteEvent(
-                pitch=e["pitch"],
-                duration=_pair_to_frac(e["duration"], line),
-                onset=_pair_to_frac(e["onset"], line),
-                measure=int(e["measure"]),
-            )
-            for e in obj["events"]
-        ]
+        events = [_event_from_dict(e, line) for e in obj["events"]]
         melody = Melody(id=str(obj["id"]), label=str(obj["label"]), meter=meter, events=events)
     except CorpusError:
         raise
@@ -235,7 +249,10 @@ def melody_from_dict(obj: dict, line: int = 0) -> Melody:
     problem = song_name_problem(melody.id, melody.label)
     if problem:
         raise CorpusError(problem, line)
-    melody.validate()
+    try:
+        melody.validate()
+    except ValueError as exc:
+        raise CorpusError(str(exc), line) from exc
     return melody
 
 

@@ -9,12 +9,13 @@ downbeat. Multi-words join n consecutive tokens with underscores.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
 
-from .melody import Melody, NoteEvent, song_name_problem
+from .melody import Melody, NoteEvent, corpus_problem
 
 
 def format_duration(duration: Fraction) -> str:
@@ -89,9 +90,12 @@ def beat_unit(meter: tuple[int, int]) -> Fraction:
     return Fraction(1)
 
 
-def rhythm_token(event: NoteEvent, meter: tuple[int, int]) -> RhythmToken:
-    on_beat = (event.onset % beat_unit(meter)) == 0
-    return RhythmToken(is_note=event.pitch is not None, is_downbeat=on_beat, duration=event.duration)
+# A corpus holds a few dozen to a few hundred distinct rhythm tokens.
+@functools.lru_cache(maxsize=1024)
+def render_rhythm(is_note: bool, onset: Fraction, duration: Fraction, meter: tuple[int, int]) -> str:
+    """The rendered rhythm token of a note (or rest) at ``onset`` in a measure of ``meter``."""
+    on_beat = (onset % beat_unit(meter)) == 0
+    return RhythmToken(is_note=is_note, is_downbeat=on_beat, duration=duration).render()
 
 
 Mode = Literal["intervallic", "rhythmic"]
@@ -108,9 +112,13 @@ def tokenize_melody(melody: Melody, mode: Mode) -> list[str]:
             )
         return [interval_token(a, b).render() for a, b in zip(pitched, pitched[1:])]
     if mode == "rhythmic":
-        return [
-            rhythm_token(e, melody.meter_at(e.measure)).render() for e in melody.events
-        ]
+        tokens = []
+        measure = meter = None
+        for e in melody.events:
+            if e.measure != measure:
+                measure, meter = e.measure, melody.meter_at(e.measure)
+            tokens.append(render_rhythm(e.pitch is not None, e.onset, e.duration, meter))
+        return tokens
     raise ValueError(f"unknown tokenization mode {mode!r}")
 
 
@@ -185,7 +193,13 @@ def write_token_file(songs: Iterable[TokenizedSong]) -> str:
 
 
 def read_token_file(text: str) -> list[TokenizedSong]:
+    """Parse ``write_token_file`` output; a ValueError names the bad line.
+
+    Songs are checked with ``corpus_problem``: a name that would break an
+    output file, or an id an earlier line already used, is refused.
+    """
     songs = []
+    linenos = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -193,10 +207,11 @@ def read_token_file(text: str) -> list[TokenizedSong]:
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected id<TAB>label<TAB>tokens")
         sid, label, toks = fields
-        problem = song_name_problem(sid, label)
-        if problem:
-            raise ValueError(f"line {lineno}: {problem}")
         songs.append(TokenizedSong(id=sid, label=label, tokens=tuple(toks.split())))
+        linenos.append(lineno)
+    found = corpus_problem(songs)
+    if found is not None:
+        raise ValueError(f"line {linenos[found[0]]}: {found[1]}")
     return songs
 
 

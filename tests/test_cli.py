@@ -232,6 +232,17 @@ def test_baseline_doc2vec(tmp_path, capsys):
     assert "accuracy" in capsys.readouterr().out
 
 
+def test_baseline_refuses_a_repeated_song_id(tmp_path, capsys):
+    _, tokens, _, vocab = synth_pipeline(tmp_path)
+    lines = tokens.read_text().splitlines(keepends=True)
+    first_id = lines[0].split("\t")[0]
+    second = lines[1].split("\t", 1)[1]
+    tokens.write_text(lines[0] + f"{first_id}\t{second}" + "".join(lines[2:]))
+    assert main(["baseline", "doc2vec", "--tokens", str(tokens), "--vocab", str(vocab),
+                 "--dim", "8", "--epochs", "2"]) == 2
+    assert f"line 2: duplicate melody id {first_id!r}" in capsys.readouterr().err
+
+
 def test_evaluate_from_csv(tmp_path, capsys):
     preds = tmp_path / "preds.csv"
     preds.write_text("id,gold,predicted\ns1,a,a\ns2,a,b\ns3,b,b\n")

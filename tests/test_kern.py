@@ -95,6 +95,14 @@ def test_ties_rejected():
         parse_kern("**kern\n*M4/4\n[2c\n2c]\n=\n*-")
 
 
+def test_chords_rejected():
+    """A second space-separated note on a data record is refused, not dropped."""
+    with pytest.raises(ParseError) as exc:
+        parse_kern("**kern\n*M4/4\n4c 4e\n4d\n*-")
+    assert exc.value.line == 3
+    assert "chords are not supported" in str(exc.value)
+
+
 def test_note_before_meter_rejected():
     with pytest.raises(ParseError, match="meter"):
         parse_kern("**kern\n4c\n*-")
@@ -127,3 +135,18 @@ def test_total_on_arbitrary_text(text):
         parse_kern(text)
     except ParseError:
         pass
+
+
+def test_a_cached_bad_token_is_reported_at_each_files_own_line():
+    for text, line in [("**kern\n*M4/4\n4q\n*-", 3), ("**kern\n*M4/4\n4c\n4d\n=\n4q\n*-", 6)]:
+        with pytest.raises(ParseError, match="unknown pitch token") as exc:
+            parse_kern(text)
+        assert exc.value.line == line
+
+
+def test_a_cached_token_accepted_in_one_measure_is_overfull_in_another():
+    m = parse_kern("**kern\n*M3/4\n2c\n=\n2c\n4c\n=\n*-")
+    assert [e.duration for e in m.events] == [Fraction(2), Fraction(2), Fraction(1)]
+    with pytest.raises(ParseError, match="measure 1 overfull: 4 > 3 quarters") as exc:
+        parse_kern("**kern\n*M3/4\n2c\n=\n2c\n2c\n=\n*-")
+    assert exc.value.line == 6

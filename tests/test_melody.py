@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 
@@ -224,3 +225,38 @@ def test_load_corpus_refuses_a_class_name_with_a_space(tmp_path):
     message = f"{tmp_path / 'a.krn'}: song 'a': class name 'my class' holds ' '"
     with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
         load_corpus([(str(tmp_path / "a.krn"), "my class")])
+
+
+def one_note_record(**event):
+    fields = {"pitch": 60, "duration": [1, 1], "onset": [0, 1], "measure": 0, **event}
+    record = {"id": "s", "label": "x", "meter": [[0, 4, 4]], "events": [fields]}
+    return json.dumps(record).encode()
+
+
+@pytest.mark.parametrize(
+    "event,message",
+    [
+        ({"pitch": 60.5}, "pitch must be an integer or null, got 60.5"),
+        ({"pitch": True}, "pitch must be an integer or null, got True"),
+        ({"pitch": "60"}, "pitch must be an integer or null, got '60'"),
+        ({"measure": 2.9}, "measure must be an integer, got 2.9"),
+        ({"measure": True}, "measure must be an integer, got True"),
+        ({"duration": [True, 2]}, "rational must be a [num, den] integer pair, got [True, 2]"),
+        ({"duration": [1, 0]}, "rational has a zero denominator: [1, 0]"),
+        ({"duration": [5, 1]}, "melody 's': event at measure 0 overflows the meter"),
+    ],
+    ids=["float-pitch", "bool-pitch", "str-pitch", "float-measure", "bool-measure",
+         "bool-rational", "zero-denominator", "overfull"],
+)
+def test_read_jsonl_refuses_a_bad_event_naming_its_line(event, message):
+    data = write_jsonl([one_note("a", "x")]) + one_note_record(**event) + b"\n"
+    with pytest.raises(CorpusError, match="^" + re.escape(f"line 2: {message}") + "$"):
+        read_jsonl(data)
+
+
+def test_load_corpus_skips_a_jsonl_file_with_an_invalid_melody(tmp_path):
+    (tmp_path / "a.krn").write_text(VALID_A)
+    (tmp_path / "b.jsonl").write_bytes(one_note_record(duration=[5, 1]) + b"\n")
+    corpus = load_corpus([(str(tmp_path / "a.krn"), "x"), (str(tmp_path / "b.jsonl"), None)])
+    assert [m.id for m in corpus] == ["a"]
+    assert "overflows the meter" in corpus.diagnostics.skipped[0][1]

@@ -15,7 +15,7 @@ from folkmotif.tokens import (
     interval_token,
     phrase_merge,
     read_token_file,
-    rhythm_token,
+    render_rhythm,
     tokenize_corpus,
     tokenize_melody,
     write_token_file,
@@ -57,20 +57,20 @@ def test_interval_requires_pitches():
 
 
 def test_eighth_on_downbeat():
-    assert rhythm_token(note(60, Fraction(1, 2), 0), (4, 4)).render() == "1-1-0.5"
+    assert render_rhythm(True, Fraction(0), Fraction(1, 2), (4, 4)) == "1-1-0.5"
 
 
 def test_sixteenth_off_beat():
-    assert rhythm_token(note(60, Fraction(1, 4), Fraction(3, 4)), (4, 4)).render() == "1-0-0.25"
+    assert render_rhythm(True, Fraction(3, 4), Fraction(1, 4), (4, 4)) == "1-0-0.25"
 
 
 def test_quarter_rest_on_beat():
-    assert rhythm_token(note(None, 1, 1), (4, 4)).render() == "0-1-1"
+    assert render_rhythm(False, Fraction(1), Fraction(1), (4, 4)) == "0-1-1"
 
 
 def test_compound_meter_beat_is_dotted_quarter():
-    assert rhythm_token(note(60, Fraction(1, 2), Fraction(3, 2)), (6, 8)).is_downbeat
-    assert not rhythm_token(note(60, Fraction(1, 2), Fraction(1)), (6, 8)).is_downbeat
+    assert render_rhythm(True, Fraction(3, 2), Fraction(1, 2), (6, 8)) == "1-1-0.5"
+    assert render_rhythm(True, Fraction(1), Fraction(1, 2), (6, 8)) == "1-0-0.5"
 
 
 @pytest.mark.parametrize(
@@ -222,6 +222,12 @@ def test_token_file_rejects_malformed_line():
 def test_token_file_refuses_a_name_that_breaks_a_file(line, message):
     with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
         read_token_file(f"a\tgerman\t21_20\n{line}\n")
+
+
+def test_token_file_refuses_a_repeated_id():
+    text = "a\tx\t21 30 00\n\na\ty\t30 30 21\nb\tx\t21 21\n"
+    with pytest.raises(ValueError, match="^" + re.escape("line 3: duplicate melody id 'a'") + "$"):
+        read_token_file(text)
 
 
 def test_tokenize_corpus_drops_untokenizable_melodies():
