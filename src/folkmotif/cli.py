@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .attention import ClassifierConfig, alpha_csv
 from .baselines import SvmConfig
-from .experiment import ExperimentConfig, ExperimentError, run_attention, run_experiment, run_svm
-from .experiment import REPRESENTATIONS, song_vectors, songs_with_motifs
+from .experiment import REPRESENTATIONS, ExperimentConfig, ExperimentError, classify
+from .experiment import run_experiment, songs_with_motifs
 from .kern import ParseError
 from .melody import CorpusError, load_corpus, read_jsonl, write_jsonl
 from .metrics import evaluate, render_report, split_dataset
@@ -29,6 +31,13 @@ from .sgns import train_skipgram, write_embeddings
 from .synth import SynthConfig, generate_corpus
 from .tokens import read_token_file, tokenize_corpus, write_token_file
 from .vocab import Vocabulary, build_vocab, read_vocab, write_vocab
+
+
+# The config fields that each command sets from a flag of the same name.
+EMBEDDING_FLAGS = ("dim", "window", "negatives", "epochs", "seed")  # train-embeddings
+CLASSIFIER_FLAGS = tuple(f.name for f in dataclasses.fields(ClassifierConfig))
+DOC2VEC_FLAGS = ("dim", "negatives", "epochs")  # baseline
+SYNTH_FLAGS = ("songs_per_class", "min_length", "max_length", "noise_rate", "seed")
 
 
 class UsageError(Exception):
@@ -42,6 +51,19 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _add_config_flags(parser, cls, names, **helps) -> None:
+    """Add ``--field-name`` for each named field of the config class cls, parsed as the
+    field's annotated type (a float field parses floats) and defaulting to the class's value."""
+    types = typing.get_type_hints(cls)
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), type=types[name],
+                            default=getattr(cls, name), help=helps.get(name))
+
+
+def _config_from_flags(args, cls, names, **extra):
+    return cls(**{name: getattr(args, name) for name in names}, **extra)
 
 
 def _parse_sources(pairs: list[str]) -> list[tuple[str, str]]:
@@ -118,13 +140,7 @@ def _cmd_tokenize(args) -> None:
 def _cmd_train_embeddings(args) -> None:
     songs = read_token_file(Path(args.tokens).read_text(encoding="utf-8"))
     vocab = build_vocab([s.tokens for s in songs], args.min_count)
-    config = SkipgramConfig(
-        dim=args.dim,
-        window=args.window,
-        negatives=args.negatives,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
+    config = _config_from_flags(args, SkipgramConfig, EMBEDDING_FLAGS)
     emb = train_skipgram(songs, vocab, config)
     for i, objective in enumerate(emb.epoch_objectives, start=1):
         print(f"epoch {i}/{config.epochs}: objective {objective:.4f}")
@@ -141,33 +157,31 @@ def _cmd_similar(args) -> None:
         print(f"{token}\t{score:.4f}")
 
 
+def _classify_songs(songs, config: ExperimentConfig, vocab, emb):
+    """Filter, split and classify the songs as ``run_experiment`` does. Returns the test
+    songs, ``classify``'s files and attention weights, the report and its title."""
+    songs = songs_with_motifs(songs, vocab)
+    train, test = split_dataset(songs, config.split_ratio, config.seed)
+    predictions, files, weighted = classify(config, songs, train, test, vocab, emb)
+    report = evaluate(predictions, [s.label for s in test], sorted({s.label for s in songs}))
+    return test, files, weighted, report, f"{config.model} ({len(train)} train / {len(test)} test)"
+
+
 def _cmd_train_classifier(args) -> None:
     songs = read_token_file(Path(args.tokens).read_text(encoding="utf-8"))
     emb = _read_embedding_set(args.embeddings, args.vocab)
-    songs = songs_with_motifs(songs, emb.vocab)
-    classes = sorted({s.label for s in songs})
-    config = ClassifierConfig(
-        hidden=args.hidden,
-        attention_dim=args.attention_dim,
-        batch=args.batch,
-        lr=args.lr,
-        epochs=args.epochs,
-        clip_norm=args.clip_norm,
-        max_len=args.max_len,
-        val_fraction=args.val_fraction,
-        seed=args.seed,
-    )
-    train, test = split_dataset(songs, args.ratio, args.seed)
-    predictions, checkpoint, weighted = run_attention(train, test, emb, classes, config)
-    Path(args.out).write_text(checkpoint, encoding="utf-8")
+    classifier = _config_from_flags(args, ClassifierConfig, CLASSIFIER_FLAGS)
+    config = ExperimentConfig(model="attention", split_ratio=args.ratio, seed=args.seed,
+                              classifier=classifier)
+    test, files, weighted, report, title = _classify_songs(songs, config, emb.vocab, emb)
+    Path(args.out).write_text(files["model.txt"], encoding="utf-8")
     print(f"model written to {args.out}")
     if args.alpha_dir:
         out = Path(args.alpha_dir)
         out.mkdir(parents=True, exist_ok=True)
         for song, pairs in zip(test, weighted):
             (out / f"{song.id}.csv").write_text(alpha_csv(pairs), encoding="utf-8")
-    report = evaluate(predictions, [s.label for s in test], classes)
-    _report_out(report, f"attention ({len(train)} train / {len(test)} test)", args.out_json)
+    _report_out(report, title, args.out_json)
 
 
 def _cmd_baseline(args) -> None:
@@ -181,19 +195,14 @@ def _cmd_baseline(args) -> None:
         if not args.vocab:
             raise UsageError("baseline doc2vec requires --vocab")
         emb, vocab = None, read_vocab(Path(args.vocab).read_text(encoding="utf-8"))
-    songs = songs_with_motifs(songs, vocab)
-    classes = sorted({s.label for s in songs})
-    train, test = split_dataset(songs, args.ratio, args.seed)
-    config = SkipgramConfig(
-        dim=args.dim, negatives=args.negatives, epochs=args.epochs, seed=args.seed
-    )
-    vectors = dict(zip([s.id for s in songs], song_vectors(args.kind, songs, vocab, emb, config)))
-    svm_config = SvmConfig(lam=args.lam, epochs=args.svm_epochs, seed=args.seed)
-    predictions, svm_text = run_svm(train, test, vectors, classes, svm_config)
+    embedding = _config_from_flags(args, SkipgramConfig, DOC2VEC_FLAGS, seed=args.seed)
+    svm = SvmConfig(lam=args.lam, epochs=args.svm_epochs, seed=args.seed)
+    config = ExperimentConfig(model=args.kind, split_ratio=args.ratio, seed=args.seed,
+                              embedding=embedding, svm=svm)
+    _, files, _, report, title = _classify_songs(songs, config, vocab, emb)
     if args.out_svm:
-        Path(args.out_svm).write_text(svm_text, encoding="utf-8")
-    report = evaluate(predictions, [s.label for s in test], classes)
-    _report_out(report, f"{args.kind} ({len(train)} train / {len(test)} test)", args.out_json)
+        Path(args.out_svm).write_text(files["svm.txt"], encoding="utf-8")
+    _report_out(report, title, args.out_json)
 
 
 def _cmd_evaluate(args) -> None:
@@ -226,14 +235,7 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_synth_corpus(args) -> None:
-    kwargs = dict(
-        noise_sizes=tuple(int(x) for x in args.noise.split(",")),
-        songs_per_class=args.songs_per_class,
-        min_length=args.min_length,
-        max_length=args.max_length,
-        noise_rate=args.noise_rate,
-        seed=args.seed,
-    )
+    kwargs = {"noise_sizes": tuple(int(x) for x in args.noise.split(","))}
     if args.inventory:
         inventories = {}
         for pair in args.inventory:
@@ -242,7 +244,7 @@ def _cmd_synth_corpus(args) -> None:
                 raise UsageError(f"expected LABEL=SIZE[,SIZE...], got {pair!r}")
             inventories[label] = tuple(int(x) for x in sizes.split(","))
         kwargs["inventories"] = inventories
-    corpus = generate_corpus(SynthConfig(**kwargs))
+    corpus = generate_corpus(_config_from_flags(args, SynthConfig, SYNTH_FLAGS, **kwargs))
     Path(args.out).write_bytes(write_jsonl(corpus))
     print(f"wrote {len(corpus)} synthetic melodies ({', '.join(corpus.labels())}) to {args.out}")
 
@@ -269,12 +271,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train-embeddings", help="skip-gram embeddings from a token file")
     p.add_argument("--tokens", required=True)
-    p.add_argument("--dim", type=int, default=SkipgramConfig.dim)
-    p.add_argument("--window", type=int, default=SkipgramConfig.window)
-    p.add_argument("--negatives", type=int, default=SkipgramConfig.negatives)
-    p.add_argument("--epochs", type=int, default=SkipgramConfig.epochs)
-    p.add_argument("--seed", type=int, default=SkipgramConfig.seed)
-    p.add_argument("--min-count", type=int, default=ExperimentConfig.min_count)
+    _add_config_flags(p, SkipgramConfig, EMBEDDING_FLAGS)
+    _add_config_flags(p, ExperimentConfig, ("min_count",))
     p.add_argument("--out-embeddings", default="embeddings.txt")
     p.add_argument("--out-vocab", default="vocab.tsv")
     p.set_defaults(fn=_cmd_train_embeddings)
@@ -291,15 +289,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--ratio", type=float, default=ExperimentConfig.split_ratio,
                    help="train fraction of the split")
-    p.add_argument("--hidden", type=int, default=ClassifierConfig.hidden)
-    p.add_argument("--attention-dim", type=int, default=ClassifierConfig.attention_dim)
-    p.add_argument("--batch", type=int, default=ClassifierConfig.batch)
-    p.add_argument("--lr", type=float, default=ClassifierConfig.lr)
-    p.add_argument("--epochs", type=int, default=ClassifierConfig.epochs)
-    p.add_argument("--clip-norm", type=float, default=ClassifierConfig.clip_norm)
-    p.add_argument("--max-len", type=int, default=ClassifierConfig.max_len)
-    p.add_argument("--val-fraction", type=float, default=ClassifierConfig.val_fraction)
-    p.add_argument("--seed", type=int, default=ClassifierConfig.seed)
+    _add_config_flags(p, ClassifierConfig, CLASSIFIER_FLAGS)
     p.add_argument("--out", default="model.txt")
     p.add_argument("--out-json", default=None, help="also write metrics JSON here")
     p.add_argument("--alpha-dir", default=None,
@@ -312,11 +302,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--embeddings", default=None, help="required for kind=average")
     p.add_argument("--vocab", default=None)
     p.add_argument("--ratio", type=float, default=ExperimentConfig.split_ratio)
-    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
-    p.add_argument("--dim", type=int, default=SkipgramConfig.dim, help="doc2vec vector size")
-    p.add_argument("--negatives", type=int, default=SkipgramConfig.negatives)
-    p.add_argument("--epochs", type=int, default=SkipgramConfig.epochs,
-                   help="doc2vec training epochs")
+    _add_config_flags(p, ExperimentConfig, ("seed",))
+    _add_config_flags(p, SkipgramConfig, DOC2VEC_FLAGS,
+                      dim="doc2vec vector size", epochs="doc2vec training epochs")
     p.add_argument("--lam", type=float, default=SvmConfig.lam, help="SVM regularization strength")
     p.add_argument("--svm-epochs", type=int, default=SvmConfig.epochs)
     p.add_argument("--out-svm", default=None)
@@ -341,11 +329,7 @@ def _build_parser() -> _Parser:
                    help="interval sizes owned by a class; repeatable")
     p.add_argument("--noise", default=",".join(map(str, SynthConfig.noise_sizes)),
                    help="comma-separated shared interval sizes")
-    p.add_argument("--songs-per-class", type=int, default=SynthConfig.songs_per_class)
-    p.add_argument("--min-length", type=int, default=SynthConfig.min_length)
-    p.add_argument("--max-length", type=int, default=SynthConfig.max_length)
-    p.add_argument("--noise-rate", type=float, default=SynthConfig.noise_rate)
-    p.add_argument("--seed", type=int, default=SynthConfig.seed)
+    _add_config_flags(p, SynthConfig, SYNTH_FLAGS)
     p.add_argument("--out", default="synthetic.jsonl")
     p.set_defaults(fn=_cmd_synth_corpus)
     return parser

@@ -7,9 +7,9 @@ directory, and reruns with the same config and corpus are byte-identical.
 The attention and average models read skip-gram motif vectors, so only they
 train skip-gram and write ``embeddings.txt``. Doc2vec is PV-DBOW, which
 learns its song vectors straight from the tokens; for it the ``embedding``
-block configures PV-DBOW, which does not use ``window``. The staged CLI
-commands call the same ``songs_with_motifs``, ``song_vectors``,
-``run_attention`` and ``run_svm``, so they make no model decision of their own.
+block configures PV-DBOW, which does not use ``window``. ``classify`` is the
+one place that trains and runs the chosen model; the staged CLI commands call
+it and ``songs_with_motifs`` too, so they make no model decision of their own.
 """
 
 from __future__ import annotations
@@ -118,36 +118,6 @@ def _stage(name: str, fn, *args, **kwargs):
         raise ExperimentError(name, exc) from exc
 
 
-def run_attention(train, test, embeddings, classes, config: ClassifierConfig):
-    """Train the attention classifier on the train songs and predict the test songs.
-
-    Returns the predicted labels, the checkpoint text, and each test song's
-    (motif, attention weight) pairs.
-    """
-    examples = make_examples(train, embeddings, classes, config.max_len)
-    model = train_classifier(examples, classes, config)
-    predictions, weighted = [], []
-    for song in test:
-        label, _, pairs = predict_song(model, song, embeddings, config.max_len)
-        predictions.append(label)
-        weighted.append(pairs)
-    return predictions, save_model(model, vocab_digest(embeddings.vocab)), weighted
-
-
-def run_svm(train, test, vectors, classes, config: SvmConfig):
-    """Train the linear SVM on the train songs and predict the test songs.
-
-    vectors maps each song id to its vector (averaged motif embeddings or
-    PV-DBOW). Returns the predicted labels and the SVM text.
-    """
-    class_index = {c: i for i, c in enumerate(classes)}
-    X = np.array([vectors[s.id] for s in train])
-    y = [class_index[s.label] for s in train]
-    svm = train_linear_svm(X, y, n_classes=len(classes), config=config)
-    predictions = [classes[predict_svm(svm, vectors[s.id])] for s in test]
-    return predictions, write_svm(svm, classes)
-
-
 def songs_with_motifs(songs, vocab):
     """The songs with an in-vocabulary motif, in order; no model can take the others."""
     kept = [s for s in songs if any(t in vocab for t in s.tokens)]
@@ -156,12 +126,36 @@ def songs_with_motifs(songs, vocab):
     return kept
 
 
-def song_vectors(model, songs, vocab, embeddings, config: SkipgramConfig) -> np.ndarray:
-    """One SVM input row per song, in songs order; each song needs an in-vocabulary
-    motif. Average takes the mean motif embedding, doc2vec trains PV-DBOW under config."""
-    if model == "average":
-        return np.array([average_embedding(s.tokens, embeddings) for s in songs])
-    return train_pvdbow(songs, vocab, config).vectors
+def classify(config: ExperimentConfig, songs, train, test, vocab, embeddings):
+    """Train ``config.model`` on the train songs and predict the test songs.
+
+    songs are all the split's songs, each with an in-vocabulary motif; doc2vec
+    learns a vector for every one of them. embeddings are the skip-gram motif
+    vectors, None for doc2vec. Returns the predicted labels, the model's files
+    by name, and for attention each test song's (motif, attention weight)
+    pairs (None for the SVM models).
+    """
+    classes = sorted({s.label for s in songs})
+    if config.model == "attention":
+        max_len = config.classifier.max_len
+        examples = make_examples(train, embeddings, classes, max_len)
+        model = train_classifier(examples, classes, config.classifier)
+        predicted = [predict_song(model, s, embeddings, max_len) for s in test]
+        files = {"model.txt": save_model(model, vocab_digest(vocab))}
+        return [label for label, _, _ in predicted], files, [pairs for _, _, pairs in predicted]
+    if config.model == "average":
+        matrix = np.array([average_embedding(s.tokens, embeddings) for s in songs])
+    else:
+        matrix = train_pvdbow(songs, vocab, config.embedding).vectors
+    ids = [s.id for s in songs]
+    vectors = dict(zip(ids, matrix))
+    class_index = {c: i for i, c in enumerate(classes)}
+    X = np.array([vectors[s.id] for s in train])
+    y = [class_index[s.label] for s in train]
+    svm = train_linear_svm(X, y, n_classes=len(classes), config=config.svm)
+    predictions = [classes[predict_svm(svm, vectors[s.id])] for s in test]
+    files = {"svm.txt": write_svm(svm, classes), "song_vectors.txt": write_embeddings(ids, matrix)}
+    return predictions, files, None
 
 
 def run_experiment(
@@ -193,20 +187,10 @@ def run_experiment(
     if config.model != "doc2vec":
         embeddings = _stage("embeddings", train_skipgram, songs, vocab, config.embedding)
 
-    if config.model == "attention":
-        predictions, checkpoint, _ = _stage(
-            "classifier", run_attention, train, test, embeddings, classes, config.classifier
-        )
-        model_files = {"model.txt": checkpoint}
-    else:
-        ids = [s.id for s in songs]
-        matrix = _stage(
-            "baseline", song_vectors, config.model, songs, vocab, embeddings, config.embedding
-        )
-        predictions, svm_text = _stage(
-            "baseline", run_svm, train, test, dict(zip(ids, matrix)), classes, config.svm
-        )
-        model_files = {"svm.txt": svm_text, "song_vectors.txt": write_embeddings(ids, matrix)}
+    stage = "classifier" if config.model == "attention" else "baseline"
+    predictions, model_files, _ = _stage(
+        stage, classify, config, songs, train, test, vocab, embeddings
+    )
 
     gold = [s.label for s in test]
     report = _stage("evaluate", evaluate, predictions, gold, classes)

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Optional, Union
 
-from .melody import Melody, MeterChange, NoteEvent
+from .melody import Melody, MeterChange, NoteEvent, meter_problem
 
 _STEP_SEMITONES = {"c": 0, "d": 2, "e": 4, "f": 5, "g": 7, "a": 9, "b": 11}
 
@@ -104,8 +104,9 @@ def parse_kern(text: str, id: str = "", label: str = "") -> Melody:
 
     def set_meter(num: int, den: int, line: int) -> None:
         nonlocal capacity
-        if num <= 0 or den <= 0 or den & (den - 1):
-            raise ParseError(f"unsupported meter {num}/{den}", line)
+        problem = meter_problem(num, den)
+        if problem is not None:
+            raise ParseError(problem, line)
         start = measure if events_in_measure == 0 else measure + 1
         if meter and meter[-1][0] == start:
             meter[-1] = (start, num, den)

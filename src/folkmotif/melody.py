@@ -93,6 +93,14 @@ class NoteEvent:
 MeterChange = tuple[int, int, int]
 
 
+def meter_problem(num: int, den: int) -> Optional[str]:
+    """Why num/den is not a meter this package reads, or None: the numerator
+    must be positive and the denominator a positive power of two."""
+    if num <= 0 or den <= 0 or den & (den - 1):
+        return f"unsupported meter {num}/{den}"
+    return None
+
+
 @dataclass
 class Melody:
     """A monophonic song: events ordered by (measure, onset), plus meter map."""
@@ -223,6 +231,17 @@ def melody_to_dict(melody: Melody) -> dict:
     }
 
 
+def _meter_from_list(change, line: int) -> MeterChange:
+    if not isinstance(change, list) or len(change) != 3 or not all(_is_int(x) for x in change):
+        raise CorpusError(
+            f"meter change must be a [measure, num, den] integer triple, got {change!r}", line
+        )
+    problem = meter_problem(change[1], change[2])
+    if problem is not None:
+        raise CorpusError(problem, line)
+    return tuple(change)
+
+
 def _event_from_dict(e: dict, line: int) -> NoteEvent:
     pitch, measure = e["pitch"], e["measure"]
     if pitch is not None and not _is_int(pitch):
@@ -239,16 +258,13 @@ def _event_from_dict(e: dict, line: int) -> NoteEvent:
 
 def melody_from_dict(obj: dict, line: int = 0) -> Melody:
     try:
-        meter = [(int(s), int(n), int(d)) for s, n, d in obj["meter"]]
+        meter = [_meter_from_list(change, line) for change in obj["meter"]]
         events = [_event_from_dict(e, line) for e in obj["events"]]
         melody = Melody(id=str(obj["id"]), label=str(obj["label"]), meter=meter, events=events)
     except CorpusError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusError(f"malformed melody record: {exc}", line) from exc
-    problem = song_name_problem(melody.id, melody.label)
-    if problem:
-        raise CorpusError(problem, line)
     try:
         melody.validate()
     except ValueError as exc:
@@ -263,8 +279,13 @@ def write_jsonl(corpus: Iterable[Melody]) -> bytes:
 
 
 def read_jsonl(data: bytes) -> list[Melody]:
-    """Parse canonical JSONL; raises CorpusError with the offending line number."""
+    """Parse canonical JSONL; raises CorpusError with the offending line number.
+
+    The melodies are checked with ``corpus_problem``: a name that would break
+    an output file, or an id an earlier line already used, is refused.
+    """
     melodies = []
+    linenos = []
     for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
         if not raw.strip():
             continue
@@ -273,6 +294,10 @@ def read_jsonl(data: bytes) -> list[Melody]:
         except json.JSONDecodeError as exc:
             raise CorpusError(f"invalid JSON: {exc.msg}", lineno) from exc
         melodies.append(melody_from_dict(obj, lineno))
+        linenos.append(lineno)
+    found = corpus_problem(melodies)
+    if found is not None:
+        raise CorpusError(found[1], linenos[found[0]])
     return melodies
 
 

@@ -20,6 +20,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Optional, Sequence
@@ -337,13 +338,19 @@ def read_embeddings(text: str) -> tuple[list[str], np.ndarray]:
         raise ValueError(f'bad header {lines[0]!r}; expected "V d"') from exc
     tokens = []
     matrix = np.empty((V, d))
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != V:
         raise ValueError(f"expected {V} rows, found {len(body)}")
-    for i, line in enumerate(body):
+    for i, (lineno, line) in enumerate(body):
         fields = line.split(" ")
         if len(fields) != d + 1:
-            raise ValueError(f"line {i + 2}: expected token and {d} floats")
+            raise ValueError(f"line {lineno}: expected token and {d} floats")
+        try:
+            row = [float(x) for x in fields[1:]]
+        except ValueError:
+            raise ValueError(f"line {lineno}: vector values must be numbers") from None
+        if not all(math.isfinite(x) for x in row):
+            raise ValueError(f"line {lineno}: vector values must be finite")
         tokens.append(fields[0])
-        matrix[i] = [float(x) for x in fields[1:]]
+        matrix[i] = row
     return tokens, matrix

@@ -63,19 +63,26 @@ def write_vocab(vocab: Vocabulary) -> str:
 
 
 def read_vocab(text: str) -> Vocabulary:
+    """Parse ``write_vocab`` output; a ValueError names the bad line. Each count
+    is an integer of at least 1, and the indices run 0, 1, 2, ..."""
     tokens: list[str] = []
     counts: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"line {lineno}: expected token<TAB>count<TAB>index")
         try:
-            tok, cnt, idx = line.split("\t")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: expected token<TAB>count<TAB>index") from exc
-        if int(idx) != len(tokens):
+            count, index = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: count and index must be integers") from None
+        if count < 1:
+            raise ValueError(f"line {lineno}: count must be at least 1, got {count}")
+        if index != len(tokens):
             raise ValueError(f"line {lineno}: indices must be consecutive from 0")
-        tokens.append(tok)
-        counts.append(int(cnt))
+        tokens.append(fields[0])
+        counts.append(count)
     return Vocabulary(tokens=tokens, counts=np.array(counts, dtype=np.int64))
 
 

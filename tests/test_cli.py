@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +9,9 @@ import pytest
 
 from folkmotif.attention import alpha_csv, load_model, predict_song, vocab_digest
 from folkmotif.baselines import SvmConfig, read_svm
-from folkmotif.cli import main
+import folkmotif.cli
+from folkmotif.attention import ClassifierConfig
+from folkmotif.cli import _build_parser, main
 from folkmotif.experiment import ExperimentConfig, run_experiment
 from folkmotif.melody import Melody, NoteEvent, read_jsonl, write_jsonl
 from folkmotif.sgns import Embeddings, SkipgramConfig, read_embeddings
@@ -108,6 +112,16 @@ def test_tokenize_refuses_a_song_id_with_a_tab(tmp_path, capsys):
     corpus.write_bytes(write_jsonl([melody("a\tb", "alpha", [60, 62, 64])]))
     assert main(["tokenize", "--corpus", str(corpus), "--out", str(tmp_path / "t.tsv")]) == 2
     assert "line 1: song id 'a\\tb' holds '\\t'" in capsys.readouterr().err
+
+
+def test_tokenize_refuses_a_repeated_song_id(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(write_jsonl([melody("s", "alpha", [60, 62, 64]),
+                                    melody("s", "beta", [60, 64, 67])]))
+    tokens = tmp_path / "t.tsv"
+    assert main(["tokenize", "--corpus", str(corpus), "--out", str(tokens)]) == 2
+    assert "line 2: duplicate melody id 's'" in capsys.readouterr().err
+    assert not tokens.exists()
 
 
 def test_tokenize_writes_token_file(kern_dirs, tmp_path):
@@ -456,3 +470,194 @@ def test_synth_corpus_custom_inventories(tmp_path):
 def test_synth_corpus_overlapping_inventories_rejected(tmp_path, capsys):
     assert main(["synth-corpus", "--inventory", "x=1", "--inventory", "y=1",
                  "--out", str(tmp_path / "c.jsonl")]) == 2
+
+
+# Each subcommand's options as the parser holds them:
+# (option strings, dest, default, type, choices, required, help).
+CLI_SURFACE = {
+    "ingest": [
+        ((), "sources", None, None, None, True, None),
+        (("--out",), "out", "corpus.jsonl", None, None, False, None),
+    ],
+    "tokenize": [
+        (("--corpus",), "corpus", None, None, None, True, None),
+        (("--mode",), "mode", "intervallic", None, ("intervallic", "rhythmic"), False, None),
+        (("--mw-size",), "mw_size", 2, int, (1, 2, 3), False,
+         "multiword length; 1 keeps plain tokens"),
+        (("--phrase-mode",), "phrase_mode", False, None, None, False,
+         "merge statistically attached bigrams instead of sliding n-grams"),
+        (("--out",), "out", "tokens.tsv", None, None, False, None),
+    ],
+    "train-embeddings": [
+        (("--tokens",), "tokens", None, None, None, True, None),
+        (("--dim",), "dim", 150, int, None, False, None),
+        (("--window",), "window", 4, int, None, False, None),
+        (("--negatives",), "negatives", 5, int, None, False, None),
+        (("--epochs",), "epochs", 5, int, None, False, None),
+        (("--seed",), "seed", 0, int, None, False, None),
+        (("--min-count",), "min_count", 1, int, None, False, None),
+        (("--out-embeddings",), "out_embeddings", "embeddings.txt", None, None, False, None),
+        (("--out-vocab",), "out_vocab", "vocab.tsv", None, None, False, None),
+    ],
+    "similar": [
+        ((), "token", None, None, None, True, None),
+        (("--embeddings",), "embeddings", None, None, None, True, None),
+        (("--k",), "k", 10, int, None, False, None),
+    ],
+    "train-classifier": [
+        (("--tokens",), "tokens", None, None, None, True, None),
+        (("--embeddings",), "embeddings", None, None, None, True, None),
+        (("--vocab",), "vocab", None, None, None, True, None),
+        (("--ratio",), "ratio", 0.75, float, None, False, "train fraction of the split"),
+        (("--hidden",), "hidden", 200, int, None, False, None),
+        (("--attention-dim",), "attention_dim", 100, int, None, False, None),
+        (("--batch",), "batch", 10, int, None, False, None),
+        (("--lr",), "lr", 0.05, float, None, False, None),
+        (("--epochs",), "epochs", 30, int, None, False, None),
+        (("--clip-norm",), "clip_norm", 5.0, float, None, False, None),
+        (("--max-len",), "max_len", 500, int, None, False, None),
+        (("--val-fraction",), "val_fraction", 0.0, float, None, False, None),
+        (("--seed",), "seed", 0, int, None, False, None),
+        (("--out",), "out", "model.txt", None, None, False, None),
+        (("--out-json",), "out_json", None, None, None, False, "also write metrics JSON here"),
+        (("--alpha-dir",), "alpha_dir", None, None, None, False,
+         "write per-test-song attention weights as CSV files here"),
+    ],
+    "baseline": [
+        ((), "kind", None, None, ("average", "doc2vec"), True, None),
+        (("--tokens",), "tokens", None, None, None, True, None),
+        (("--embeddings",), "embeddings", None, None, None, False, "required for kind=average"),
+        (("--vocab",), "vocab", None, None, None, False, None),
+        (("--ratio",), "ratio", 0.75, float, None, False, None),
+        (("--seed",), "seed", 0, int, None, False, None),
+        (("--dim",), "dim", 150, int, None, False, "doc2vec vector size"),
+        (("--negatives",), "negatives", 5, int, None, False, None),
+        (("--epochs",), "epochs", 5, int, None, False, "doc2vec training epochs"),
+        (("--lam",), "lam", 0.01, float, None, False, "SVM regularization strength"),
+        (("--svm-epochs",), "svm_epochs", 200, int, None, False, None),
+        (("--out-svm",), "out_svm", None, None, None, False, None),
+        (("--out-json",), "out_json", None, None, None, False, None),
+    ],
+    "evaluate": [
+        (("--predictions",), "predictions", None, None, None, True, None),
+        (("--out-json",), "out_json", None, None, None, False, None),
+    ],
+    "experiment": [
+        ((), "number", None, int, (1, 2), True, "1: two-class run, 2: three-class run"),
+        ((), "sources", None, None, None, True, None),
+        (("--config",), "config", None, None, None, False, "JSON file mirroring ExperimentConfig"),
+        (("--out-dir",), "out_dir", None, None, None, False, None),
+    ],
+    "synth-corpus": [
+        (("--inventory",), "inventory", None, None, None, False,
+         "interval sizes owned by a class; repeatable"),
+        (("--noise",), "noise", "3", None, None, False, "comma-separated shared interval sizes"),
+        (("--songs-per-class",), "songs_per_class", 200, int, None, False, None),
+        (("--min-length",), "min_length", 20, int, None, False, None),
+        (("--max-length",), "max_length", 40, int, None, False, None),
+        (("--noise-rate",), "noise_rate", 0.2, float, None, False, None),
+        (("--seed",), "seed", 0, int, None, False, None),
+        (("--out",), "out", "synthetic.jsonl", None, None, False, None),
+    ],
+
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(CLI_SURFACE)
+    for name, command in commands.choices.items():
+        # repr tells a default of 5 from 5.0.
+        options = [
+            (tuple(a.option_strings), a.dest, repr(a.default), a.type, a.choices, a.required,
+             a.help)
+            for a in command._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        expected = [(*row[:2], repr(row[2]), *row[3:]) for row in CLI_SURFACE[name]]
+        assert options == expected, name
+
+
+class Stop(Exception):
+    """Raised by a stub to end a command once its config has been seen."""
+
+
+def typed(value):
+    """A config as nested dicts of (value, type), so that 2 and 2.0 differ."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        return {k: typed(v) for k, v in value.items()}
+    return value, type(value)
+
+
+def staged_inputs(tmp_path):
+    tokens, emb, vocab = (tmp_path / name for name in ("tokens.tsv", "emb.txt", "vocab.tsv"))
+    tokens.write_text("".join(f"s{i}\t{'xy'[i % 2]}\ta b\n" for i in range(8)))
+    emb.write_text("2 2\na 0.1 0.2\nb 0.3 0.4\n")
+    vocab.write_text("a\t8\t0\nb\t8\t1\n")
+    return {"tokens": ["--tokens", str(tokens)], "embeddings": ["--embeddings", str(emb)],
+            "vocab": ["--vocab", str(vocab)]}
+
+
+# command and inputs, the stubbed callee and the position of its config
+# argument, every config flag set off its default, the config those flags
+# make, and the config with no flags.
+CONFIG_CASES = {
+    "train-classifier": (
+        ["train-classifier"], ("tokens", "embeddings", "vocab"), "classify", 0,
+        ["--ratio", "0.5", "--hidden", "7", "--attention-dim", "6", "--batch", "3",
+         "--lr", "0.5", "--epochs", "4", "--clip-norm", "2", "--max-len", "9",
+         "--val-fraction", "0.25", "--seed", "5"],
+        ExperimentConfig(model="attention", split_ratio=0.5, seed=5, classifier=ClassifierConfig(
+            hidden=7, attention_dim=6, batch=3, lr=0.5, epochs=4, clip_norm=2.0, max_len=9,
+            val_fraction=0.25, seed=5)),
+        ExperimentConfig(model="attention"),
+    ),
+    "train-embeddings": (
+        ["train-embeddings"], ("tokens",), "train_skipgram", 2,
+        ["--dim", "7", "--window", "3", "--negatives", "3", "--epochs", "4", "--seed", "5"],
+        SkipgramConfig(dim=7, window=3, negatives=3, epochs=4, seed=5),
+        SkipgramConfig(),
+    ),
+    **{
+        f"baseline-{kind}": (
+            ["baseline", kind], ("tokens", "embeddings", "vocab"), "classify", 0,
+            ["--ratio", "0.5", "--seed", "5", "--dim", "7", "--negatives", "3",
+             "--epochs", "4", "--lam", "1", "--svm-epochs", "9"],
+            ExperimentConfig(model=kind, split_ratio=0.5, seed=5,
+                             embedding=SkipgramConfig(dim=7, negatives=3, epochs=4, seed=5),
+                             svm=SvmConfig(lam=1.0, epochs=9, seed=5)),
+            ExperimentConfig(model=kind),
+        )
+        for kind in ("average", "doc2vec")
+    },
+    "synth-corpus": (
+        ["synth-corpus"], (), "generate_corpus", 0,
+        ["--inventory", "x=1", "--inventory", "y=2,4", "--noise", "5,6",
+         "--songs-per-class", "3", "--min-length", "5", "--max-length", "6",
+         "--noise-rate", "0", "--seed", "5"],
+        SynthConfig(inventories={"x": (1,), "y": (2, 4)}, noise_sizes=(5, 6), songs_per_class=3,
+                    min_length=5, max_length=6, noise_rate=0.0, seed=5),
+        SynthConfig(),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_CASES))
+@pytest.mark.parametrize("flagged", [True, False], ids=["flags", "defaults"])
+def test_config_flags_reach_the_callee(tmp_path, monkeypatch, case, flagged):
+    command, inputs, callee, position, flags, expected, default = CONFIG_CASES[case]
+    seen = []
+
+    def stub(*args):
+        seen.append(args[position])
+        raise Stop
+
+    monkeypatch.setattr(folkmotif.cli, callee, stub)
+    paths = staged_inputs(tmp_path)
+    argv = [*command, *(arg for name in inputs for arg in paths[name]), *(flags if flagged else [])]
+    with pytest.raises(Stop):
+        main(argv)
+    assert typed(seen[0]) == typed(expected if flagged else default)

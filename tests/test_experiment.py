@@ -8,7 +8,7 @@ import pytest
 from folkmotif.attention import ClassifierConfig, _param_arrays, load_model
 from folkmotif.baselines import SvmConfig, read_svm
 import folkmotif.experiment
-from folkmotif.experiment import ExperimentConfig, ExperimentError, run_experiment, song_vectors
+from folkmotif.experiment import ExperimentConfig, ExperimentError, classify, run_experiment
 from folkmotif.melody import LabeledCorpus
 from folkmotif.sgns import SkipgramConfig, TrainingDiverged, read_embeddings
 from folkmotif.synth import SynthConfig, generate_corpus
@@ -191,9 +191,10 @@ def test_doc2vec_song_vectors_refuse_a_song_with_no_in_vocabulary_motif():
         TokenizedSong(id="c", label="y", tokens=("q", "p")),
     ]
     vocab = build_vocab([songs[0].tokens])
-    config = SkipgramConfig(dim=4, negatives=2, epochs=1)
+    embedding = SkipgramConfig(dim=4, negatives=2, epochs=1)
+    config = ExperimentConfig(model="doc2vec", embedding=embedding)
     with pytest.raises(ValueError, match="song 'b'"):
-        song_vectors("doc2vec", songs, vocab, None, config)
+        classify(config, songs, songs[:2], songs[2:], vocab, None)
 
 
 def test_report_returned_without_out_dir():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from folkmotif.kern import ParseError, parse_kern
 from folkmotif.melody import (
     CorpusError,
     Melody,
@@ -227,9 +228,9 @@ def test_load_corpus_refuses_a_class_name_with_a_space(tmp_path):
         load_corpus([(str(tmp_path / "a.krn"), "my class")])
 
 
-def one_note_record(**event):
+def one_note_record(meter=([0, 4, 4],), song_id="s", **event):
     fields = {"pitch": 60, "duration": [1, 1], "onset": [0, 1], "measure": 0, **event}
-    record = {"id": "s", "label": "x", "meter": [[0, 4, 4]], "events": [fields]}
+    record = {"id": song_id, "label": "x", "meter": list(meter), "events": [fields]}
     return json.dumps(record).encode()
 
 
@@ -260,3 +261,55 @@ def test_load_corpus_skips_a_jsonl_file_with_an_invalid_melody(tmp_path):
     corpus = load_corpus([(str(tmp_path / "a.krn"), "x"), (str(tmp_path / "b.jsonl"), None)])
     assert [m.id for m in corpus] == ["a"]
     assert "overflows the meter" in corpus.diagnostics.skipped[0][1]
+
+
+NOT_A_TRIPLE = "meter change must be a [measure, num, den] integer triple, got"
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ([0, 4.7, 4], f"{NOT_A_TRIPLE} [0, 4.7, 4]"),
+        ([0, True, 4], f"{NOT_A_TRIPLE} [0, True, 4]"),
+        ([0, 4], f"{NOT_A_TRIPLE} [0, 4]"),
+        ([0, 4, 0], "unsupported meter 4/0"),
+        ([0, 4, 3], "unsupported meter 4/3"),
+        ([0, 0, 4], "unsupported meter 0/4"),
+    ],
+    ids=["float", "bool", "pair", "zero-denominator", "odd-denominator", "zero-numerator"],
+)
+def test_read_jsonl_refuses_a_bad_meter_naming_its_line(change, message):
+    data = write_jsonl([one_note("a", "x")]) + one_note_record(meter=[change]) + b"\n"
+    with pytest.raises(CorpusError, match="^" + re.escape(f"line 2: {message}") + "$"):
+        read_jsonl(data)
+
+
+def test_jsonl_and_kern_refuse_the_same_meter():
+    with pytest.raises(ParseError, match="^line 2: unsupported meter 4/3$"):
+        parse_kern("**kern\n*M4/3\n4c\n*-\n")
+    with pytest.raises(CorpusError, match="^line 1: unsupported meter 4/3$"):
+        read_jsonl(one_note_record(meter=[[0, 4, 3]]))
+
+
+def test_load_corpus_skips_a_jsonl_file_with_a_zero_meter_denominator(tmp_path):
+    (tmp_path / "a.krn").write_text(VALID_A)
+    (tmp_path / "b.jsonl").write_bytes(one_note_record(meter=[[0, 4, 0]]) + b"\n")
+    corpus = load_corpus([(str(tmp_path / "a.krn"), "x"), (str(tmp_path / "b.jsonl"), None)])
+    assert [m.id for m in corpus] == ["a"]
+    skipped = [(str(tmp_path / "b.jsonl"), "line 1: unsupported meter 4/0")]
+    assert corpus.diagnostics.skipped == skipped
+
+
+def test_read_jsonl_refuses_a_repeated_id_naming_its_line():
+    data = one_note_record(song_id="s") + b"\n\n" + one_note_record(song_id="s") + b"\n"
+    with pytest.raises(CorpusError, match="^line 3: duplicate melody id 's'$"):
+        read_jsonl(data)
+
+
+def test_load_corpus_skips_a_jsonl_file_with_a_repeated_id(tmp_path):
+    (tmp_path / "a.krn").write_text(VALID_A)
+    (tmp_path / "b.jsonl").write_bytes(write_jsonl([one_note("s", "x"), one_note("s", "y")]))
+    corpus = load_corpus([(str(tmp_path / "a.krn"), "x"), (str(tmp_path / "b.jsonl"), None)])
+    assert [m.id for m in corpus] == ["a"]
+    skipped = [(str(tmp_path / "b.jsonl"), "line 2: duplicate melody id 's'")]
+    assert corpus.diagnostics.skipped == skipped

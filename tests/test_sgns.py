@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -413,3 +414,18 @@ def test_read_embeddings_rejects_bad_header():
 def test_read_embeddings_rejects_wrong_row_count():
     with pytest.raises(ValueError, match="expected 2 rows"):
         read_embeddings("2 2\nt0 0.0 1.0\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("2 2\n\n\na 1 2\nb 1\n", "line 5: expected token and 2 floats"),
+        ("2 2\na 1 2\n\nb 1 x\n", "line 4: vector values must be numbers"),
+        ("1 2\n\na nan 2\n", "line 3: vector values must be finite"),
+        ("1 2\na 1 -inf\n", "line 2: vector values must be finite"),
+    ],
+    ids=["short-row-after-blanks", "not-a-number", "nan", "inf"],
+)
+def test_read_embeddings_names_the_file_line_of_a_bad_row(text, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        read_embeddings(text)

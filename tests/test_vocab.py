@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -51,6 +53,22 @@ def test_vocab_tsv_round_trip():
 def test_read_vocab_rejects_gapped_indices():
     with pytest.raises(ValueError, match="consecutive"):
         read_vocab("a\t3\t0\nb\t2\t2\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a\t3\t0\n\nb\t2.5\t1\n", "line 3: count and index must be integers"),
+        ("a\t3\t0\nb\t2\tone\n", "line 2: count and index must be integers"),
+        ("a\t-3\t0\n", "line 1: count must be at least 1, got -3"),
+        ("a\t3\t0\nb\t0\t1\n", "line 2: count must be at least 1, got 0"),
+        ("\na\t3\n", "line 2: expected token<TAB>count<TAB>index"),
+    ],
+    ids=["float-count", "word-index", "negative-count", "zero-count", "two-fields"],
+)
+def test_read_vocab_names_the_line_of_a_bad_row(text, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        read_vocab(text)
 
 
 def test_negative_sampling_probabilities():
