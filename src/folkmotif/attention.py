@@ -104,7 +104,6 @@ class ClassifierConfig:
     clip_norm: float = 5.0
     max_len: int = 500  # songs longer than this many motifs are truncated
     val_fraction: float = 0.0  # > 0 keeps the best epoch by held-out loss
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.hidden, self.attention_dim, self.batch, self.epochs, self.max_len) < 1:
@@ -400,8 +399,9 @@ def train_classifier(
     examples: Sequence[SongExample],
     classes: Sequence[str],
     config: Optional[ClassifierConfig] = None,
+    seed: int = 0,
 ) -> AttentionModel:
-    """Mini-batch SGD; bit-reproducible under the config seed.
+    """Mini-batch SGD; bit-reproducible under the seed.
 
     With val_fraction > 0 a seeded holdout is split off and the parameters
     of the best epoch by holdout loss are returned; otherwise the final
@@ -412,9 +412,9 @@ def train_classifier(
         raise ValueError("empty training set")
     dim = examples[0].x.shape[1]
     model = init_model(
-        dim, classes, hidden=config.hidden, attention_dim=config.attention_dim, seed=config.seed
+        dim, classes, hidden=config.hidden, attention_dim=config.attention_dim, seed=seed
     )
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     examples = list(examples)
     n_val = int(round(config.val_fraction * len(examples)))
     if n_val:
@@ -534,16 +534,13 @@ def load_model(text: str) -> tuple[AttentionModel, dict]:
     if "labels" in meta and not (strings and len(set(labels)) == len(labels) >= 2):
         raise ValueError(f"checkpoint meta 'labels' must be 2 or more distinct strings: {labels!r}")
     try:
-        model = init_model(
-            dim=meta["dim"],
-            labels=meta["labels"],
-            hidden=meta["hidden"],
-            attention_dim=meta["attention_dim"],
-        )
+        args = {key: meta[key] for key in ("dim", "labels", "hidden", "attention_dim")}
     except KeyError as exc:
         raise ValueError(f"checkpoint meta has no {exc.args[0]!r} key") from None
-    except TypeError as exc:
-        raise ValueError(f"checkpoint meta: {exc}") from None
+    for key in ("dim", "hidden", "attention_dim"):
+        if type(args[key]) is not int or args[key] < 1:  # a bool is not an int here
+            raise ValueError(f"checkpoint meta {key!r} must be a positive integer: {args[key]!r}")
+    model = init_model(**args)
     arrays = list(_param_arrays(model.params))
     for (name, arr), line in zip(arrays, lines[1:]):
         found, _, payload = line.partition(" ")

@@ -31,7 +31,6 @@ def average_embedding(tokens: Sequence[str], embeddings: Embeddings) -> np.ndarr
 class SvmConfig:
     lam: float = 0.01
     epochs: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         # Written so that nan fails too; an infinite lam gives nan weights.
@@ -122,8 +121,9 @@ def train_linear_svm(
     labels: Sequence[int],
     n_classes: Optional[int] = None,
     config: Optional[SvmConfig] = None,
+    seed: int = 0,
 ) -> LinearSvmModel:
-    """One-vs-rest Pegasos; deterministic under the config seed."""
+    """One-vs-rest Pegasos; deterministic under the seed."""
     config = config or SvmConfig()
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -140,7 +140,7 @@ def train_linear_svm(
     biases = np.zeros(L)
     for c in range(L):
         y = np.where(labels == c, 1.0, -1.0)
-        rng = np.random.default_rng([config.seed, c])
+        rng = np.random.default_rng([seed, c])
         weights[c], biases[c] = _pegasos_binary(X, y, config, rng)
     return LinearSvmModel(weights=weights, biases=biases)
 

@@ -34,7 +34,7 @@ from .vocab import Vocabulary, build_vocab, read_vocab, write_vocab
 
 
 # The config fields that each command sets from a flag of the same name.
-EMBEDDING_FLAGS = ("dim", "window", "negatives", "epochs", "seed")  # train-embeddings
+EMBEDDING_FLAGS = ("dim", "window", "negatives", "epochs")  # train-embeddings
 CLASSIFIER_FLAGS = tuple(f.name for f in dataclasses.fields(ClassifierConfig))
 DOC2VEC_FLAGS = ("dim", "negatives", "epochs")  # baseline
 SYNTH_FLAGS = ("songs_per_class", "min_length", "max_length", "noise_rate", "seed")
@@ -141,7 +141,7 @@ def _cmd_train_embeddings(args) -> None:
     songs = read_token_file(Path(args.tokens).read_text(encoding="utf-8"))
     vocab = build_vocab([s.tokens for s in songs], args.min_count)
     config = _config_from_flags(args, SkipgramConfig, EMBEDDING_FLAGS)
-    emb = train_skipgram(songs, vocab, config)
+    emb = train_skipgram(songs, vocab, config, args.seed)
     for i, objective in enumerate(emb.epoch_objectives, start=1):
         print(f"epoch {i}/{config.epochs}: objective {objective:.4f}")
     Path(args.out_embeddings).write_text(
@@ -195,8 +195,8 @@ def _cmd_baseline(args) -> None:
         if not args.vocab:
             raise UsageError("baseline doc2vec requires --vocab")
         emb, vocab = None, read_vocab(Path(args.vocab).read_text(encoding="utf-8"))
-    embedding = _config_from_flags(args, SkipgramConfig, DOC2VEC_FLAGS, seed=args.seed)
-    svm = SvmConfig(lam=args.lam, epochs=args.svm_epochs, seed=args.seed)
+    embedding = _config_from_flags(args, SkipgramConfig, DOC2VEC_FLAGS)
+    svm = SvmConfig(lam=args.lam, epochs=args.svm_epochs)
     config = ExperimentConfig(model=args.kind, split_ratio=args.ratio, seed=args.seed,
                               embedding=embedding, svm=svm)
     _, files, _, report, title = _classify_songs(songs, config, vocab, emb)
@@ -272,7 +272,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train-embeddings", help="skip-gram embeddings from a token file")
     p.add_argument("--tokens", required=True)
     _add_config_flags(p, SkipgramConfig, EMBEDDING_FLAGS)
-    _add_config_flags(p, ExperimentConfig, ("min_count",))
+    _add_config_flags(p, ExperimentConfig, ("seed", "min_count"))
     p.add_argument("--out-embeddings", default="embeddings.txt")
     p.add_argument("--out-vocab", default="vocab.tsv")
     p.set_defaults(fn=_cmd_train_embeddings)
@@ -290,6 +290,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ratio", type=float, default=ExperimentConfig.split_ratio,
                    help="train fraction of the split")
     _add_config_flags(p, ClassifierConfig, CLASSIFIER_FLAGS)
+    _add_config_flags(p, ExperimentConfig, ("seed",))
     p.add_argument("--out", default="model.txt")
     p.add_argument("--out-json", default=None, help="also write metrics JSON here")
     p.add_argument("--alpha-dir", default=None,

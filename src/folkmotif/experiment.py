@@ -1,9 +1,11 @@
 """End-to-end experiment runner: tokenize -> embed -> split -> train -> evaluate.
 
 An experiment is fully described by an ExperimentConfig (JSON-serializable,
-so config files mirror it field for field). Artifacts — token file, vocab,
-model, predictions, metrics JSON, text report — are written to an output
-directory, and reruns with the same config and corpus are byte-identical.
+so config files mirror it field for field). Its one ``seed`` seeds the split
+and every trainer: skip-gram, PV-DBOW, the classifier and the SVM.
+Artifacts — token file, vocab, model, predictions, metrics JSON, text report
+— are written to an output directory, and reruns with the same config and
+corpus are byte-identical.
 The attention and average models read skip-gram motif vectors, so only they
 train skip-gram and write ``embeddings.txt``. Doc2vec is PV-DBOW, which
 learns its song vectors straight from the tokens; for it the ``embedding``
@@ -139,20 +141,20 @@ def classify(config: ExperimentConfig, songs, train, test, vocab, embeddings):
     if config.model == "attention":
         max_len = config.classifier.max_len
         examples = make_examples(train, embeddings, classes, max_len)
-        model = train_classifier(examples, classes, config.classifier)
+        model = train_classifier(examples, classes, config.classifier, config.seed)
         predicted = [predict_song(model, s, embeddings, max_len) for s in test]
         files = {"model.txt": save_model(model, vocab_digest(vocab))}
         return [label for label, _, _ in predicted], files, [pairs for _, _, pairs in predicted]
     if config.model == "average":
         matrix = np.array([average_embedding(s.tokens, embeddings) for s in songs])
     else:
-        matrix = train_pvdbow(songs, vocab, config.embedding).vectors
+        matrix = train_pvdbow(songs, vocab, config.embedding, config.seed).vectors
     ids = [s.id for s in songs]
     vectors = dict(zip(ids, matrix))
     class_index = {c: i for i, c in enumerate(classes)}
     X = np.array([vectors[s.id] for s in train])
     y = [class_index[s.label] for s in train]
-    svm = train_linear_svm(X, y, n_classes=len(classes), config=config.svm)
+    svm = train_linear_svm(X, y, len(classes), config.svm, config.seed)
     predictions = [classes[predict_svm(svm, vectors[s.id])] for s in test]
     files = {"svm.txt": write_svm(svm, classes), "song_vectors.txt": write_embeddings(ids, matrix)}
     return predictions, files, None
@@ -185,7 +187,9 @@ def run_experiment(
     classes = sorted({s.label for s in songs})
     embeddings = None  # PV-DBOW (doc2vec) reads no motif vectors
     if config.model != "doc2vec":
-        embeddings = _stage("embeddings", train_skipgram, songs, vocab, config.embedding)
+        embeddings = _stage(
+            "embeddings", train_skipgram, songs, vocab, config.embedding, config.seed
+        )
 
     stage = "classifier" if config.model == "attention" else "baseline"
     predictions, model_files, _ = _stage(

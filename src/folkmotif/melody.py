@@ -259,6 +259,12 @@ def _event_from_dict(e: dict, line: int) -> NoteEvent:
 def melody_from_dict(obj: dict, line: int = 0) -> Melody:
     try:
         meter = [_meter_from_list(change, line) for change in obj["meter"]]
+        starts = [start for start, _, _ in meter]
+        if starts and (starts[0] < 0 or starts != sorted(set(starts))):
+            raise CorpusError(
+                "meter changes must start at strictly ascending measures, none negative, "
+                f"got {obj['meter']!r}", line
+            )
         events = [_event_from_dict(e, line) for e in obj["events"]]
         melody = Melody(id=str(obj["id"]), label=str(obj["label"]), meter=meter, events=events)
     except CorpusError:

@@ -43,7 +43,6 @@ class SkipgramConfig:
     epochs: int = 5
     lr: float = 0.025
     lr_min: float = 0.0001
-    seed: int = 0
 
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.negatives < 1 or self.epochs < 1:
@@ -220,9 +219,10 @@ def _run_epochs(
     output_vectors: np.ndarray,
     dist: SamplingDist,
     config: SkipgramConfig,
+    seed: int,
 ) -> list[float]:
     centers = sum(len(s) for s in sequences)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     objectives = []
     for epoch in range(config.epochs):
         total = _train_pass(
@@ -233,17 +233,20 @@ def _run_epochs(
 
 
 def train_skipgram(
-    songs: Sequence[TokenizedSong], vocab: Vocabulary, config: Optional[SkipgramConfig] = None
+    songs: Sequence[TokenizedSong],
+    vocab: Vocabulary,
+    config: Optional[SkipgramConfig] = None,
+    seed: int = 0,
 ) -> Embeddings:
-    """Learn token embeddings; bit-reproducible under the config seed."""
+    """Learn token embeddings; bit-reproducible under the seed."""
     config = config or SkipgramConfig()
     sequences = _encode_corpus(songs, vocab)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     V, d = len(vocab), config.dim
     input_vectors = (rng.random((V, d)) - 0.5) / d
     output_vectors = np.zeros((V, d))
     dist = negative_sampling_dist(vocab)
-    objectives = _run_epochs(sequences, None, input_vectors, output_vectors, dist, config)
+    objectives = _run_epochs(sequences, None, input_vectors, output_vectors, dist, config, seed)
     return Embeddings(
         vocab=vocab,
         input_vectors=input_vectors,
@@ -253,22 +256,27 @@ def train_skipgram(
 
 
 def train_pvdbow(
-    songs: Sequence[TokenizedSong], vocab: Vocabulary, config: Optional[SkipgramConfig] = None
+    songs: Sequence[TokenizedSong],
+    vocab: Vocabulary,
+    config: Optional[SkipgramConfig] = None,
+    seed: int = 0,
 ) -> DocVectors:
-    """Learn one vector per song that predicts the song's tokens (PV-DBOW)."""
+    """PV-DBOW: one vector per song that predicts its tokens; bit-reproducible under the seed."""
     config = config or SkipgramConfig()
     sequences = _encode_corpus(songs, vocab)
     for song, seq in zip(songs, sequences):
         if not len(seq):
             raise ValueError(f"song {song.id!r} has no in-vocabulary token")
     ids = [song.id for song in songs]
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     d = config.dim
     doc_vectors = (rng.random((len(ids), d)) - 0.5) / d
     output_vectors = np.zeros((len(vocab), d))
     dist = negative_sampling_dist(vocab)
     target_rows = list(range(len(ids)))
-    objectives = _run_epochs(sequences, target_rows, doc_vectors, output_vectors, dist, config)
+    objectives = _run_epochs(
+        sequences, target_rows, doc_vectors, output_vectors, dist, config, seed
+    )
     return DocVectors(ids=ids, vectors=doc_vectors, epoch_objectives=objectives)
 
 
@@ -335,12 +343,14 @@ def read_embeddings(text: str) -> tuple[list[str], np.ndarray]:
     try:
         V, d = (int(x) for x in lines[0].split())
     except ValueError as exc:
-        raise ValueError(f'bad header {lines[0]!r}; expected "V d"') from exc
-    tokens = []
-    matrix = np.empty((V, d))
+        raise ValueError(f'line 1: bad header {lines[0]!r}; expected "V d"') from exc
+    if V < 1 or d < 1:
+        raise ValueError(f"line 1: bad header {lines[0]!r}; V and d must be at least 1")
     body = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != V:
         raise ValueError(f"expected {V} rows, found {len(body)}")
+    tokens = []
+    matrix = np.empty((V, d))
     for i, (lineno, line) in enumerate(body):
         fields = line.split(" ")
         if len(fields) != d + 1:

@@ -171,13 +171,13 @@ def test_criterion_5_synthetic_separable_corpus():
     songs = tokenize_corpus(corpus, "intervallic", multiword=2)
     vocab = build_vocab([s.tokens for s in songs])
     embeddings = train_skipgram(
-        songs, vocab, SkipgramConfig(dim=32, window=2, negatives=5, epochs=8, seed=0)
+        songs, vocab, SkipgramConfig(dim=32, window=2, negatives=5, epochs=8)
     )
     train, test = split_dataset(songs, 0.75, seed=0)
     classes = sorted({s.label for s in songs})
 
     config = ClassifierConfig(
-        hidden=32, attention_dim=16, epochs=20, batch=10, lr=0.05, max_len=60, seed=0
+        hidden=32, attention_dim=16, epochs=20, batch=10, lr=0.05, max_len=60
     )
     assert config.epochs <= 50
     model = train_classifier(make_examples(train, embeddings, classes, config.max_len), classes, config)
@@ -191,7 +191,7 @@ def test_criterion_5_synthetic_separable_corpus():
     alpha_rate = alpha_hits / len(test)
 
     class_index = {c: i for i, c in enumerate(classes)}
-    svm_config = SvmConfig(lam=0.001, epochs=200, seed=0)
+    svm_config = SvmConfig(lam=0.001, epochs=200)
     gold = [s.label for s in test]
 
     vectors = {s.id: average_embedding(s.tokens, embeddings) for s in songs}
@@ -203,7 +203,7 @@ def test_criterion_5_synthetic_separable_corpus():
     )
     average_report = evaluate([classes[predict_svm(svm, vectors[s.id])] for s in test], gold, classes)
 
-    docs = train_pvdbow(songs, vocab, SkipgramConfig(dim=32, window=2, negatives=5, epochs=8, seed=0))
+    docs = train_pvdbow(songs, vocab, SkipgramConfig(dim=32, window=2, negatives=5, epochs=8))
     svm = train_linear_svm(
         np.array([docs.vector(s.id) for s in train]),
         [class_index[s.label] for s in train],
@@ -270,8 +270,8 @@ def test_criterion_6_invariant_suite(tmp_path):
 
     # End-to-end byte-identical reruns under a fixed seed.
     config = ExperimentConfig(
-        embedding=SkipgramConfig(dim=8, window=2, negatives=2, epochs=2, seed=0),
-        classifier=ClassifierConfig(hidden=5, attention_dim=3, epochs=2, max_len=30, seed=0),
+        embedding=SkipgramConfig(dim=8, window=2, negatives=2, epochs=2),
+        classifier=ClassifierConfig(hidden=5, attention_dim=3, epochs=2, max_len=30),
     )
     rerun_corpus = generate_corpus(
         SynthConfig(songs_per_class=8, min_length=10, max_length=14, seed=1)

@@ -351,7 +351,7 @@ def _separable_songs(per_class=20, length=8):
     return songs
 
 
-SMALL = ClassifierConfig(hidden=6, attention_dim=4, batch=10, epochs=12, seed=0)
+SMALL = ClassifierConfig(hidden=6, attention_dim=4, batch=10, epochs=12)
 
 
 def test_training_separates_disjoint_token_classes():
@@ -374,7 +374,7 @@ def test_epoch_loss_strictly_decreases_early():
 def test_training_is_bit_reproducible():
     emb = _toy_embeddings()
     examples = make_examples(_separable_songs(per_class=6), emb, ["alpha", "beta"])
-    config = ClassifierConfig(hidden=5, attention_dim=3, epochs=3, seed=0)
+    config = ClassifierConfig(hidden=5, attention_dim=3, epochs=3)
     a = train_classifier(examples, ["alpha", "beta"], config)
     b = train_classifier(examples, ["alpha", "beta"], config)
     assert save_model(a) == save_model(b)
@@ -383,7 +383,7 @@ def test_training_is_bit_reproducible():
 def test_divergent_learning_rate_aborts():
     emb = _toy_embeddings()
     examples = make_examples(_separable_songs(per_class=4), emb, ["alpha", "beta"])
-    config = ClassifierConfig(hidden=5, attention_dim=3, epochs=20, lr=1e9, seed=0)
+    config = ClassifierConfig(hidden=5, attention_dim=3, epochs=20, lr=1e9)
     with pytest.raises(TrainingDiverged, match="^epoch 2, step 1: the loss is inf; lower"):
         train_classifier(examples, ["alpha", "beta"], config)
 
@@ -391,7 +391,7 @@ def test_divergent_learning_rate_aborts():
 def test_divergence_names_the_epoch_step_and_gradient():
     emb = _toy_embeddings()
     examples = make_examples(_separable_songs(per_class=6), emb, ["alpha", "beta"])
-    config = ClassifierConfig(hidden=5, attention_dim=3, batch=4, epochs=20, lr=1e200, seed=0)
+    config = ClassifierConfig(hidden=5, attention_dim=3, batch=4, epochs=20, lr=1e200)
     message = r"^epoch 1, step 2: the gradient of gru_fwd\.w is not finite; lower the learning rate$"
     with pytest.raises(TrainingDiverged, match=message):
         train_classifier(examples, ["alpha", "beta"], config)
@@ -400,13 +400,11 @@ def test_divergence_names_the_epoch_step_and_gradient():
 def test_validation_split_returns_best_epoch_parameters():
     emb = _toy_embeddings()
     examples = make_examples(_separable_songs(per_class=10), emb, ["alpha", "beta"])
-    config = ClassifierConfig(
-        hidden=5, attention_dim=3, epochs=6, seed=0, val_fraction=0.25, lr=0.3
-    )
-    model = train_classifier(examples, ["alpha", "beta"], config)
+    config = ClassifierConfig(hidden=5, attention_dim=3, epochs=6, val_fraction=0.25, lr=0.3)
+    model = train_classifier(examples, ["alpha", "beta"], config, seed=0)
     assert len(model.val_losses) == config.epochs
     # replay the seeded split to recover the holdout set
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     n_val = int(round(config.val_fraction * len(examples)))
     order = rng.permutation(len(examples))
     val = [examples[i] for i in order[:n_val]]
@@ -432,7 +430,7 @@ def test_predict_song_exposes_motif_weights():
     model = train_classifier(
         make_examples(_separable_songs(per_class=4), emb, ["alpha", "beta"]),
         ["alpha", "beta"],
-        ClassifierConfig(hidden=5, attention_dim=3, epochs=2, seed=0),
+        ClassifierConfig(hidden=5, attention_dim=3, epochs=2),
     )
     song = TokenizedSong(id="s", label="alpha", tokens=("a1", "oov", "a2"))
     label, probs, weighted = predict_song(model, song, emb)
@@ -577,7 +575,13 @@ def test_checkpoint_of_another_format_is_refused(fmt):
         ("[]", "meta line must be a JSON object"),
         ('{"format": 3}', "no 'dim' key"),
         ('{"format": 3, "dim": 1.5, "labels": ["a", "b"], "hidden": 2, "attention_dim": 2}',
-         "checkpoint meta: 'float' object"),
+         "^checkpoint meta 'dim' must be a positive integer: 1.5$"),
+        ('{"format": 3, "dim": 2, "labels": ["a", "b"], "hidden": 0, "attention_dim": 2}',
+         "^checkpoint meta 'hidden' must be a positive integer: 0$"),
+        ('{"format": 3, "dim": 2, "labels": ["a", "b"], "hidden": -3, "attention_dim": 2}',
+         "^checkpoint meta 'hidden' must be a positive integer: -3$"),
+        ('{"format": 3, "dim": 2, "labels": ["a", "b"], "hidden": 2, "attention_dim": true}',
+         "^checkpoint meta 'attention_dim' must be a positive integer: True$"),
         ('{"format": 3, "dim": 2, "labels": "ab", "hidden": 2, "attention_dim": 2}',
          "^checkpoint meta 'labels' must be 2 or more distinct strings: 'ab'$"),
         ('{"format": 3, "dim": 2, "labels": ["x", "x"], "hidden": 2, "attention_dim": 2}',
@@ -585,8 +589,8 @@ def test_checkpoint_of_another_format_is_refused(fmt):
         ('{"format": 3, "dim": 2, "labels": [1, 2], "hidden": 2, "attention_dim": 2}',
          r"^checkpoint meta 'labels' must be 2 or more distinct strings: \[1, 2\]$"),
     ],
-    ids=["not-an-object", "missing-key", "float-dim", "labels-string", "labels-repeated",
-         "labels-not-strings"],
+    ids=["not-an-object", "missing-key", "float-dim", "zero-hidden", "negative-hidden",
+         "bool-attention-dim", "labels-string", "labels-repeated", "labels-not-strings"],
 )
 def test_malformed_checkpoint_meta_is_a_value_error(meta_line, message):
     with pytest.raises(ValueError, match=message):

@@ -67,7 +67,7 @@ def test_hinge_objective_gradient_matches_finite_differences():
 def test_pegasos_separates_one_dimensional_data():
     X = np.array([[-1.0], [1.0]])
     labels = [0, 1]
-    model = train_linear_svm(X, labels, config=SvmConfig(lam=0.01, epochs=100, seed=0))
+    model = train_linear_svm(X, labels, config=SvmConfig(lam=0.01, epochs=100))
     assert predict_svm(model, X[0]) == 0
     assert predict_svm(model, X[1]) == 1
 
@@ -76,10 +76,8 @@ def test_duplicating_points_leaves_predictions_unchanged():
     rng = np.random.default_rng(1)
     X = np.concatenate([rng.normal(-2.0, 0.3, (10, 2)), rng.normal(2.0, 0.3, (10, 2))])
     labels = [0] * 10 + [1] * 10
-    base = train_linear_svm(X, labels, config=SvmConfig(seed=3))
-    doubled = train_linear_svm(
-        np.concatenate([X, X]), list(labels) + list(labels), config=SvmConfig(seed=3)
-    )
+    base = train_linear_svm(X, labels, seed=3)
+    doubled = train_linear_svm(np.concatenate([X, X]), list(labels) + list(labels), seed=3)
     assert [predict_svm(base, x) for x in X] == [predict_svm(doubled, x) for x in X]
 
 
@@ -87,7 +85,7 @@ def test_heavy_regularization_shrinks_weights():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(20, 3))
     labels = (rng.random(20) < 0.5).astype(int)
-    model = train_linear_svm(X, labels, config=SvmConfig(lam=1e6, epochs=50, seed=0))
+    model = train_linear_svm(X, labels, config=SvmConfig(lam=1e6, epochs=50))
     assert np.linalg.norm(model.weights) < 1e-2
 
 
@@ -132,12 +130,12 @@ def test_pegasos_equals_the_reference_loop_bit_for_bit(n_classes):
     centers = rng.normal(scale=0.5, size=(n_classes, 5))
     labels = np.arange(40) % n_classes
     X = rng.normal(size=(40, 5)) + centers[labels]
-    config = SvmConfig(lam=0.05, epochs=30, seed=11)
+    config, seed = SvmConfig(lam=0.05, epochs=30), 11
     assert np.linalg.norm(X, axis=1).min() > np.sqrt(config.lam)
-    model = train_linear_svm(X, labels, n_classes=n_classes, config=config)
+    model = train_linear_svm(X, labels, n_classes=n_classes, config=config, seed=seed)
     for c in range(n_classes):
         y = np.where(labels == c, 1.0, -1.0)
-        w, b = _reference_pegasos(X, y, config, np.random.default_rng([config.seed, c]))
+        w, b = _reference_pegasos(X, y, config, np.random.default_rng([seed, c]))
         assert np.array_equal(model.weights[c], w)
         assert model.biases[c] == b
         assert np.any(y * (X @ w + b) < 1.0)
@@ -191,8 +189,8 @@ def test_training_is_deterministic():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 4))
     labels = (rng.random(30) < 0.5).astype(int)
-    a = train_linear_svm(X, labels, config=SvmConfig(seed=9))
-    b = train_linear_svm(X, labels, config=SvmConfig(seed=9))
+    a = train_linear_svm(X, labels, seed=9)
+    b = train_linear_svm(X, labels, seed=9)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.biases, b.biases)
 

@@ -352,7 +352,7 @@ def test_staged_commands_reproduce_experiment_one(tmp_path, model):
     config.write_text(json.dumps({
         "model": model,
         "seed": 3,
-        **{block: {**values, "seed": 3} for block, values in FAST_EXPERIMENT.items()},
+        **FAST_EXPERIMENT,
     }))
     one_shot = tmp_path / "one-shot"
     assert main(["experiment", "1", *sources, "--config", str(config),
@@ -425,10 +425,15 @@ def test_experiment_bad_config_is_data_error(tmp_path, capsys):
 def test_experiment_config_with_workers_is_data_error(tmp_path, capsys):
     paths = write_single_label_corpora(tmp_path)
     config = tmp_path / "config.json"
+    sources = [f"a={paths['alpha']}", f"b={paths['beta']}"]
     config.write_text(json.dumps({"embedding": {"workers": 4}}))
-    assert main(["experiment", "1", f"a={paths['alpha']}", f"b={paths['beta']}",
-                 "--config", str(config)]) == 2
+    assert main(["experiment", "1", *sources, "--config", str(config)]) == 2
     assert "workers" in capsys.readouterr().err
+    # The top-level seed is the experiment's only one.
+    for block in ("embedding", "classifier", "svm"):
+        config.write_text(json.dumps({block: {"seed": 1}}))
+        assert main(["experiment", "1", *sources, "--config", str(config)]) == 2
+        assert f"unknown {block} config fields: ['seed']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -589,6 +594,8 @@ def typed(value):
         value = dataclasses.asdict(value)
     if isinstance(value, dict):
         return {k: typed(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(typed(v) for v in value)
     return value, type(value)
 
 
@@ -602,8 +609,9 @@ def staged_inputs(tmp_path):
 
 
 # command and inputs, the stubbed callee and the position of its config
-# argument, every config flag set off its default, the config those flags
-# make, and the config with no flags.
+# argument (for train_skipgram, of its config and seed arguments), every
+# config flag set off its default, the config those flags make, and the
+# config with no flags.
 CONFIG_CASES = {
     "train-classifier": (
         ["train-classifier"], ("tokens", "embeddings", "vocab"), "classify", 0,
@@ -612,14 +620,14 @@ CONFIG_CASES = {
          "--val-fraction", "0.25", "--seed", "5"],
         ExperimentConfig(model="attention", split_ratio=0.5, seed=5, classifier=ClassifierConfig(
             hidden=7, attention_dim=6, batch=3, lr=0.5, epochs=4, clip_norm=2.0, max_len=9,
-            val_fraction=0.25, seed=5)),
+            val_fraction=0.25)),
         ExperimentConfig(model="attention"),
     ),
     "train-embeddings": (
-        ["train-embeddings"], ("tokens",), "train_skipgram", 2,
+        ["train-embeddings"], ("tokens",), "train_skipgram", slice(2, None),
         ["--dim", "7", "--window", "3", "--negatives", "3", "--epochs", "4", "--seed", "5"],
-        SkipgramConfig(dim=7, window=3, negatives=3, epochs=4, seed=5),
-        SkipgramConfig(),
+        (SkipgramConfig(dim=7, window=3, negatives=3, epochs=4), 5),
+        (SkipgramConfig(), 0),
     ),
     **{
         f"baseline-{kind}": (
@@ -627,8 +635,8 @@ CONFIG_CASES = {
             ["--ratio", "0.5", "--seed", "5", "--dim", "7", "--negatives", "3",
              "--epochs", "4", "--lam", "1", "--svm-epochs", "9"],
             ExperimentConfig(model=kind, split_ratio=0.5, seed=5,
-                             embedding=SkipgramConfig(dim=7, negatives=3, epochs=4, seed=5),
-                             svm=SvmConfig(lam=1.0, epochs=9, seed=5)),
+                             embedding=SkipgramConfig(dim=7, negatives=3, epochs=4),
+                             svm=SvmConfig(lam=1.0, epochs=9)),
             ExperimentConfig(model=kind),
         )
         for kind in ("average", "doc2vec")

@@ -1,5 +1,8 @@
+import dataclasses
+import inspect
 import json
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +32,9 @@ def fast_config(**overrides):
         model="attention",
         split_ratio=0.75,
         seed=0,
-        embedding=SkipgramConfig(dim=8, window=2, negatives=2, epochs=2, seed=0),
-        classifier=ClassifierConfig(hidden=6, attention_dim=4, epochs=3, seed=0, max_len=50),
-        svm=SvmConfig(epochs=50, seed=0),
+        embedding=SkipgramConfig(dim=8, window=2, negatives=2, epochs=2),
+        classifier=ClassifierConfig(hidden=6, attention_dim=4, epochs=3, max_len=50),
+        svm=SvmConfig(epochs=50),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -82,6 +85,28 @@ def test_doc2vec_experiment_trains_no_skipgram(monkeypatch):
     assert calls == ["attention", "average"]
 
 
+def test_the_experiment_seed_reaches_every_trainer(monkeypatch):
+    seeds = {}
+    for name in ("train_skipgram", "train_pvdbow", "train_classifier", "train_linear_svm"):
+        original = getattr(folkmotif.experiment, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            bound = inspect.signature(_original).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seeds.setdefault(_name, []).append(bound.arguments.get("seed"))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(folkmotif.experiment, name, spy)
+    for model in ("attention", "average", "doc2vec"):
+        run_experiment(fast_config(model=model, seed=7), small_corpus())
+    assert seeds == {
+        "train_skipgram": [7, 7],  # attention, average
+        "train_classifier": [7],
+        "train_linear_svm": [7, 7],  # average, doc2vec
+        "train_pvdbow": [7],
+    }
+
+
 def test_one_song_class_fails_at_split_before_skipgram(monkeypatch):
     def forbidden(*args):
         raise AssertionError("skip-gram trained before the split")
@@ -115,7 +140,7 @@ def test_in_memory_corpus_is_checked_before_any_stage(tmp_path, monkeypatch, mod
 
 
 def test_doc2vec_divergence_is_reported_as_training_diverged():
-    embedding = SkipgramConfig(dim=8, window=2, negatives=2, epochs=2, lr=1e8, lr_min=1e8, seed=0)
+    embedding = SkipgramConfig(dim=8, window=2, negatives=2, epochs=2, lr=1e8, lr_min=1e8)
     with pytest.raises(TrainingDiverged, match="learning rate"):
         run_experiment(fast_config(model="doc2vec", embedding=embedding), small_corpus())
 
@@ -206,8 +231,8 @@ def test_report_returned_without_out_dir():
 def test_average_baseline_separates_synthetic_classes(tmp_path):
     config = fast_config(
         model="average",
-        embedding=SkipgramConfig(dim=8, window=2, negatives=3, epochs=8, seed=0),
-        svm=SvmConfig(epochs=200, lam=0.001, seed=0),
+        embedding=SkipgramConfig(dim=8, window=2, negatives=3, epochs=8),
+        svm=SvmConfig(epochs=200, lam=0.001),
     )
     report, _ = run_experiment(config, small_corpus(seed=3, songs_per_class=20), tmp_path)
     assert report.accuracy >= 0.9
@@ -235,6 +260,23 @@ def test_config_defaults_from_empty_object():
     assert config.model == "attention"
     assert config.embedding.dim == 150
     assert config.classifier.hidden == 200
+
+
+def test_the_top_level_seed_is_the_only_seed():
+    """A per-stage seed would let a config train its stages at different seeds."""
+    seeds, nested = [], set()
+
+    def walk(cls, prefix):
+        for name, kind in typing.get_type_hints(cls).items():
+            if name == "seed":
+                seeds.append(prefix + name)
+            if dataclasses.is_dataclass(kind):
+                nested.add(kind)
+                walk(kind, f"{prefix}{name}.")
+
+    walk(ExperimentConfig, "")
+    assert nested == {SkipgramConfig, ClassifierConfig, SvmConfig}
+    assert seeds == ["seed"]
 
 
 def test_unknown_top_level_field_rejected():

@@ -284,6 +284,20 @@ def test_read_jsonl_refuses_a_bad_meter_naming_its_line(change, message):
         read_jsonl(data)
 
 
+@pytest.mark.parametrize(
+    "meter",
+    [[[-3, 4, 4]], [[0, 4, 4], [0, 3, 4]], [[2, 3, 4], [0, 4, 4]]],
+    ids=["negative", "repeated", "out-of-order"],
+)
+def test_read_jsonl_refuses_meter_changes_out_of_order_naming_the_meter(meter):
+    data = write_jsonl([one_note("a", "x")]) + one_note_record(meter=meter) + b"\n"
+    message = (
+        f"line 2: meter changes must start at strictly ascending measures, none negative, got {meter!r}"
+    )
+    with pytest.raises(CorpusError, match="^" + re.escape(message) + "$"):
+        read_jsonl(data)
+
+
 def test_jsonl_and_kern_refuse_the_same_meter():
     with pytest.raises(ParseError, match="^line 2: unsupported meter 4/3$"):
         parse_kern("**kern\n*M4/3\n4c\n*-\n")

@@ -25,7 +25,7 @@ from folkmotif.sgns import (
 from folkmotif.tokens import TokenizedSong
 from folkmotif.vocab import SamplingDist, Vocabulary, build_vocab
 
-FAST = SkipgramConfig(dim=8, window=2, negatives=3, epochs=5, seed=0)
+FAST = SkipgramConfig(dim=8, window=2, negatives=3, epochs=5)
 
 
 def test_pair_loss_at_zero_scores():
@@ -140,7 +140,7 @@ def test_training_is_bit_reproducible(fixture_songs):
 
 def test_epoch_objective_is_nondecreasing_early(fixture_songs):
     vocab = build_vocab([s.tokens for s in fixture_songs])
-    config = SkipgramConfig(dim=8, window=2, negatives=3, epochs=5, lr=0.01, seed=0)
+    config = SkipgramConfig(dim=8, window=2, negatives=3, epochs=5, lr=0.01)
     emb = train_skipgram(fixture_songs, vocab, config)
     first5 = emb.epoch_objectives[:5]
     assert len(first5) == 5
@@ -174,7 +174,7 @@ def test_config_accepts_a_constant_learning_rate():
 
 def test_huge_learning_rate_diverges(fixture_songs):
     vocab = build_vocab([s.tokens for s in fixture_songs])
-    config = SkipgramConfig(dim=8, window=2, negatives=3, epochs=3, lr=1e8, lr_min=1e8, seed=0)
+    config = SkipgramConfig(dim=8, window=2, negatives=3, epochs=3, lr=1e8, lr_min=1e8)
     with pytest.raises(TrainingDiverged, match="learning rate"):
         train_skipgram(fixture_songs, vocab, config)
 
@@ -240,7 +240,7 @@ def _three_token_songs():
         TokenizedSong(id=f"s{i}", label="x", tokens=tuple(rng.choice(["a", "b", "c"], size=n)))
         for i, n in enumerate([1, 2, 9, 17, 30])
     ]
-    return songs, SkipgramConfig(dim=7, window=3, negatives=2, epochs=3, lr=0.2, seed=4)
+    return songs, SkipgramConfig(dim=7, window=3, negatives=2, epochs=3, lr=0.2), 4
 
 
 def _many_token_songs():
@@ -251,16 +251,16 @@ def _many_token_songs():
         TokenizedSong(id=f"s{i}", label="x", tokens=tuple(rng.choice(tokens, size=n)))
         for i, n in enumerate([1, 40, 120, 200, 260, 300])
     ]
-    return songs, SkipgramConfig(dim=9, window=4, negatives=5, epochs=2, lr=0.1, seed=5)
+    return songs, SkipgramConfig(dim=9, window=4, negatives=5, epochs=2, lr=0.1), 5
 
 
 @pytest.mark.parametrize("corpus", [_three_token_songs, _many_token_songs])
 def test_skipgram_equals_the_per_center_reference_bit_for_bit(monkeypatch, corpus):
-    songs, config = corpus()
+    songs, config, seed = corpus()
     vocab = build_vocab([s.tokens for s in songs])
-    emb = train_skipgram(songs, vocab, config)
+    emb = train_skipgram(songs, vocab, config, seed)
     monkeypatch.setattr(sgns, "_train_pass", _reference_train_pass(per_center=True))
-    ref = train_skipgram(songs, vocab, config)
+    ref = train_skipgram(songs, vocab, config, seed)
     assert np.array_equal(emb.input_vectors, ref.input_vectors)
     assert np.array_equal(emb.output_vectors, ref.output_vectors)
     assert emb.epoch_objectives == ref.epoch_objectives
@@ -269,18 +269,18 @@ def test_skipgram_equals_the_per_center_reference_bit_for_bit(monkeypatch, corpu
 @pytest.mark.parametrize("corpus", [_three_token_songs, _many_token_songs])
 def test_pvdbow_equals_the_per_pair_reference_bit_for_bit(monkeypatch, corpus):
     """PV-DBOW has one pair per center, so its doc vectors keep the per-pair values."""
-    songs, config = corpus()
+    songs, config, seed = corpus()
     vocab = build_vocab([s.tokens for s in songs])
-    docs = train_pvdbow(songs, vocab, config)
+    docs = train_pvdbow(songs, vocab, config, seed)
     monkeypatch.setattr(sgns, "_train_pass", _reference_train_pass(per_center=False))
-    ref = train_pvdbow(songs, vocab, config)
+    ref = train_pvdbow(songs, vocab, config, seed)
     assert np.array_equal(docs.vectors, ref.vectors)
     assert docs.epoch_objectives == ref.epoch_objectives
 
 
 @pytest.mark.parametrize("train", [train_skipgram, train_pvdbow])
 def test_training_makes_one_pair_objective_call_per_center(monkeypatch, train):
-    songs, config = _many_token_songs()
+    songs, config, seed = _many_token_songs()
     vocab = build_vocab([s.tokens for s in songs])
     calls = []
 
@@ -289,7 +289,7 @@ def test_training_makes_one_pair_objective_call_per_center(monkeypatch, train):
         return pair_objective(*args)
 
     monkeypatch.setattr(sgns, "pair_objective", counted)
-    train(songs, vocab, config)
+    train(songs, vocab, config, seed)
     centers = sum(len(s.tokens) for s in songs)
     assert len(calls) == centers * config.epochs
 
@@ -298,7 +298,7 @@ def test_training_makes_one_pair_objective_call_per_center(monkeypatch, train):
 def test_negatives_are_drawn_once_per_song_in_pvdbow_and_once_per_center_in_skipgram(
     monkeypatch, train
 ):
-    songs, config = _many_token_songs()
+    songs, config, seed = _many_token_songs()
     vocab = build_vocab([s.tokens for s in songs])
     sizes = []
     draw = SamplingDist.draw
@@ -308,7 +308,7 @@ def test_negatives_are_drawn_once_per_song_in_pvdbow_and_once_per_center_in_skip
         return draw(self, rng, size)
 
     monkeypatch.setattr(SamplingDist, "draw", counted)
-    train(songs, vocab, config)
+    train(songs, vocab, config, seed)
     if train is train_pvdbow:
         assert sizes == [len(s.tokens) * config.negatives for s in songs] * config.epochs
     else:
@@ -316,9 +316,9 @@ def test_negatives_are_drawn_once_per_song_in_pvdbow_and_once_per_center_in_skip
 
 
 def test_skipgram_objective_rises_every_epoch():
-    songs, config = _many_token_songs()
+    songs, config, seed = _many_token_songs()
     vocab = build_vocab([s.tokens for s in songs])
-    emb = train_skipgram(songs, vocab, replace(config, epochs=4))
+    emb = train_skipgram(songs, vocab, replace(config, epochs=4), seed)
     objectives = emb.epoch_objectives
     assert len(objectives) == 4
     assert all(later > earlier for earlier, later in zip(objectives, objectives[1:]))
@@ -329,7 +329,7 @@ def test_skipgram_on_one_token_songs_leaves_the_matrices_untouched():
     songs = [TokenizedSong(id=f"s{i}", label="x", tokens=(tok,)) for i, tok in enumerate("abcab")]
     vocab = build_vocab([s.tokens for s in songs])
     emb = train_skipgram(songs, vocab, FAST)
-    initial = (np.random.default_rng(FAST.seed).random((len(vocab), FAST.dim)) - 0.5) / FAST.dim
+    initial = (np.random.default_rng(0).random((len(vocab), FAST.dim)) - 0.5) / FAST.dim
     assert np.array_equal(emb.input_vectors, initial)
     assert not emb.output_vectors.any()
     assert emb.epoch_objectives == [0.0] * FAST.epochs
@@ -337,11 +337,11 @@ def test_skipgram_on_one_token_songs_leaves_the_matrices_untouched():
 
 def test_skipgram_ignores_a_song_with_no_in_vocabulary_token():
     """Its empty sequence has no center, so it draws no random number."""
-    songs, config = _three_token_songs()
+    songs, config, seed = _three_token_songs()
     vocab = build_vocab([s.tokens for s in songs])
-    emb = train_skipgram(songs, vocab, config)
+    emb = train_skipgram(songs, vocab, config, seed)
     blank = TokenizedSong(id="blank", label="x", tokens=("zzz",))
-    with_blank = train_skipgram([*songs[:2], blank, *songs[2:]], vocab, config)
+    with_blank = train_skipgram([*songs[:2], blank, *songs[2:]], vocab, config, seed)
     assert np.array_equal(emb.input_vectors, with_blank.input_vectors)
     assert np.array_equal(emb.output_vectors, with_blank.output_vectors)
     assert emb.epoch_objectives == with_blank.epoch_objectives
@@ -366,7 +366,7 @@ def test_doc_vectors_group_identical_songs():
         TokenizedSong(id="s3", label="y", tokens=("r", "s", "r", "s") * 8),
     ]
     vocab = build_vocab([s.tokens for s in songs])
-    docs = train_pvdbow(songs, vocab, SkipgramConfig(dim=8, negatives=3, epochs=20, seed=0))
+    docs = train_pvdbow(songs, vocab, SkipgramConfig(dim=8, negatives=3, epochs=20))
     d1, d2, d3 = (docs.vector(i) for i in ("s1", "s2", "s3"))
     assert cosine(d1, d2) > cosine(d1, d3)
 
@@ -409,11 +409,18 @@ def test_embedding_file_round_trip(v, d, seed):
 def test_read_embeddings_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         read_embeddings("not a header\n")
+    for text in ("-1 2\n", "0 2\n", "1 0\na\n"):
+        header = repr(text.split("\n")[0])
+        with pytest.raises(ValueError, match=f"^line 1: bad header {header}; V and d must be"):
+            read_embeddings(text)
 
 
 def test_read_embeddings_rejects_wrong_row_count():
     with pytest.raises(ValueError, match="expected 2 rows"):
         read_embeddings("2 2\nt0 0.0 1.0\n")
+    # Counted before the matrix is allocated, so a huge header is no MemoryError.
+    with pytest.raises(ValueError, match="^expected 100000000000 rows, found 1$"):
+        read_embeddings("100000000000 2\nt0 0.0 1.0\n")
 
 
 @pytest.mark.parametrize(
