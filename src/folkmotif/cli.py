@@ -125,6 +125,8 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_tokenize(args) -> None:
+    if args.phrase_mode and args.mw_size == 1:
+        raise UsageError("--phrase-mode needs --mw-size 2 or 3: phrase merging makes multiwords")
     melodies = read_jsonl(Path(args.corpus).read_bytes())
     multiword = None if args.mw_size == 1 else args.mw_size
     songs = tokenize_corpus(

@@ -22,7 +22,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -103,12 +103,25 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text))
 
 
+# The JSON values each annotated field type takes; a bool is never a number.
+_FIELD_VALUES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
 def _check_fields(cls, obj, where: str) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"{where} config must be a JSON object")
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {where} config fields: {sorted(unknown)}")
+    types = get_type_hints(cls)
+    for name, value in obj.items():
+        kinds, wanted = _FIELD_VALUES[types[name]]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{where} config field {name} must be {wanted}, got {value!r}")
 
 
 def _stage(name: str, fn, *args, **kwargs):

@@ -6,16 +6,15 @@ Training ascends, per (target, context) pair,
 
 with negatives drawn from the count^0.75 unigram distribution. The input
 matrix holds the queried vectors v_w; the output matrix holds context
-vectors v_c. PV-DBOW reuses the same objective with a per-song document
-vector standing in for v_w.
+vectors v_c. PV-DBOW is the same objective with a per-song document vector
+standing in for v_w, so one trainer, ``_train``, serves both; only the
+generator that yields a song's centers differs.
 
-Training takes one simultaneous SGD step per center, in corpus order: its n
-context pairs, with k negatives each, are scored as one block of n*(k+1)
-rows. Skip-gram draws a center's window and then its n*k negatives in one
-call. PV-DBOW has one pair per center and draws nothing but negatives, so it
-draws a song's T*k negatives in one call, which takes the same numbers from
-the same stream as T calls of k; its vectors equal those of per-pair SGD,
-bit for bit.
+Each center takes one SGD step, in corpus order: its n context pairs, with
+k negatives each, are scored as one block of n*(k+1) rows. Skip-gram draws
+a center's window, then its n*k negatives. PV-DBOW has one pair per center
+and draws a song's T*k negatives in one call, which takes the same numbers
+as T calls of k, so its vectors equal those of per-pair SGD, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .tokens import TokenizedSong
-from .vocab import SamplingDist, Vocabulary, negative_sampling_dist
+from .vocab import Vocabulary, negative_sampling_dist
 
 
 class TrainingDiverged(RuntimeError):
@@ -135,7 +134,7 @@ def _row_blocks(
     return rows, scatter.reshape(n, width * len(columns))
 
 
-def _skipgram_centers(seq, input_vectors, dist, config, rng, columns):
+def _skipgram_centers(s, seq, input_vectors, dist, config, rng, columns):
     """(w, rows, scatter) for each center of a song, drawn center by center.
 
     The window draw takes half of a 64-bit output and keeps the other half
@@ -149,8 +148,8 @@ def _skipgram_centers(seq, input_vectors, dist, config, rng, columns):
         yield input_vectors[seq[t]], rows.ravel(), scatter.ravel()
 
 
-def _pvdbow_centers(seq, w, dist, config, rng, columns):
-    """(w, rows, scatter) for each center of a song, whose vector is w.
+def _pvdbow_centers(s, seq, input_vectors, dist, config, rng, columns):
+    """(w, rows, scatter) for each center of song s, whose vector w is row s.
 
     A center's only pair is (w, its token). The song draws nothing but its
     negatives, and each double takes one 64-bit output, so one call of T*k
@@ -158,78 +157,55 @@ def _pvdbow_centers(seq, w, dist, config, rng, columns):
     """
     negatives = dist.draw(rng, len(seq) * config.negatives)
     rows, scatter = _row_blocks(seq, negatives.reshape(-1, config.negatives), columns)
-    return zip(repeat(w), rows, scatter)
+    return zip(repeat(input_vectors[s]), rows, scatter)
 
 
-def _train_pass(
-    sequences: Sequence[np.ndarray],
-    target_rows: Sequence[int] | None,
-    input_vectors: np.ndarray,
-    output_vectors: np.ndarray,
-    dist: SamplingDist,
-    config: SkipgramConfig,
-    rng: np.random.Generator,
-    epoch: int,
-) -> float:
-    """One epoch of SGD: one step per center, over all of its context pairs.
+def _train(sequences, n_inputs, centers_of, vocab, config, seed):
+    """SGNS from a seeded n_inputs x d start, one SGD step per center.
 
-    ``target_rows`` selects the input row per sequence (PV-DBOW document
-    mode); when None the targets are the tokens themselves (skip-gram).
-    The learning rate decays linearly over the centers of all epochs.
-    Returns the total pair loss; raises TrainingDiverged on non-finite loss.
+    ``centers_of`` yields each center of song s as (w, rows, scatter): the
+    input row that steps, and the output rows it is scored against with
+    their flat indices. The learning rate decays linearly over all epochs.
+    Returns the input and output matrices and each epoch's mean objective.
     """
+    rng = np.random.default_rng(seed)
+    input_vectors = (rng.random((n_inputs, config.dim)) - 0.5) / config.dim
+    output_vectors = np.zeros((len(vocab), config.dim))
+    dist = negative_sampling_dist(vocab)
+    # Training restarts the stream that drew input_vectors (ROADMAP item 3).
+    rng = np.random.default_rng(seed)
     k = config.negatives
     labels = np.zeros(2 * config.window * (k + 1))
     labels[:: k + 1] = 1.0
     flat_output = output_vectors.reshape(-1)
-    columns = np.arange(output_vectors.shape[1])
+    columns = np.arange(config.dim)
     centers = sum(len(seq) for seq in sequences)
-    step, steps = epoch * centers, config.epochs * centers
-    total = 0.0
-    # Divergence shows up as overflowing scores; that is detected via the
-    # finiteness of the loss, so the overflow itself is not worth a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, seq in enumerate(sequences):
-            if target_rows is None:
-                song = _skipgram_centers(seq, input_vectors, dist, config, rng, columns)
-            else:
-                w = input_vectors[target_rows[s]]
-                song = _pvdbow_centers(seq, w, dist, config, rng, columns)
-            for w, rows, scatter in song:
-                lr = max(config.lr_min, config.lr * (1.0 - step / steps))
-                step += 1
-                loss, grad_w, grad_ctx = pair_objective(
-                    w, output_vectors[rows], labels[: len(rows)]
-                )
-                total += loss
-                grad_ctx *= -lr
-                np.add.at(flat_output, scatter, grad_ctx.ravel())
-                w -= lr * grad_w
-    if not np.isfinite(total):
-        raise TrainingDiverged(
-            f"non-finite training objective {total}; lower the learning rate ({config.lr})"
-        )
-    return total
-
-
-def _run_epochs(
-    sequences: list[np.ndarray],
-    target_rows: Optional[list[int]],
-    input_vectors: np.ndarray,
-    output_vectors: np.ndarray,
-    dist: SamplingDist,
-    config: SkipgramConfig,
-    seed: int,
-) -> list[float]:
-    centers = sum(len(s) for s in sequences)
-    rng = np.random.default_rng(seed)
+    steps = config.epochs * centers
     objectives = []
     for epoch in range(config.epochs):
-        total = _train_pass(
-            sequences, target_rows, input_vectors, output_vectors, dist, config, rng, epoch
-        )
+        step = epoch * centers
+        total = 0.0
+        # Divergence shows up as overflowing scores; that is detected via the
+        # finiteness of the loss, so the overflow itself is not worth a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, seq in enumerate(sequences):
+                song = centers_of(s, seq, input_vectors, dist, config, rng, columns)
+                for w, rows, scatter in song:
+                    lr = max(config.lr_min, config.lr * (1.0 - step / steps))
+                    step += 1
+                    loss, grad_w, grad_ctx = pair_objective(
+                        w, output_vectors[rows], labels[: len(rows)]
+                    )
+                    total += loss
+                    grad_ctx *= -lr
+                    np.add.at(flat_output, scatter, grad_ctx.ravel())
+                    w -= lr * grad_w
+        if not np.isfinite(total):
+            raise TrainingDiverged(
+                f"non-finite training objective {total}; lower the learning rate ({config.lr})"
+            )
         objectives.append(-total / centers)
-    return objectives
+    return input_vectors, output_vectors, objectives
 
 
 def train_skipgram(
@@ -241,12 +217,9 @@ def train_skipgram(
     """Learn token embeddings; bit-reproducible under the seed."""
     config = config or SkipgramConfig()
     sequences = _encode_corpus(songs, vocab)
-    rng = np.random.default_rng(seed)
-    V, d = len(vocab), config.dim
-    input_vectors = (rng.random((V, d)) - 0.5) / d
-    output_vectors = np.zeros((V, d))
-    dist = negative_sampling_dist(vocab)
-    objectives = _run_epochs(sequences, None, input_vectors, output_vectors, dist, config, seed)
+    input_vectors, output_vectors, objectives = _train(
+        sequences, len(vocab), _skipgram_centers, vocab, config, seed
+    )
     return Embeddings(
         vocab=vocab,
         input_vectors=input_vectors,
@@ -268,16 +241,8 @@ def train_pvdbow(
         if not len(seq):
             raise ValueError(f"song {song.id!r} has no in-vocabulary token")
     ids = [song.id for song in songs]
-    rng = np.random.default_rng(seed)
-    d = config.dim
-    doc_vectors = (rng.random((len(ids), d)) - 0.5) / d
-    output_vectors = np.zeros((len(vocab), d))
-    dist = negative_sampling_dist(vocab)
-    target_rows = list(range(len(ids)))
-    objectives = _run_epochs(
-        sequences, target_rows, doc_vectors, output_vectors, dist, config, seed
-    )
-    return DocVectors(ids=ids, vectors=doc_vectors, epoch_objectives=objectives)
+    vectors, _, objectives = _train(sequences, len(ids), _pvdbow_centers, vocab, config, seed)
+    return DocVectors(ids=ids, vectors=vectors, epoch_objectives=objectives)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -63,10 +63,11 @@ def write_vocab(vocab: Vocabulary) -> str:
 
 
 def read_vocab(text: str) -> Vocabulary:
-    """Parse ``write_vocab`` output; a ValueError names the bad line. Each count
-    is an integer of at least 1, and the indices run 0, 1, 2, ..."""
+    """Parse ``write_vocab`` output; a ValueError names the bad line. Each token
+    is new, each count an integer of at least 1, and the indices run 0, 1, 2, ..."""
     tokens: list[str] = []
     counts: list[int] = []
+    seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -81,6 +82,9 @@ def read_vocab(text: str) -> Vocabulary:
             raise ValueError(f"line {lineno}: count must be at least 1, got {count}")
         if index != len(tokens):
             raise ValueError(f"line {lineno}: indices must be consecutive from 0")
+        if fields[0] in seen:
+            raise ValueError(f"line {lineno}: duplicate token {fields[0]!r}")
+        seen.add(fields[0])
         tokens.append(fields[0])
         counts.append(count)
     return Vocabulary(tokens=tokens, counts=np.array(counts, dtype=np.int64))

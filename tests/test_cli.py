@@ -124,6 +124,16 @@ def test_tokenize_refuses_a_repeated_song_id(tmp_path, capsys):
     assert not tokens.exists()
 
 
+def test_tokenize_refuses_phrase_mode_without_multiwords(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(write_jsonl([melody("s", "alpha", [60, 62, 64])]))
+    tokens = tmp_path / "t.tsv"
+    assert main(["tokenize", "--corpus", str(corpus), "--mw-size", "1", "--phrase-mode",
+                 "--out", str(tokens)]) == 1
+    assert "--phrase-mode needs --mw-size 2 or 3" in capsys.readouterr().err
+    assert not tokens.exists()
+
+
 def test_tokenize_writes_token_file(kern_dirs, tmp_path):
     german, chinese = kern_dirs
     corpus = tmp_path / "corpus.jsonl"
@@ -438,7 +448,22 @@ def test_experiment_config_with_workers_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "bad, field",
-    [({"embedding": {"lr_min": 1.0}}, "lr_min"), ({"classifier": {"clip_norm": 0}}, "clip_norm")],
+    [
+        ({"embedding": {"lr_min": 1.0}}, "lr_min"),
+        ({"classifier": {"clip_norm": 0}}, "clip_norm"),
+        # A value of the wrong JSON type is refused before any stage runs.
+        ({"embedding": {"dim": "8"}}, "dim"),
+        ({"classifier": {"hidden": "4"}}, "hidden"),
+        ({"svm": {"lam": "0.1"}}, "lam"),
+        ({"min_count": "1"}, "min_count"),
+        ({"split_ratio": "0.5"}, "split_ratio"),
+        ({"multiword_size": 2.0}, "multiword_size"),
+        ({"embedding": {"dim": 8.0}}, "dim"),
+        ({"seed": 1.5}, "seed"),
+        ({"embedding": {"epochs": True}}, "epochs"),
+        ({"svm": {"lam": False}}, "lam"),
+        ({"representation": 1}, "representation"),
+    ],
 )
 def test_experiment_config_with_bad_step_setting_is_data_error(tmp_path, capsys, bad, field):
     paths = write_single_label_corpora(tmp_path)

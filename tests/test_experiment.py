@@ -289,6 +289,21 @@ def test_unknown_nested_field_rejected():
         ExperimentConfig.from_dict({"embedding": {"dims": 8}})
 
 
+def test_mistyped_field_names_its_block_field_and_value():
+    with pytest.raises(ValueError, match="^embedding config field dim must be an integer, got '8'$"):
+        ExperimentConfig.from_dict({"embedding": {"dim": "8"}})
+    message = "^experiment config field seed must be an integer, got True$"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict({"seed": True})
+
+
+def test_float_field_keeps_an_integer_as_given():
+    """So a config file's ``1`` is written back to experiment.json as ``1``."""
+    config = ExperimentConfig.from_dict({"split_ratio": 0.5, "svm": {"lam": 1}})
+    assert config.svm.lam == 1 and isinstance(config.svm.lam, int)
+    assert config.split_ratio == 0.5
+
+
 def test_invalid_choices_rejected():
     with pytest.raises(ValueError, match="representation"):
         ExperimentConfig(representation="melodic")

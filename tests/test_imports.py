@@ -1,14 +1,14 @@
-"""Every top-level import in a package module is used by that module."""
+"""Every top-level import in a package module is used by that module, and
+every module-level private function or class is referenced somewhere in the
+package."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).parent.parent / "src" / "folkmotif").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = Path(__file__).parent.parent / "src" / "folkmotif"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -32,3 +32,45 @@ def test_module_uses_its_imports(path):
 
 def test_an_unused_import_is_found():
     assert _unused_imports("import json\nimport os\n\nos.sep\n") == ["line 1: json"]
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def _dead_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions and classes that no module of sources
+    refers to, by name or as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in referenced
+    ]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))}
+    assert _dead_private_definitions(sources) == []
+
+
+def test_a_dead_private_definition_is_found():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\nclass _Dead:\n    pass\n",
+        "b.py": "from . import a\n\na._used()\n",
+    }
+    assert _dead_private_definitions(sources) == ["a.py: _dead", "a.py: _Dead"]

@@ -23,7 +23,7 @@ from folkmotif.sgns import (
     write_embeddings,
 )
 from folkmotif.tokens import TokenizedSong
-from folkmotif.vocab import SamplingDist, Vocabulary, build_vocab
+from folkmotif.vocab import SamplingDist, Vocabulary, build_vocab, negative_sampling_dist
 
 FAST = SkipgramConfig(dim=8, window=2, negatives=3, epochs=5)
 
@@ -190,31 +190,40 @@ def _reference_pair_objective(w, ctx, labels):
         return loss, g @ ctx, np.outer(g, w)
 
 
-def _reference_train_pass(per_center):
-    """The loop that sgns._train_pass must equal bit for bit.
+def _reference_train(songs, vocab, config, seed, per_center):
+    """The trainer that train_skipgram and train_pvdbow must equal bit for bit.
 
-    One draw of k negatives per pair and the term-by-term objective. With
-    per_center the center's pairs are scored as one flat block and take one
-    step; without it each pair takes its own step. The context rows are
-    updated through the 2-D np.add.at.
+    The start is drawn from default_rng(seed) and training runs on a fresh
+    default_rng(seed). One draw of k negatives per pair and the term-by-term
+    objective. With per_center the center's pairs are scored as one flat
+    block and take one step (skip-gram); without it each pair takes its own
+    step and the input row is the song's (PV-DBOW). The context rows are
+    updated through the 2-D np.add.at. Returns the input matrix, the output
+    matrix and the per-epoch objectives.
     """
-
-    def train_pass(sequences, target_rows, input_vectors, output_vectors, dist, config, rng, epoch):
-        k = config.negatives
-        centers = sum(len(seq) for seq in sequences)
+    sequences = [np.array(vocab.encode(song.tokens), dtype=np.int64) for song in songs]
+    d, k = config.dim, config.negatives
+    n_inputs = len(vocab) if per_center else len(songs)
+    input_vectors = (np.random.default_rng(seed).random((n_inputs, d)) - 0.5) / d
+    output_vectors = np.zeros((len(vocab), d))
+    dist = negative_sampling_dist(vocab)
+    rng = np.random.default_rng(seed)
+    centers = sum(len(seq) for seq in sequences)
+    objectives = []
+    for epoch in range(config.epochs):
         step, steps = epoch * centers, config.epochs * centers
         total = 0.0
         for s, seq in enumerate(sequences):
             for t in range(len(seq)):
                 lr = max(config.lr_min, config.lr * (1.0 - step / steps))
                 step += 1
-                if target_rows is None:
+                if per_center:
                     b = int(rng.integers(1, config.window + 1))
                     contexts = np.concatenate([seq[max(0, t - b) : t], seq[t + 1 : t + 1 + b]])
                     row = seq[t]
                 else:
                     contexts = seq[t : t + 1]
-                    row = target_rows[s]
+                    row = s
                 pairs = np.array(
                     [np.concatenate(([c], dist.draw(rng, k))) for c in contexts], dtype=np.int64
                 )
@@ -228,9 +237,8 @@ def _reference_train_pass(per_center):
                     total += loss
                     np.add.at(output_vectors, ix, -lr * grad_ctx)
                     input_vectors[row] = w - lr * grad_w
-        return total
-
-    return train_pass
+        objectives.append(-total / centers)
+    return input_vectors, output_vectors, objectives
 
 
 def _three_token_songs():
@@ -255,27 +263,27 @@ def _many_token_songs():
 
 
 @pytest.mark.parametrize("corpus", [_three_token_songs, _many_token_songs])
-def test_skipgram_equals_the_per_center_reference_bit_for_bit(monkeypatch, corpus):
+def test_skipgram_equals_the_per_center_reference_bit_for_bit(corpus):
     songs, config, seed = corpus()
     vocab = build_vocab([s.tokens for s in songs])
     emb = train_skipgram(songs, vocab, config, seed)
-    monkeypatch.setattr(sgns, "_train_pass", _reference_train_pass(per_center=True))
-    ref = train_skipgram(songs, vocab, config, seed)
-    assert np.array_equal(emb.input_vectors, ref.input_vectors)
-    assert np.array_equal(emb.output_vectors, ref.output_vectors)
-    assert emb.epoch_objectives == ref.epoch_objectives
+    input_vectors, output_vectors, objectives = _reference_train(
+        songs, vocab, config, seed, per_center=True
+    )
+    assert np.array_equal(emb.input_vectors, input_vectors)
+    assert np.array_equal(emb.output_vectors, output_vectors)
+    assert emb.epoch_objectives == objectives
 
 
 @pytest.mark.parametrize("corpus", [_three_token_songs, _many_token_songs])
-def test_pvdbow_equals_the_per_pair_reference_bit_for_bit(monkeypatch, corpus):
+def test_pvdbow_equals_the_per_pair_reference_bit_for_bit(corpus):
     """PV-DBOW has one pair per center, so its doc vectors keep the per-pair values."""
     songs, config, seed = corpus()
     vocab = build_vocab([s.tokens for s in songs])
     docs = train_pvdbow(songs, vocab, config, seed)
-    monkeypatch.setattr(sgns, "_train_pass", _reference_train_pass(per_center=False))
-    ref = train_pvdbow(songs, vocab, config, seed)
-    assert np.array_equal(docs.vectors, ref.vectors)
-    assert docs.epoch_objectives == ref.epoch_objectives
+    vectors, _, objectives = _reference_train(songs, vocab, config, seed, per_center=False)
+    assert np.array_equal(docs.vectors, vectors)
+    assert docs.epoch_objectives == objectives
 
 
 @pytest.mark.parametrize("train", [train_skipgram, train_pvdbow])

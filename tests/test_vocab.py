@@ -63,8 +63,9 @@ def test_read_vocab_rejects_gapped_indices():
         ("a\t-3\t0\n", "line 1: count must be at least 1, got -3"),
         ("a\t3\t0\nb\t0\t1\n", "line 2: count must be at least 1, got 0"),
         ("\na\t3\n", "line 2: expected token<TAB>count<TAB>index"),
+        ("a\t3\t0\na\t2\t1\n", "line 2: duplicate token 'a'"),
     ],
-    ids=["float-count", "word-index", "negative-count", "zero-count", "two-fields"],
+    ids=["float-count", "word-index", "negative-count", "zero-count", "two-fields", "duplicate"],
 )
 def test_read_vocab_names_the_line_of_a_bad_row(text, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
