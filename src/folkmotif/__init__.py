@@ -44,8 +44,6 @@ from .sgns import (
 )
 from .synth import SynthConfig, generate_corpus
 from .tokens import (
-    IntervalToken,
-    RhythmToken,
     TokenizedSong,
     tokenize_corpus,
     tokenize_melody,
@@ -62,14 +60,12 @@ __all__ = [
     "Embeddings",
     "ExperimentConfig",
     "ExperimentError",
-    "IntervalToken",
     "LabeledCorpus",
     "LinearSvmModel",
     "Melody",
     "MetricsReport",
     "NoteEvent",
     "ParseError",
-    "RhythmToken",
     "SkipgramConfig",
     "SvmConfig",
     "SynthConfig",

@@ -209,9 +209,17 @@ def _cmd_baseline(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     with open(args.predictions, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows or "gold" not in rows[0] or "predicted" not in rows[0]:
-        raise ValueError(f"{args.predictions} needs a CSV header with gold,predicted columns")
+        reader = csv.DictReader(fh)
+        if not {"gold", "predicted"} <= set(reader.fieldnames or ()):
+            raise ValueError(f"{args.predictions} needs a CSV header with gold,predicted columns")
+        rows = []
+        for row in reader:
+            if row["gold"] is None or row["predicted"] is None:
+                raise ValueError(f"{args.predictions} line {reader.line_num}: "
+                                 "expected id,gold,predicted")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{args.predictions} has no prediction rows")
     gold = [r["gold"] for r in rows]
     predictions = [r["predicted"] for r in rows]
     labels = sorted(set(gold) | set(predictions))

@@ -85,6 +85,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ValueError("experiment config must be a JSON object")
         obj = dict(obj)
         kwargs = {}
         for name, sub_cls in (

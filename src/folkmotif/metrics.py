@@ -18,7 +18,8 @@ def split_dataset(
 
     Each class is shuffled and split independently; the test share is
     rounded half-up and the remainder goes to train, so a 75% split of the
-    4923-song two-class corpus yields exactly 3692/1231.
+    4923-song two-class corpus yields exactly 3692/1231. A class whose
+    rounded test share takes every song is refused: no model could learn it.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
@@ -36,6 +37,8 @@ def split_dataset(
             raise ValueError(f"class {label!r} has fewer than 2 songs; cannot stratify")
         order = rng.permutation(len(members))
         n_test = int(np.floor(len(members) * (1.0 - ratio) + 0.5))
+        if n_test == len(members):
+            raise ValueError(f"class {label!r} gets no training song at ratio {ratio}")
         test_idx.extend(members[i] for i in order[:n_test])
         train_idx.extend(members[i] for i in order[n_test:])
     return [items[i] for i in train_idx], [items[i] for i in test_idx]

@@ -302,6 +302,7 @@ def write_embeddings(tokens: Sequence[str], matrix: np.ndarray) -> str:
 
 
 def read_embeddings(text: str) -> tuple[list[str], np.ndarray]:
+    """Parse ``write_embeddings`` output; a ValueError names the bad line. Each token is new."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty embedding file")
@@ -315,6 +316,7 @@ def read_embeddings(text: str) -> tuple[list[str], np.ndarray]:
     if len(body) != V:
         raise ValueError(f"expected {V} rows, found {len(body)}")
     tokens = []
+    seen: set[str] = set()
     matrix = np.empty((V, d))
     for i, (lineno, line) in enumerate(body):
         fields = line.split(" ")
@@ -326,6 +328,9 @@ def read_embeddings(text: str) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"line {lineno}: vector values must be numbers") from None
         if not all(math.isfinite(x) for x in row):
             raise ValueError(f"line {lineno}: vector values must be finite")
+        if fields[0] in seen:
+            raise ValueError(f"line {lineno}: duplicate token {fields[0]!r}")
+        seen.add(fields[0])
         tokens.append(fields[0])
         matrix[i] = row
     return tokens, matrix

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .melody import CorpusDiagnostics, LabeledCorpus, Melody, NoteEvent
-from .tokens import IntervalToken
+from .tokens import interval_size
 
 LOW, HIGH = 48, 84  # pitch walk range (MIDI)
 
@@ -106,7 +106,7 @@ def motif_class(motif: str, config: SynthConfig) -> Optional[str]:
     inventories (which no class generates) belong to no class.
     """
     try:
-        sizes = {IntervalToken.parse(part).size for part in motif.split("_")}
+        sizes = {interval_size(part) for part in motif.split("_")}
     except ValueError:
         return None
     informative = sizes - set(config.noise_sizes)

@@ -10,6 +10,7 @@ downbeat. Multi-words join n consecutive tokens with underscores.
 from __future__ import annotations
 
 import functools
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,58 +29,22 @@ def format_duration(duration: Fraction) -> str:
     return f"{scaled // 10_000}.{scaled % 10_000:04d}".rstrip("0")
 
 
-@dataclass(frozen=True)
-class IntervalToken:
-    size: int  # chromatic semitones, >= 0
-    ascending: bool  # False for descending; always False when size == 0
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise ValueError(f"interval size must be non-negative, got {self.size}")
-        if self.size == 0 and self.ascending:
-            raise ValueError("a repeated note has no direction")
-
-    def render(self) -> str:
-        if self.size == 0:
-            return "00"
-        return f"{self.size}{1 if self.ascending else 0}"
-
-    @classmethod
-    def parse(cls, text: str) -> "IntervalToken":
-        if text == "00":
-            return cls(size=0, ascending=False)
-        if len(text) < 2 or not text.isdigit():
-            raise ValueError(f"not an interval token: {text!r}")
-        return cls(size=int(text[:-1]), ascending=text[-1] == "1")
-
-
-@dataclass(frozen=True)
-class RhythmToken:
-    is_note: bool
-    is_downbeat: bool
-    duration: Fraction
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-
-    def render(self) -> str:
-        return f"{int(self.is_note)}-{int(self.is_downbeat)}-{format_duration(self.duration)}"
-
-    @classmethod
-    def parse(cls, text: str) -> "RhythmToken":
-        parts = text.split("-")
-        if len(parts) != 3 or parts[0] not in "01" or parts[1] not in "01":
-            raise ValueError(f"not a rhythm token: {text!r}")
-        return cls(is_note=parts[0] == "1", is_downbeat=parts[1] == "1", duration=Fraction(parts[2]))
-
-
-def interval_token(prev: NoteEvent, nxt: NoteEvent) -> IntervalToken:
-    """Chromatic interval between two pitched events."""
+def interval_token(prev: NoteEvent, nxt: NoteEvent) -> str:
+    """Chromatic interval between two pitched events, as its token string."""
     if prev.pitch is None or nxt.pitch is None:
         raise ValueError("interval tokens are defined between pitched events")
     size = abs(nxt.pitch - prev.pitch)
-    return IntervalToken(size=size, ascending=size > 0 and nxt.pitch > prev.pitch)
+    if size == 0:
+        return "00"
+    return f"{size}{1 if nxt.pitch > prev.pitch else 0}"
+
+
+def interval_size(token: str) -> int:
+    """The chromatic size of an interval token, the inverse of ``interval_token``:
+    "00", or a size without a leading zero followed by the direction digit."""
+    if not re.fullmatch(r"00|[1-9][0-9]*[01]", token):
+        raise ValueError(f"not an interval token: {token!r}")
+    return int(token[:-1])
 
 
 def beat_unit(meter: tuple[int, int]) -> Fraction:
@@ -95,7 +60,7 @@ def beat_unit(meter: tuple[int, int]) -> Fraction:
 def render_rhythm(is_note: bool, onset: Fraction, duration: Fraction, meter: tuple[int, int]) -> str:
     """The rendered rhythm token of a note (or rest) at ``onset`` in a measure of ``meter``."""
     on_beat = (onset % beat_unit(meter)) == 0
-    return RhythmToken(is_note=is_note, is_downbeat=on_beat, duration=duration).render()
+    return f"{int(is_note)}-{int(on_beat)}-{format_duration(duration)}"
 
 
 Mode = Literal["intervallic", "rhythmic"]
@@ -110,7 +75,7 @@ def tokenize_melody(melody: Melody, mode: Mode) -> list[str]:
                 f"melody {melody.id!r} has {len(pitched)} pitched events; "
                 "intervallic tokens need at least 2"
             )
-        return [interval_token(a, b).render() for a, b in zip(pitched, pitched[1:])]
+        return [interval_token(a, b) for a, b in zip(pitched, pitched[1:])]
     if mode == "rhythmic":
         tokens = []
         measure = meter = None

@@ -211,3 +211,9 @@ def test_svm_file_round_trip():
     old_header = "svm 2 3 0.01\n" + text.split("\n", 1)[1]
     with pytest.raises(ValueError, match="bad header"):
         read_svm(old_header)
+
+
+def test_svm_file_refuses_a_repeated_class():
+    model = LinearSvmModel(weights=np.zeros((2, 3)), biases=np.zeros(2))
+    with pytest.raises(ValueError, match="^line 3: duplicate token 'x'$"):
+        read_svm(write_svm(model, ["x", "x"]))

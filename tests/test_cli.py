@@ -185,6 +185,13 @@ def test_similar_unknown_token_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_similar_refuses_a_repeated_embedding_row(tmp_path, capsys):
+    emb = tmp_path / "embeddings.txt"
+    emb.write_text("2 1\na 1.0\na 2.0\n")
+    assert main(["similar", "a", "--embeddings", str(emb)]) == 2
+    assert "line 3: duplicate token 'a'" in capsys.readouterr().err
+
+
 def test_train_classifier_writes_model_metrics_alphas(tmp_path, capsys):
     _, tokens, emb, vocab = synth_pipeline(tmp_path)
     model = tmp_path / "model.txt"
@@ -296,6 +303,22 @@ def test_evaluate_rejects_headerless_csv(tmp_path, capsys):
     preds = tmp_path / "preds.csv"
     preds.write_text("s1,a,a\n")
     assert main(["evaluate", "--predictions", str(preds)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("id,gold,predicted\na,x\nb,x,x\n", "line 2: expected id,gold,predicted"),
+        ("id,gold,predicted\na\n", "line 2: expected id,gold,predicted"),
+        ("id,gold,predicted\n", "has no prediction rows"),
+    ],
+    ids=["no-predicted", "no-gold", "header-only"],
+)
+def test_evaluate_refuses_a_csv_without_complete_rows(tmp_path, capsys, text, message):
+    preds = tmp_path / "preds.csv"
+    preds.write_text(text)
+    assert main(["evaluate", "--predictions", str(preds)]) == 2
+    assert f"{preds} {message}" in capsys.readouterr().err
 
 
 def melody(song_id, label, pitches):
@@ -463,6 +486,12 @@ def test_experiment_config_with_workers_is_data_error(tmp_path, capsys):
         ({"embedding": {"epochs": True}}, "epochs"),
         ({"svm": {"lam": False}}, "lam"),
         ({"representation": 1}, "representation"),
+        # A config that is not a JSON object is refused before it is read.
+        (1, "experiment config"),
+        (None, "experiment config"),
+        ("ab", "experiment config"),
+        ([], "experiment config"),
+        ([["model", "doc2vec"]], "experiment config"),
     ],
 )
 def test_experiment_config_with_bad_step_setting_is_data_error(tmp_path, capsys, bad, field):

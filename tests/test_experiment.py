@@ -243,6 +243,11 @@ def test_stage_name_in_vocabulary_error():
         run_experiment(fast_config(min_count=10_000), small_corpus())
 
 
+def test_stage_name_in_split_error():
+    with pytest.raises(ExperimentError, match="stage 'split': class 'alpha' gets no training song"):
+        run_experiment(fast_config(split_ratio=0.01), small_corpus(songs_per_class=4))
+
+
 def test_stage_name_in_tokenize_error():
     empty = LabeledCorpus(melodies=[])
     with pytest.raises(ExperimentError, match="stage 'tokenize'"):

@@ -74,3 +74,21 @@ def test_a_dead_private_definition_is_found():
         "b.py": "from . import a\n\na._used()\n",
     }
     assert _dead_private_definitions(sources) == ["a.py: _dead", "a.py: _Dead"]
+
+
+def test_all_names_exactly_the_public_imports():
+    """A removed export left in ``__all__``, or an import missing from it, fails."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+    import folkmotif
+
+    assert sorted(folkmotif.__all__) == sorted(imported)
+    namespace: dict = {}
+    exec("from folkmotif import *", namespace)
+    assert set(folkmotif.__all__) <= set(namespace)

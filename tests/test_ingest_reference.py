@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from folkmotif.kern import ParseError, _note_or_rest, parse_kern
 from folkmotif.melody import Melody, MeterChange, NoteEvent
-from folkmotif.tokens import RhythmToken, beat_unit, render_rhythm, tokenize_melody
+from folkmotif.tokens import beat_unit, format_duration, render_rhythm, tokenize_melody
 
 # ---- reference implementation, verbatim ----
 
@@ -168,14 +168,16 @@ def reference_validate(self: Melody) -> None:
         prev = ev
 
 
-def rhythm_token(event: NoteEvent, meter: tuple[int, int]) -> RhythmToken:
-    on_beat = (event.onset % beat_unit(meter)) == 0
-    return RhythmToken(is_note=event.pitch is not None, is_downbeat=on_beat, duration=event.duration)
+def rhythm_token(event: NoteEvent, meter: tuple[int, int]) -> str:
+    is_note = event.pitch is not None
+    is_downbeat = (event.onset % beat_unit(meter)) == 0
+    duration = event.duration
+    return f"{int(is_note)}-{int(is_downbeat)}-{format_duration(duration)}"
 
 
 def reference_rhythmic_tokens(melody: Melody) -> list[str]:
     return [
-        rhythm_token(e, melody.meter_at(e.measure)).render() for e in melody.events
+        rhythm_token(e, melody.meter_at(e.measure)) for e in melody.events
     ]
 
 

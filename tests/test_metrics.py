@@ -51,6 +51,11 @@ def test_split_rejects_tiny_class():
         split_dataset(corpus(a=5, b=1), ratio=0.75, seed=0)
 
 
+def test_split_refuses_a_class_with_no_training_song():
+    with pytest.raises(ValueError, match="^class 'a' gets no training song at ratio 0.1$"):
+        split_dataset(corpus(a=2, b=20), ratio=0.1, seed=0)
+
+
 def test_split_rejects_bad_ratio():
     with pytest.raises(ValueError, match="ratio"):
         split_dataset(corpus(a=2, b=2), ratio=1.0, seed=0)
@@ -69,6 +74,12 @@ def test_split_rejects_bad_ratio():
 def test_split_partition_and_stratification(sizes, ratio, seed):
     """Train and test are disjoint, cover everything, and split per class."""
     items = corpus(**sizes)
+    starved = [label for label, n in sorted(sizes.items())
+               if int(np.floor(n * (1 - ratio) + 0.5)) == n]
+    if starved:
+        with pytest.raises(ValueError, match=f"^class {starved[0]!r} gets no training song"):
+            split_dataset(items, ratio=ratio, seed=seed)
+        return
     train, test = split_dataset(items, ratio=ratio, seed=seed)
     train_ids = {i.id for i in train}
     test_ids = {i.id for i in test}

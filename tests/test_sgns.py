@@ -438,8 +438,9 @@ def test_read_embeddings_rejects_wrong_row_count():
         ("2 2\na 1 2\n\nb 1 x\n", "line 4: vector values must be numbers"),
         ("1 2\n\na nan 2\n", "line 3: vector values must be finite"),
         ("1 2\na 1 -inf\n", "line 2: vector values must be finite"),
+        ("2 1\na 1.0\na 2.0\n", "line 3: duplicate token 'a'"),
     ],
-    ids=["short-row-after-blanks", "not-a-number", "nan", "inf"],
+    ids=["short-row-after-blanks", "not-a-number", "nan", "inf", "duplicate"],
 )
 def test_read_embeddings_names_the_file_line_of_a_bad_row(text, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):

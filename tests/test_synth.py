@@ -2,7 +2,7 @@ import pytest
 
 from folkmotif.melody import write_jsonl
 from folkmotif.synth import HIGH, LOW, SynthConfig, generate_corpus, motif_class
-from folkmotif.tokens import IntervalToken, tokenize_melody
+from folkmotif.tokens import interval_size, tokenize_melody
 
 SMALL = SynthConfig(songs_per_class=5, min_length=10, max_length=14, seed=0)
 
@@ -29,7 +29,7 @@ def test_steps_come_from_inventory_or_noise():
     }
     for melody in generate_corpus(config):
         for token in tokenize_melody(melody, "intervallic"):
-            assert IntervalToken.parse(token).size in allowed[melody.label]
+            assert interval_size(token) in allowed[melody.label]
 
 
 def test_generation_is_byte_deterministic():
