@@ -19,6 +19,13 @@ annotation rows. ``backward`` takes a whole mini-batch; ``predict`` and
 ``forward_loss`` pass a batch of one. The GRU gates use the logistic
 function in its tanh form.
 
+The precision is mixed, as in mixed-precision training (Micikevicius et al.
+2018, arXiv:1710.03740): the two GRU scans and their gradients run in
+float32, the dtype of the GRU arrays, and each song's annotations are cast to
+float64 before attention, so attention, the output layer, both softmaxes and
+the loss run in float64. The scans take their dtype from the GRU arrays, so
+the same code runs wholly in float64 when those arrays are float64.
+
 All gradients are derived by hand and verified against central finite
 differences in the test suite; no autodiff is involved.
 """
@@ -138,6 +145,9 @@ def zero_gradients(params: ModelParams) -> ModelParams:
     return grads
 
 
+_GRU_DTYPE = np.float32  # the GRU arrays; every other array is float64
+
+
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
@@ -146,7 +156,11 @@ def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def init_model(
     dim: int, labels: Sequence[str], hidden: int = 200, attention_dim: int = 100, seed: int = 0
 ) -> AttentionModel:
-    """Xavier-uniform matrices, zero biases; draw order is fixed for determinism."""
+    """Xavier-uniform matrices, zero biases; draw order is fixed for determinism.
+
+    Every array is drawn in float64, so the random stream does not depend on
+    the precision, and the GRU arrays are then rounded to float32 once.
+    """
     if len(labels) < 2:
         raise ValueError("need at least 2 classes")
     rng = np.random.default_rng(seed)
@@ -155,7 +169,8 @@ def init_model(
     def direction():
         # per gate z, r, h: its input block, then its recurrent block
         blocks = [_xavier(rng, h, cols) for cols in (dim, h) * 3]
-        return GruDirection(np.vstack(blocks[0::2]), np.vstack(blocks[1::2]), np.zeros(3 * h))
+        w, u = np.vstack(blocks[0::2]), np.vstack(blocks[1::2])
+        return GruDirection(w.astype(_GRU_DTYPE), u.astype(_GRU_DTYPE), np.zeros(3 * h, _GRU_DTYPE))
 
     params = ModelParams(
         gru_fwd=direction(),
@@ -210,10 +225,10 @@ def _scan(xs: np.ndarray, sizes: Sequence[int], p: GruDirection) -> _ScanCache:
     # are one matmul over every packed row.
     xa = xs @ p.w.T + p.b
     u_zr, u_h = p.u[: 2 * H].T, p.u[2 * H :].T
-    zr = np.empty((N, 2 * H))
-    h_cand = np.empty((N, H))
-    h_prev = np.zeros((N, H))
-    hs = np.empty((N, H))
+    zr = np.empty((N, 2 * H), xs.dtype)
+    h_cand = np.empty((N, H), xs.dtype)
+    h_prev = np.zeros((N, H), xs.dtype)
+    hs = np.empty((N, H), xs.dtype)
     start = 0
     for n, n_next in zip(sizes, [*sizes[1:], 0]):
         rows = slice(start, start + n)
@@ -240,10 +255,10 @@ def _scan_grad(
     """
     N, H = dh_seq.shape
     u_zr, u_h = p.u[: 2 * H], p.u[2 * H :]
-    da = np.empty((N, 3 * H))  # gate pre-activation gradients, blocks [z; r; h]
+    da = np.empty((N, 3 * H), dh_seq.dtype)  # gate pre-activation gradients, blocks [z; r; h]
     # Row k carries the state gradient of the song of rank k. Steps run from
     # the last, so a song's row is still zero when its own last step comes.
-    carry = np.zeros((sizes[0], H))
+    carry = np.zeros((sizes[0], H), dh_seq.dtype)
     start = N
     for n in reversed(sizes):
         start -= n
@@ -281,10 +296,11 @@ class _BatchCache:
 
 
 def _encode(xs: Sequence[np.ndarray], params: ModelParams) -> _BatchCache:
-    """The one forward pass: both GRU scans over the packed batch, then
-    attention and the output layer on each song's annotation rows."""
+    """The one forward pass: both GRU scans over the packed batch in the GRU
+    arrays' dtype, then attention and the output layer in float64 on each
+    song's annotation rows."""
     sizes, rows = _pack([len(x) for x in xs])
-    fwd_in = np.empty((sum(sizes), xs[0].shape[1]))
+    fwd_in = np.empty((sum(sizes), xs[0].shape[1]), params.gru_fwd.w.dtype)
     bwd_in = np.empty_like(fwd_in)
     for x, song_rows in zip(xs, rows):
         fwd_in[song_rows] = x
@@ -294,7 +310,9 @@ def _encode(xs: Sequence[np.ndarray], params: ModelParams) -> _BatchCache:
     songs = []
     for song_rows in rows:
         # The backward scan reaches position j of a T-row song at its step T-1-j.
-        annotations = np.concatenate([fwd.hs[song_rows], bwd.hs[song_rows[::-1]]], axis=1)
+        annotations = np.concatenate(
+            [fwd.hs[song_rows], bwd.hs[song_rows[::-1]]], axis=1, dtype=np.float64
+        )
         q = np.tanh(annotations @ params.attn.w.T + params.attn.b)
         alpha = _softmax(q @ params.attn.u)
         context = alpha @ annotations
@@ -335,7 +353,8 @@ def backward(examples: Sequence[SongExample], params: ModelParams, grads: ModelP
     """
     cache = _encode([ex.x for ex in examples], params)
     H = params.gru_fwd.u.shape[1]
-    d_fwd = np.empty((sum(cache.sizes), H))  # loss gradient w.r.t. each packed state
+    # the loss gradient w.r.t. each packed state, in the scans' dtype
+    d_fwd = np.empty((sum(cache.sizes), H), params.gru_fwd.w.dtype)
     d_bwd = np.empty_like(d_fwd)
     loss = 0.0
     for ex, song, song_rows in zip(examples, cache.songs, cache.rows):
@@ -361,9 +380,15 @@ def backward(examples: Sequence[SongExample], params: ModelParams, grads: ModelP
     return loss
 
 
+def _squared_norm(g: np.ndarray) -> float:
+    """The squared norm in float64: a finite float32 entry above ~1.8e19
+    would square to inf in float32."""
+    return float(np.square(g, dtype=np.float64).sum())
+
+
 def _sgd_step(params: ModelParams, grads: ModelParams, lr: float, clip_norm: float) -> float:
     """Take one clipped step; return the gradient norm before clipping."""
-    norm = np.sqrt(sum(float((g * g).sum()) for _, g in _param_arrays(grads)))
+    norm = float(np.sqrt(sum(_squared_norm(g) for _, g in _param_arrays(grads))))
     scale = clip_norm / norm if norm > clip_norm else 1.0
     for (_, p), (_, g) in zip(_param_arrays(params), _param_arrays(grads)):
         p -= lr * scale * g
@@ -443,7 +468,7 @@ def train_classifier(
                     g /= len(batch)
                 norm = _sgd_step(model.params, grads, config.lr, config.clip_norm)
             if not np.isfinite(norm):
-                name = next(n for n, g in _param_arrays(grads) if not np.isfinite((g * g).sum()))
+                name = next(n for n, g in _param_arrays(grads) if not np.isfinite(_squared_norm(g)))
                 raise TrainingDiverged(
                     f"epoch {epoch}, step {step}: the gradient of {name} is not finite; "
                     "lower the learning rate"
@@ -498,12 +523,18 @@ def vocab_digest(vocab: Vocabulary) -> str:
     return hashlib.sha256(write_vocab(vocab).encode("utf-8")).hexdigest()
 
 
-CHECKPOINT_FORMAT = 3  # one base64 line per parameter array
+CHECKPOINT_FORMAT = 4  # one base64 line per parameter array, at init_model's dtype
+
+
+def _checkpoint_dtype(name: str) -> np.dtype:
+    """Parameter array name's dtype in a checkpoint, the one init_model gives it."""
+    return np.dtype(_GRU_DTYPE if name.startswith("gru_") else np.float64).newbyteorder("<")
 
 
 def save_model(model: AttentionModel, vocab_hash: str = "") -> str:
     """Checkpoint: one JSON config line, then one line per parameter array,
-    ``<name> <base64 of its little-endian float64 bytes>``, in a fixed order."""
+    ``<name> <base64 of its little-endian bytes>``, in a fixed order. The GRU
+    arrays are stored as float32 and the rest as float64."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "labels": model.labels,
@@ -514,12 +545,14 @@ def save_model(model: AttentionModel, vocab_hash: str = "") -> str:
     }
     lines = [json.dumps(meta, sort_keys=True)]
     for name, arr in _param_arrays(model.params):
-        lines.append(f"{name} {base64.b64encode(arr.astype('<f8').tobytes()).decode('ascii')}")
+        raw = arr.astype(_checkpoint_dtype(name)).tobytes()
+        lines.append(f"{name} {base64.b64encode(raw).decode('ascii')}")
     return "\n".join(lines) + "\n"
 
 
 def load_model(text: str) -> tuple[AttentionModel, dict]:
-    """Inverse of save_model; the arrays must come in save_model's order."""
+    """Inverse of save_model; the arrays must come in save_model's order, and
+    each is read at the dtype of the array init_model builds for it."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty model file")
@@ -552,7 +585,7 @@ def load_model(text: str) -> tuple[AttentionModel, dict]:
             raise ValueError(f"parameter {name} is not base64: {exc}") from None
         if len(raw) != arr.nbytes:
             raise ValueError(f"parameter {name} has {len(raw)} bytes, expected {arr.nbytes}")
-        arr[...] = np.frombuffer(raw, "<f8").reshape(arr.shape)
+        arr[...] = np.frombuffer(raw, arr.dtype.newbyteorder("<")).reshape(arr.shape)
     if len(lines) - 1 < len(arrays):
         raise ValueError(f"checkpoint is missing parameter {arrays[len(lines) - 1][0]}")
     if len(lines) - 1 > len(arrays):

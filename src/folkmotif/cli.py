@@ -214,9 +214,14 @@ def _cmd_evaluate(args) -> None:
             raise ValueError(f"{args.predictions} needs a CSV header with gold,predicted columns")
         rows = []
         for row in reader:
+            # DictReader fills a short row's missing fields with None and files
+            # a long row's extra fields under the key None.
             if row["gold"] is None or row["predicted"] is None:
                 raise ValueError(f"{args.predictions} line {reader.line_num}: "
                                  "expected id,gold,predicted")
+            if None in row:
+                raise ValueError(f"{args.predictions} line {reader.line_num}: "
+                                 "more fields than the header")
             rows.append(row)
     if not rows:
         raise ValueError(f"{args.predictions} has no prediction rows")

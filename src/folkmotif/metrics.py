@@ -20,6 +20,8 @@ def split_dataset(
     rounded half-up and the remainder goes to train, so a 75% split of the
     4923-song two-class corpus yields exactly 3692/1231. A class whose
     rounded test share takes every song is refused: no model could learn it.
+    So is a class whose test share rounds to 0: its recall could not be
+    measured, and would read as 0.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
@@ -39,6 +41,8 @@ def split_dataset(
         n_test = int(np.floor(len(members) * (1.0 - ratio) + 0.5))
         if n_test == len(members):
             raise ValueError(f"class {label!r} gets no training song at ratio {ratio}")
+        if n_test == 0:
+            raise ValueError(f"class {label!r} gets no test song at ratio {ratio}")
         test_idx.extend(members[i] for i in order[:n_test])
         train_idx.extend(members[i] for i in order[n_test:])
     return [items[i] for i in train_idx], [items[i] for i in test_idx]

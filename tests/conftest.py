@@ -39,6 +39,18 @@ def assert_gradients_close(analytic, numeric, rtol=1e-4, what="gradient"):
     assert err < rtol, f"{what}: relative error {err:.3e} exceeds {rtol:.0e}"
 
 
+def at_float64(params):
+    """params, changed in place so that its GRU arrays are float64 like the
+    rest. The shipped code path then runs wholly in float64, which is the
+    precision that finite differences and exact-agreement checks need; the
+    model init_model builds runs its GRU scans in float32."""
+    for direction in (params.gru_fwd, params.gru_bwd):
+        direction.w, direction.u, direction.b = (
+            arr.astype(np.float64) for arr in (direction.w, direction.u, direction.b)
+        )
+    return params
+
+
 def assert_batch_gradient_matches_finite_differences(params, batch):
     """backward's gradient of a mini-batch's summed loss, for every parameter
     array, against central differences of the songs' single-song losses."""

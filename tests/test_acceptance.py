@@ -17,6 +17,7 @@ import pytest
 from conftest import (
     assert_batch_gradient_matches_finite_differences,
     assert_gradients_close,
+    at_float64,
     central_difference,
 )
 
@@ -133,7 +134,8 @@ def test_criterion_4_gradient_suite_matches_finite_differences():
         model = init_model(dim=3, labels=["a", "b"], hidden=4, attention_dim=3, seed=seed)
         x = rng.normal(size=(5, 3))
         label = int(seed % 2)
-        assert_batch_gradient_matches_finite_differences(model.params, [SongExample(x, label)])
+        params = at_float64(model.params)
+        assert_batch_gradient_matches_finite_differences(params, [SongExample(x, label)])
 
     # Hinge objective away from the kink.
     for seed in (21, 22, 23):

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_batch_gradient_matches_finite_differences, relative_error
+from conftest import (
+    assert_batch_gradient_matches_finite_differences,
+    at_float64,
+    relative_error,
+)
 
 from folkmotif.attention import (
     AttentionParams,
@@ -48,9 +52,15 @@ def zero_direction(h, d):
     return GruDirection(w=np.zeros((3 * h, d)), u=np.zeros((3 * h, h)), b=np.zeros(3 * h))
 
 
-def randomized_model(seed, dim=3, hidden=4, attention_dim=3, labels=("a", "b")):
-    """A generic parameter point: Xavier matrices plus noise on everything."""
+def randomized_model(seed, dim=3, hidden=4, attention_dim=3, labels=("a", "b"), float64=True):
+    """A generic parameter point: Xavier matrices plus noise on everything.
+
+    Every array is float64 unless float64 is False, which keeps the dtypes
+    that init_model gives (float32 GRU arrays).
+    """
     model = init_model(dim, list(labels), hidden=hidden, attention_dim=attention_dim, seed=seed)
+    if float64:
+        at_float64(model.params)
     rng = np.random.default_rng(seed + 1000)
     for _, arr in _param_arrays(model.params):
         arr += rng.normal(scale=0.1, size=arr.shape)
@@ -293,6 +303,29 @@ def test_mixed_length_batch_gradient_matches_finite_differences():
     assert_batch_gradient_matches_finite_differences(model.params, batch)
 
 
+def test_float32_scans_agree_with_float64_scans():
+    """The shipped model runs its GRU scans in float32. At one randomized
+    point and its float64 copy, the gradients agree within 1e-4 relative, and
+    the class probabilities and attention weights within 1e-5 (about 170
+    float32 roundings). At this point they differ by 2.9e-7 and 3.1e-8."""
+    model = randomized_model(4, dim=3, hidden=8, attention_dim=5, labels=("a", "b", "c"),
+                             float64=False)
+    params64 = at_float64(copy.deepcopy(model.params))
+    batch = batch_of((5, 2, 7, 1, 3))
+    grads32, grads64 = zero_gradients(model.params), zero_gradients(params64)
+    loss32 = backward(batch, model.params, grads32)
+    loss64 = backward(batch, params64, grads64)
+    assert loss32 == pytest.approx(loss64, rel=1e-5)
+    for (name, a), (_, b) in zip(_param_arrays(grads32), _param_arrays(grads64)):
+        assert a.dtype == (np.float32 if name.startswith("gru_") else np.float64), name
+        assert relative_error(a, b) <= 1e-4, name
+    xs = [ex.x for ex in batch]
+    for song32, song64 in zip(_encode(xs, model.params).songs, _encode(xs, params64).songs):
+        assert song32.probs.dtype == song32.alpha.dtype == np.float64
+        assert relative_error(song32.probs, song64.probs) <= 1e-5
+        assert relative_error(song32.alpha, song64.alpha) <= 1e-5
+
+
 @pytest.mark.parametrize("clip_norm", [0.5, 1e6])
 def test_sgd_step_clips_the_update_norm(clip_norm):
     params = randomized_model(20).params
@@ -303,6 +336,20 @@ def test_sgd_step_clips_the_update_norm(clip_norm):
     _sgd_step(params, grads, lr=0.1, clip_norm=clip_norm)
     step = np.sqrt(sum(((b - a) ** 2).sum() for b, (_, a) in zip(before, _param_arrays(params))))
     assert step == pytest.approx(0.1 * min(clip_norm, g_norm), rel=1e-9)
+
+
+def test_sgd_step_clips_a_float32_gradient_whose_square_overflows():
+    # 1e20 is a finite float32, but its square is not: the norm is taken in float64.
+    params = randomized_model(20, float64=False).params
+    before = params.gru_fwd.w.copy()
+    grads = zero_gradients(params)
+    grads.gru_fwd.w[0, 0] = 1e20
+    with np.errstate(all="raise"):
+        norm = _sgd_step(params, grads, lr=0.1, clip_norm=5.0)
+    assert norm == pytest.approx(1e20, rel=1e-6)
+    step = before - params.gru_fwd.w
+    assert step[0, 0] == pytest.approx(0.1 * 5.0, rel=1e-6)
+    assert np.count_nonzero(step) == 1
 
 
 def test_energy_gradient_sums_to_zero():
@@ -481,15 +528,36 @@ def test_make_examples_rejects_unknown_class():
 
 def test_checkpoint_round_trip():
     vocab = Vocabulary(tokens=["t"], counts=np.array([1]))
-    model = randomized_model(11)
+    model = randomized_model(11, float64=False)
     text = save_model(model, vocab_digest(vocab))
     restored, meta = load_model(text)
     assert restored.labels == model.labels
     assert meta["vocab_sha256"] == vocab_digest(vocab)
-    for (_, a), (_, b) in zip(_param_arrays(model.params), _param_arrays(restored.params)):
-        assert np.array_equal(a, b)
+    for (name, a), (_, b) in zip(_param_arrays(model.params), _param_arrays(restored.params)):
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
     x = np.random.default_rng(12).normal(size=(6, 3))
     np.testing.assert_array_equal(predict(model, x)[1], predict(restored, x)[1])
+
+
+def _dtypes(params):
+    return {name: arr.dtype for name, arr in _param_arrays(params)}
+
+
+def test_gru_arrays_are_float32_and_the_rest_float64():
+    model = init_model(3, ["a", "b"], hidden=4, attention_dim=3)
+    split = {
+        name: np.float32 if name.startswith("gru_") else np.float64
+        for name, _ in _param_arrays(model.params)
+    }
+    assert list(split.values()).count(np.float32) == 6  # w, u and b of each direction
+    assert _dtypes(model.params) == split
+    emb = _toy_embeddings()
+    examples = make_examples(_separable_songs(per_class=4), emb, ["alpha", "beta"])
+    config = ClassifierConfig(hidden=4, attention_dim=3, epochs=2, val_fraction=0.25)
+    trained = train_classifier(examples, ["alpha", "beta"], config)
+    assert _dtypes(trained.params) == split
+    assert _dtypes(load_model(save_model(trained))[0].params) == split
 
 
 def test_checkpoint_is_ascii_and_resaves_byte_for_byte():
@@ -543,7 +611,7 @@ def _swap_lines(text, a, b):
     "corrupt,message",
     [
         (lambda t: _cut_inside(t, "gru_bwd.u"), r"^parameter gru_bwd\.u is not base64"),
-        (lambda t: _with_meta(t, dim=4), r"^parameter gru_fwd\.w has 288 bytes, expected 384$"),
+        (lambda t: _with_meta(t, dim=4), r"^parameter gru_fwd\.w has 144 bytes, expected 192$"),
         (lambda t: _edit_line(t, "attn.u", _drop_last_float), r"^parameter attn\.u has 16 bytes, expected 24$"),
         (lambda t: _edit_line(t, "attn.u", lambda line: line.replace(" ", " !", 1)), r"^parameter attn\.u is not base64"),
         (lambda t: _swap_lines(t, "attn.w", "out.w"), r"^expected parameter attn\.w, found 'out\.w'$"),
@@ -558,7 +626,7 @@ def test_corrupt_checkpoint_error_names_the_parameter(corrupt, message):
         load_model(corrupt(text))
 
 
-@pytest.mark.parametrize("fmt", [1, 2, None])
+@pytest.mark.parametrize("fmt", [1, 2, 3, None])
 def test_checkpoint_of_another_format_is_refused(fmt):
     meta, rest = save_model(randomized_model(14)).split("\n", 1)
     meta = json.loads(meta)
@@ -573,20 +641,20 @@ def test_checkpoint_of_another_format_is_refused(fmt):
     "meta_line,message",
     [
         ("[]", "meta line must be a JSON object"),
-        ('{"format": 3}', "no 'dim' key"),
-        ('{"format": 3, "dim": 1.5, "labels": ["a", "b"], "hidden": 2, "attention_dim": 2}',
+        ('{"format": 4}', "no 'dim' key"),
+        ('{"format": 4, "dim": 1.5, "labels": ["a", "b"], "hidden": 2, "attention_dim": 2}',
          "^checkpoint meta 'dim' must be a positive integer: 1.5$"),
-        ('{"format": 3, "dim": 2, "labels": ["a", "b"], "hidden": 0, "attention_dim": 2}',
+        ('{"format": 4, "dim": 2, "labels": ["a", "b"], "hidden": 0, "attention_dim": 2}',
          "^checkpoint meta 'hidden' must be a positive integer: 0$"),
-        ('{"format": 3, "dim": 2, "labels": ["a", "b"], "hidden": -3, "attention_dim": 2}',
+        ('{"format": 4, "dim": 2, "labels": ["a", "b"], "hidden": -3, "attention_dim": 2}',
          "^checkpoint meta 'hidden' must be a positive integer: -3$"),
-        ('{"format": 3, "dim": 2, "labels": ["a", "b"], "hidden": 2, "attention_dim": true}',
+        ('{"format": 4, "dim": 2, "labels": ["a", "b"], "hidden": 2, "attention_dim": true}',
          "^checkpoint meta 'attention_dim' must be a positive integer: True$"),
-        ('{"format": 3, "dim": 2, "labels": "ab", "hidden": 2, "attention_dim": 2}',
+        ('{"format": 4, "dim": 2, "labels": "ab", "hidden": 2, "attention_dim": 2}',
          "^checkpoint meta 'labels' must be 2 or more distinct strings: 'ab'$"),
-        ('{"format": 3, "dim": 2, "labels": ["x", "x"], "hidden": 2, "attention_dim": 2}',
+        ('{"format": 4, "dim": 2, "labels": ["x", "x"], "hidden": 2, "attention_dim": 2}',
          r"^checkpoint meta 'labels' must be 2 or more distinct strings: \['x', 'x'\]$"),
-        ('{"format": 3, "dim": 2, "labels": [1, 2], "hidden": 2, "attention_dim": 2}',
+        ('{"format": 4, "dim": 2, "labels": [1, 2], "hidden": 2, "attention_dim": 2}',
          r"^checkpoint meta 'labels' must be 2 or more distinct strings: \[1, 2\]$"),
     ],
     ids=["not-an-object", "missing-key", "float-dim", "zero-hidden", "negative-hidden",

@@ -311,8 +311,9 @@ def test_evaluate_rejects_headerless_csv(tmp_path, capsys):
         ("id,gold,predicted\na,x\nb,x,x\n", "line 2: expected id,gold,predicted"),
         ("id,gold,predicted\na\n", "line 2: expected id,gold,predicted"),
         ("id,gold,predicted\n", "has no prediction rows"),
+        ("id,gold,predicted\na,x,x,extra\nb,y,y\n", "line 2: more fields than the header"),
     ],
-    ids=["no-predicted", "no-gold", "header-only"],
+    ids=["no-predicted", "no-gold", "header-only", "extra-field"],
 )
 def test_evaluate_refuses_a_csv_without_complete_rows(tmp_path, capsys, text, message):
     preds = tmp_path / "preds.csv"

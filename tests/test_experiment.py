@@ -158,11 +158,15 @@ def test_rerun_is_byte_identical(tmp_path, model):
 # Sum and norm over all the arrays parsed back from each artifact, plus the
 # test predictions, recorded with one skip-gram step per center. Values are
 # compared with a tolerance, not as bytes, so BLAS differences between
-# machines do not break the pin.
+# machines do not break the pin. The sums run in float64, so the float32 GRU
+# arrays of model.txt add no rounding of their own.
 EMBEDDINGS_DIGEST = [2.0345592261477554, 0.8251602791936926]
 GOLDEN = {
     "attention": (
-        {"embeddings.txt": EMBEDDINGS_DIGEST, "model.txt": [19.043120572191974, 9.357270923337023]},
+        {
+            "embeddings.txt": EMBEDDINGS_DIGEST,
+            "model.txt": [19.043120856388736, 9.357270934645056],
+        },
         ["alpha"] + ["beta"] * 5,
     ),
     "average": (
@@ -198,7 +202,10 @@ def test_artifacts_match_golden_digest(tmp_path, model):
         arrays["svm.txt"] = [svm.weights, svm.biases]
         arrays["song_vectors.txt"] = [read_embeddings(text["song_vectors.txt"])[1]]
     digest = {
-        name: [sum(a.sum() for a in arrs), np.sqrt(sum((a * a).sum() for a in arrs))]
+        name: [
+            sum(a.sum(dtype=np.float64) for a in arrs),
+            np.sqrt(sum(np.square(a, dtype=np.float64).sum() for a in arrs)),
+        ]
         for name, arrs in arrays.items()
     }
     expected_digest, expected_predictions = GOLDEN[model]

@@ -56,6 +56,11 @@ def test_split_refuses_a_class_with_no_training_song():
         split_dataset(corpus(a=2, b=20), ratio=0.1, seed=0)
 
 
+def test_split_refuses_a_class_with_no_test_song():
+    with pytest.raises(ValueError, match="^class 'a' gets no test song at ratio 0.9$"):
+        split_dataset(corpus(a=2, b=20), ratio=0.9, seed=0)
+
+
 def test_split_rejects_bad_ratio():
     with pytest.raises(ValueError, match="ratio"):
         split_dataset(corpus(a=2, b=2), ratio=1.0, seed=0)
@@ -74,10 +79,12 @@ def test_split_rejects_bad_ratio():
 def test_split_partition_and_stratification(sizes, ratio, seed):
     """Train and test are disjoint, cover everything, and split per class."""
     items = corpus(**sizes)
-    starved = [label for label, n in sorted(sizes.items())
-               if int(np.floor(n * (1 - ratio) + 0.5)) == n]
+    test_share = {label: int(np.floor(n * (1 - ratio) + 0.5)) for label, n in sizes.items()}
+    starved = [(label, "training" if test_share[label] == n else "test")
+               for label, n in sorted(sizes.items()) if test_share[label] in (0, n)]
     if starved:
-        with pytest.raises(ValueError, match=f"^class {starved[0]!r} gets no training song"):
+        label, side = starved[0]
+        with pytest.raises(ValueError, match=f"^class {label!r} gets no {side} song"):
             split_dataset(items, ratio=ratio, seed=seed)
         return
     train, test = split_dataset(items, ratio=ratio, seed=seed)
@@ -86,8 +93,7 @@ def test_split_partition_and_stratification(sizes, ratio, seed):
     assert train_ids.isdisjoint(test_ids)
     assert len(train_ids | test_ids) == len(items)
     for label, n in sizes.items():
-        expected_test = int(np.floor(n * (1 - ratio) + 0.5))
-        assert sum(1 for i in test if i.label == label) == expected_test
+        assert sum(1 for i in test if i.label == label) == test_share[label]
 
 
 def test_confusion_arithmetic():
