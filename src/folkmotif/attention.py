@@ -19,6 +19,12 @@ annotation rows. ``backward`` takes a whole mini-batch; ``predict`` and
 ``forward_loss`` pass a batch of one. The GRU gates use the logistic
 function in its tanh form.
 
+Each GRU direction stores its weights in the orientation the scan multiplies
+by, ``x @ W`` and ``state @ U``, as C-contiguous d x 3H and H x 3H matrices
+with the gates in column blocks (the layout of Keras's kernel and
+recurrent_kernel), so no step multiplies by a transposed view. The state a
+step starts from is a view of the previous step's first rows.
+
 The precision is mixed, as in mixed-precision training (Micikevicius et al.
 2018, arXiv:1710.03740): the two GRU scans and their gradients run in
 float32, the dtype of the GRU arrays, and each song's annotations are cast to
@@ -39,6 +45,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -52,11 +59,12 @@ from .vocab import Vocabulary, write_vocab
 @dataclass
 class GruDirection:
     """One scan direction with its update (z), reset (r) and candidate (h)
-    gates fused: rows come in gate blocks [z; r; h]. The h block of u
-    multiplies r * state, as in Cho et al. 2014."""
+    gates fused: columns come in gate blocks [z | r | h], the orientation the
+    scan multiplies by (x @ w, state @ u), and both matrices are C-contiguous.
+    The h block of u multiplies r * state, as in Cho et al. 2014."""
 
-    w: np.ndarray  # 3H x d
-    u: np.ndarray  # 3H x H
+    w: np.ndarray  # d x 3H
+    u: np.ndarray  # H x 3H
     b: np.ndarray  # 3H
 
 
@@ -90,11 +98,11 @@ class AttentionModel:
 
     @property
     def dim(self) -> int:
-        return self.params.gru_fwd.w.shape[1]
+        return self.params.gru_fwd.w.shape[0]
 
     @property
     def hidden(self) -> int:
-        return self.params.gru_fwd.u.shape[1]
+        return self.params.gru_fwd.u.shape[0]
 
     @property
     def attention_dim(self) -> int:
@@ -159,7 +167,8 @@ def init_model(
     """Xavier-uniform matrices, zero biases; draw order is fixed for determinism.
 
     Every array is drawn in float64, so the random stream does not depend on
-    the precision, and the GRU arrays are then rounded to float32 once.
+    the precision, and the GRU arrays are then rounded to float32 once. A GRU
+    gate's blocks are drawn H x d and H x H and stored transposed.
     """
     if len(labels) < 2:
         raise ValueError("need at least 2 classes")
@@ -169,8 +178,8 @@ def init_model(
     def direction():
         # per gate z, r, h: its input block, then its recurrent block
         blocks = [_xavier(rng, h, cols) for cols in (dim, h) * 3]
-        w, u = np.vstack(blocks[0::2]), np.vstack(blocks[1::2])
-        return GruDirection(w.astype(_GRU_DTYPE), u.astype(_GRU_DTYPE), np.zeros(3 * h, _GRU_DTYPE))
+        w, u = (np.vstack(blocks[k::2]).T.astype(_GRU_DTYPE, order="C") for k in (0, 1))
+        return GruDirection(w, u, np.zeros(3 * h, _GRU_DTYPE))
 
     params = ModelParams(
         gru_fwd=direction(),
@@ -215,32 +224,31 @@ class _ScanCache:
     xs: np.ndarray  # N x d: the packed input
     zr: np.ndarray  # N x 2H: update and reset gates
     h_cand: np.ndarray  # N x H
-    h_prev: np.ndarray  # N x H: the state each step starts from, zero at step 0
     hs: np.ndarray  # N x H: the state each step emits
 
 
 def _scan(xs: np.ndarray, sizes: Sequence[int], p: GruDirection) -> _ScanCache:
-    N, H = xs.shape[0], p.u.shape[1]
+    N, H = xs.shape[0], p.u.shape[0]
     # The input projections do not depend on the recurrent state, so they
     # are one matmul over every packed row.
-    xa = xs @ p.w.T + p.b
-    u_zr, u_h = p.u[: 2 * H].T, p.u[2 * H :].T
+    xa = xs @ p.w + p.b
+    u_zr, u_h = p.u[:, : 2 * H], p.u[:, 2 * H :]
     zr = np.empty((N, 2 * H), xs.dtype)
     h_cand = np.empty((N, H), xs.dtype)
-    h_prev = np.zeros((N, H), xs.dtype)
     hs = np.empty((N, H), xs.dtype)
+    state = np.zeros((sizes[0], H), xs.dtype)
     start = 0
-    for n, n_next in zip(sizes, [*sizes[1:], 0]):
+    for n in sizes:
         rows = slice(start, start + n)
-        state = h_prev[rows]
+        # The songs still running are the previous step's first n rows.
+        state = state[:n]
         zr[rows] = _gate_sigmoid(xa[rows, : 2 * H] + state @ u_zr)
         z, r = zr[rows, :H], zr[rows, H:]
         h_cand[rows] = np.tanh(xa[rows, 2 * H :] + (r * state) @ u_h)
-        hs[rows] = (1.0 - z) * state + z * h_cand[rows]
-        # The songs still running at the next step are this step's first rows.
-        h_prev[start + n : start + n + n_next] = hs[start : start + n_next]
+        hs[rows] = state + z * (h_cand[rows] - state)
+        state = hs[rows]
         start += n
-    return _ScanCache(xs=xs, zr=zr, h_cand=h_cand, h_prev=h_prev, hs=hs)
+    return _ScanCache(xs=xs, zr=zr, h_cand=h_cand, hs=hs)
 
 
 def _scan_grad(
@@ -254,8 +262,15 @@ def _scan_grad(
     rows at once, as the forward input projection is.
     """
     N, H = dh_seq.shape
-    u_zr, u_h = p.u[: 2 * H], p.u[2 * H :]
-    da = np.empty((N, 3 * H), dh_seq.dtype)  # gate pre-activation gradients, blocks [z; r; h]
+    # Both per-step products read u by gate rows, so they take one C-ordered
+    # copy of its transpose.
+    u_rows = np.ascontiguousarray(p.u.T)
+    u_zr, u_h = u_rows[: 2 * H], u_rows[2 * H :]
+    # The state each packed row starts from: a row of step t > 0 follows the
+    # row of the same rank at step t - 1, n_{t-1} rows back; step 0 starts at 0.
+    h_prev = cache.hs[np.arange(N) - np.repeat([0, *sizes[:-1]], sizes)]
+    h_prev[: sizes[0]] = 0.0
+    da = np.empty((N, 3 * H), dh_seq.dtype)  # gate pre-activation gradients, columns [z | r | h]
     # Row k carries the state gradient of the song of rank k. Steps run from
     # the last, so a song's row is still zero when its own last step comes.
     carry = np.zeros((sizes[0], H), dh_seq.dtype)
@@ -265,15 +280,15 @@ def _scan_grad(
         rows = slice(start, start + n)
         dh = dh_seq[rows] + carry[:n]
         z, r = cache.zr[rows, :H], cache.zr[rows, H:]
-        hc, hp = cache.h_cand[rows], cache.h_prev[rows]
+        hc, hp = cache.h_cand[rows], h_prev[rows]
         da[rows, :H] = dh * (hc - hp) * z * (1.0 - z)
         da[rows, 2 * H :] = (dh * z) * (1.0 - hc * hc)
         uh_dah = da[rows, 2 * H :] @ u_h
         da[rows, H : 2 * H] = (uh_dah * hp) * r * (1.0 - r)
         carry[:n] = dh * (1.0 - z) + da[rows, : 2 * H] @ u_zr + uh_dah * r
-    g.w += da.T @ cache.xs
-    g.u[: 2 * H] += da[:, : 2 * H].T @ cache.h_prev
-    g.u[2 * H :] += da[:, 2 * H :].T @ (cache.zr[:, H:] * cache.h_prev)
+    g.w += cache.xs.T @ da
+    g.u[:, : 2 * H] += h_prev.T @ da[:, : 2 * H]
+    g.u[:, 2 * H :] += (cache.zr[:, H:] * h_prev).T @ da[:, 2 * H :]
     g.b += da.sum(axis=0)
 
 
@@ -352,7 +367,7 @@ def backward(examples: Sequence[SongExample], params: ModelParams, grads: ModelP
     start at zero end up holding the gradient itself.
     """
     cache = _encode([ex.x for ex in examples], params)
-    H = params.gru_fwd.u.shape[1]
+    H = params.gru_fwd.u.shape[0]
     # the loss gradient w.r.t. each packed state, in the scans' dtype
     d_fwd = np.empty((sum(cache.sizes), H), params.gru_fwd.w.dtype)
     d_bwd = np.empty_like(d_fwd)
@@ -397,6 +412,8 @@ def _sgd_step(params: ModelParams, grads: ModelParams, lr: float, clip_norm: flo
 
 def _song_rows(song: TokenizedSong, embeddings: Embeddings, max_len: int):
     """A song's in-vocabulary motifs, cut to max_len, and their vectors as rows."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     kept = tuple(t for t in song.tokens if t in embeddings.vocab)[:max_len]
     if not kept:
         raise ValueError(f"untokenizable song {song.id!r}: no in-vocabulary motifs")
@@ -523,7 +540,7 @@ def vocab_digest(vocab: Vocabulary) -> str:
     return hashlib.sha256(write_vocab(vocab).encode("utf-8")).hexdigest()
 
 
-CHECKPOINT_FORMAT = 4  # one base64 line per parameter array, at init_model's dtype
+CHECKPOINT_FORMAT = 5  # one base64 line per parameter array, at init_model's dtype and shape
 
 
 def _checkpoint_dtype(name: str) -> np.dtype:
@@ -533,8 +550,9 @@ def _checkpoint_dtype(name: str) -> np.dtype:
 
 def save_model(model: AttentionModel, vocab_hash: str = "") -> str:
     """Checkpoint: one JSON config line, then one line per parameter array,
-    ``<name> <base64 of its little-endian bytes>``, in a fixed order. The GRU
-    arrays are stored as float32 and the rest as float64."""
+    ``<name> <base64 of its little-endian bytes>``, in a fixed order. Each
+    array is stored in C order as it sits in memory, the GRU matrices d x 3H
+    and H x 3H; the GRU arrays are float32 and the rest float64."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "labels": model.labels,
@@ -551,8 +569,12 @@ def save_model(model: AttentionModel, vocab_hash: str = "") -> str:
 
 
 def load_model(text: str) -> tuple[AttentionModel, dict]:
-    """Inverse of save_model; the arrays must come in save_model's order, and
-    each is read at the dtype of the array init_model builds for it."""
+    """Inverse of save_model; the arrays must come in save_model's order.
+
+    Each array is read at the shape the meta line implies and the dtype
+    init_model gives it, and each payload's length is checked before its
+    array is made, so a meta line alone allocates nothing.
+    """
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty model file")
@@ -573,9 +595,13 @@ def load_model(text: str) -> tuple[AttentionModel, dict]:
     for key in ("dim", "hidden", "attention_dim"):
         if type(args[key]) is not int or args[key] < 1:  # a bool is not an int here
             raise ValueError(f"checkpoint meta {key!r} must be a positive integer: {args[key]!r}")
-    model = init_model(**args)
-    arrays = list(_param_arrays(model.params))
-    for (name, arr), line in zip(arrays, lines[1:]):
+    d, h, a, L = args["dim"], args["hidden"], args["attention_dim"], len(labels)
+    payloads = iter(lines[1:])
+
+    def read(name: str, *shape: int) -> np.ndarray:
+        line = next(payloads, None)
+        if line is None:
+            raise ValueError(f"checkpoint is missing parameter {name}")
         found, _, payload = line.partition(" ")
         if found != name:
             raise ValueError(f"expected parameter {name}, found {found[:60]!r}")
@@ -583,11 +609,23 @@ def load_model(text: str) -> tuple[AttentionModel, dict]:
             raw = base64.b64decode(payload, validate=True)
         except ValueError as exc:
             raise ValueError(f"parameter {name} is not base64: {exc}") from None
-        if len(raw) != arr.nbytes:
-            raise ValueError(f"parameter {name} has {len(raw)} bytes, expected {arr.nbytes}")
-        arr[...] = np.frombuffer(raw, arr.dtype.newbyteorder("<")).reshape(arr.shape)
-    if len(lines) - 1 < len(arrays):
-        raise ValueError(f"checkpoint is missing parameter {arrays[len(lines) - 1][0]}")
-    if len(lines) - 1 > len(arrays):
-        raise ValueError(f"line {len(arrays) + 2}: unexpected content after the last parameter")
-    return model, meta
+        dtype = _checkpoint_dtype(name)
+        expected = math.prod(shape) * dtype.itemsize
+        if len(raw) != expected:
+            raise ValueError(f"parameter {name} has {len(raw)} bytes, expected {expected}")
+        return np.frombuffer(raw, dtype).reshape(shape).astype(dtype.newbyteorder("="))
+
+    def direction(prefix: str) -> GruDirection:
+        w, u = read(f"{prefix}.w", d, 3 * h), read(f"{prefix}.u", h, 3 * h)
+        return GruDirection(w=w, u=u, b=read(f"{prefix}.b", 3 * h))
+
+    params = ModelParams(
+        gru_fwd=direction("gru_fwd"),
+        gru_bwd=direction("gru_bwd"),
+        attn=AttentionParams(w=read("attn.w", a, 2 * h), b=read("attn.b", a), u=read("attn.u", a)),
+        out=OutputParams(w=read("out.w", L, 2 * h), b=read("out.b", L)),
+    )
+    count = len(list(_param_arrays(params)))
+    if len(lines) - 1 > count:
+        raise ValueError(f"line {count + 2}: unexpected content after the last parameter")
+    return AttentionModel(labels=list(labels), params=params), meta

@@ -2,6 +2,7 @@ import base64
 import copy
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from folkmotif.attention import (
     _energy_grad,
     _forward,
     _gate_sigmoid,
+    _xavier,
     _pack,
     _param_arrays,
     _sgd_step,
@@ -49,7 +51,7 @@ from folkmotif.vocab import Vocabulary
 
 
 def zero_direction(h, d):
-    return GruDirection(w=np.zeros((3 * h, d)), u=np.zeros((3 * h, h)), b=np.zeros(3 * h))
+    return GruDirection(w=np.zeros((d, 3 * h)), u=np.zeros((h, 3 * h)), b=np.zeros(3 * h))
 
 
 def randomized_model(seed, dim=3, hidden=4, attention_dim=3, labels=("a", "b"), float64=True):
@@ -68,10 +70,10 @@ def randomized_model(seed, dim=3, hidden=4, attention_dim=3, labels=("a", "b"), 
 
 
 def gate_blocks(p):
-    """Split a fused direction into (w, u, b) per gate, in its [z; r; h] row order."""
-    H = p.u.shape[1]
+    """Split a fused direction into (w, u, b) per gate, in its [z | r | h] column order."""
+    H = p.u.shape[0]
     gates = [slice(k * H, (k + 1) * H) for k in range(3)]
-    return [(p.w[g], p.u[g], p.b[g]) for g in gates]
+    return [(p.w[:, g], p.u[:, g], p.b[g]) for g in gates]
 
 
 def logistic(x):
@@ -81,14 +83,14 @@ def logistic(x):
 def gru_step(x, h_prev, p):
     """Reference GRU update from the definition: h = (1 - z) * h_prev + z * candidate."""
     (w_z, u_z, b_z), (w_r, u_r, b_r), (w_h, u_h, b_h) = gate_blocks(p)
-    z = logistic(w_z @ x + u_z @ h_prev + b_z)
-    r = logistic(w_r @ x + u_r @ h_prev + b_r)
-    h_cand = np.tanh(w_h @ x + u_h @ (r * h_prev) + b_h)
+    z = logistic(x @ w_z + h_prev @ u_z + b_z)
+    r = logistic(x @ w_r + h_prev @ u_r + b_r)
+    h_cand = np.tanh(x @ w_h + (r * h_prev) @ u_h + b_h)
     return (1.0 - z) * h_prev + z * h_cand
 
 
 def reference_scan(xs, p):
-    h = np.zeros(p.u.shape[1])
+    h = np.zeros(p.u.shape[0])
     states = []
     for x in xs:
         h = gru_step(x, h, p)
@@ -114,6 +116,19 @@ def test_gru_step_zero_parameters_halve_the_state():
 def test_gru_step_zero_state_is_a_fixed_point():
     p = zero_direction(2, 3)
     np.testing.assert_allclose(gru_step(np.ones(3), np.zeros(2), p), np.zeros(2))
+
+
+def test_init_model_stores_the_transposes_of_the_xavier_draws():
+    # The draws are those of gate blocks H x d and H x H, in init_model's
+    # order, so the random stream is the one of the row-major layout.
+    dim, h = 3, 4
+    model = init_model(dim, ["a", "b"], hidden=h, attention_dim=2, seed=5)
+    rng = np.random.default_rng(5)
+    for p in (model.params.gru_fwd, model.params.gru_bwd):
+        blocks = [_xavier(rng, h, cols) for cols in (dim, h) * 3]
+        np.testing.assert_array_equal(p.w, np.vstack(blocks[0::2]).T.astype(np.float32))
+        np.testing.assert_array_equal(p.u, np.vstack(blocks[1::2]).T.astype(np.float32))
+    np.testing.assert_array_equal(model.params.attn.w, _xavier(rng, 2, 2 * h))
 
 
 def test_bgru_annotations_match_definition():
@@ -504,6 +519,17 @@ def test_make_examples_truncates_long_songs():
     assert [m for m, _ in weighted] == ["a1"] * 7
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_max_len_below_one_is_refused(max_len):
+    emb = _toy_embeddings()
+    song = TokenizedSong(id="s", label="alpha", tokens=("a1", "a2", "a1"))
+    message = f"^max_len must be at least 1, got {max_len}$"
+    with pytest.raises(ValueError, match=message):
+        make_examples([song], emb, ["alpha", "beta"], max_len=max_len)
+    with pytest.raises(ValueError, match=message):
+        predict_song(randomized_model(3, dim=5), song, emb, max_len=max_len)
+
+
 def test_config_rejects_empty_max_len():
     with pytest.raises(ValueError, match="max_len"):
         ClassifierConfig(max_len=0)
@@ -558,6 +584,31 @@ def test_gru_arrays_are_float32_and_the_rest_float64():
     trained = train_classifier(examples, ["alpha", "beta"], config)
     assert _dtypes(trained.params) == split
     assert _dtypes(load_model(save_model(trained))[0].params) == split
+
+
+def _gru_layouts(params):
+    """Each GRU array's shape and whether it is C-contiguous."""
+    return {
+        name: (arr.shape, arr.flags.c_contiguous)
+        for name, arr in _param_arrays(params)
+        if name.startswith("gru_")
+    }
+
+
+def test_gru_matrices_are_stored_as_the_scan_multiplies_them():
+    dim, h = 5, 4
+    layout = {
+        f"{direction}.{name}": (shape, True)
+        for direction in ("gru_fwd", "gru_bwd")
+        for name, shape in (("w", (dim, 3 * h)), ("u", (h, 3 * h)), ("b", (3 * h,)))
+    }
+    model = init_model(dim, ["alpha", "beta"], hidden=h, attention_dim=3)
+    assert _gru_layouts(model.params) == layout
+    examples = make_examples(_separable_songs(per_class=4), _toy_embeddings(), ["alpha", "beta"])
+    config = ClassifierConfig(hidden=h, attention_dim=3, epochs=2, val_fraction=0.25)
+    trained = train_classifier(examples, ["alpha", "beta"], config)
+    assert _gru_layouts(trained.params) == layout
+    assert _gru_layouts(load_model(save_model(trained))[0].params) == layout
 
 
 def test_checkpoint_is_ascii_and_resaves_byte_for_byte():
@@ -626,7 +677,7 @@ def test_corrupt_checkpoint_error_names_the_parameter(corrupt, message):
         load_model(corrupt(text))
 
 
-@pytest.mark.parametrize("fmt", [1, 2, 3, None])
+@pytest.mark.parametrize("fmt", [1, 2, 3, 4, None])
 def test_checkpoint_of_another_format_is_refused(fmt):
     meta, rest = save_model(randomized_model(14)).split("\n", 1)
     meta = json.loads(meta)
@@ -641,20 +692,20 @@ def test_checkpoint_of_another_format_is_refused(fmt):
     "meta_line,message",
     [
         ("[]", "meta line must be a JSON object"),
-        ('{"format": 4}', "no 'dim' key"),
-        ('{"format": 4, "dim": 1.5, "labels": ["a", "b"], "hidden": 2, "attention_dim": 2}',
+        ('{"format": 5}', "no 'dim' key"),
+        ('{"format": 5, "dim": 1.5, "labels": ["a", "b"], "hidden": 2, "attention_dim": 2}',
          "^checkpoint meta 'dim' must be a positive integer: 1.5$"),
-        ('{"format": 4, "dim": 2, "labels": ["a", "b"], "hidden": 0, "attention_dim": 2}',
+        ('{"format": 5, "dim": 2, "labels": ["a", "b"], "hidden": 0, "attention_dim": 2}',
          "^checkpoint meta 'hidden' must be a positive integer: 0$"),
-        ('{"format": 4, "dim": 2, "labels": ["a", "b"], "hidden": -3, "attention_dim": 2}',
+        ('{"format": 5, "dim": 2, "labels": ["a", "b"], "hidden": -3, "attention_dim": 2}',
          "^checkpoint meta 'hidden' must be a positive integer: -3$"),
-        ('{"format": 4, "dim": 2, "labels": ["a", "b"], "hidden": 2, "attention_dim": true}',
+        ('{"format": 5, "dim": 2, "labels": ["a", "b"], "hidden": 2, "attention_dim": true}',
          "^checkpoint meta 'attention_dim' must be a positive integer: True$"),
-        ('{"format": 4, "dim": 2, "labels": "ab", "hidden": 2, "attention_dim": 2}',
+        ('{"format": 5, "dim": 2, "labels": "ab", "hidden": 2, "attention_dim": 2}',
          "^checkpoint meta 'labels' must be 2 or more distinct strings: 'ab'$"),
-        ('{"format": 4, "dim": 2, "labels": ["x", "x"], "hidden": 2, "attention_dim": 2}',
+        ('{"format": 5, "dim": 2, "labels": ["x", "x"], "hidden": 2, "attention_dim": 2}',
          r"^checkpoint meta 'labels' must be 2 or more distinct strings: \['x', 'x'\]$"),
-        ('{"format": 4, "dim": 2, "labels": [1, 2], "hidden": 2, "attention_dim": 2}',
+        ('{"format": 5, "dim": 2, "labels": [1, 2], "hidden": 2, "attention_dim": 2}',
          r"^checkpoint meta 'labels' must be 2 or more distinct strings: \[1, 2\]$"),
     ],
     ids=["not-an-object", "missing-key", "float-dim", "zero-hidden", "negative-hidden",
@@ -663,6 +714,28 @@ def test_checkpoint_of_another_format_is_refused(fmt):
 def test_malformed_checkpoint_meta_is_a_value_error(meta_line, message):
     with pytest.raises(ValueError, match=message):
         load_model(meta_line + "\n")
+
+
+def test_checkpoint_payload_length_is_checked_before_its_array_exists():
+    # At these sizes the GRU arrays alone take over 100 MB; a meta line that
+    # declares them allocates none of it.
+    meta = json.dumps(
+        {"format": 5, "dim": 150, "labels": ["a", "b"], "hidden": 1500, "attention_dim": 100}
+    )
+    short = f"gru_fwd.w {base64.b64encode(bytes(8)).decode()}"
+    cases = [
+        (meta + "\n", "^checkpoint is missing parameter gru_fwd.w$"),
+        (f"{meta}\n{short}\n", "^parameter gru_fwd.w has 8 bytes, expected 2700000$"),
+    ]
+    for text, message in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                load_model(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"load_model allocated {peak} bytes before refusing"
 
 
 def test_alpha_csv_format():
