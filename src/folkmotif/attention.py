@@ -15,7 +15,8 @@ no padding. Step t of a scan is then one n_t x H matrix product over the n_t
 songs still running, and the input projections and weight gradients are
 one product over all N rows. The backward direction packs each song
 reversed. Attention and the output layer run per song on that song's
-annotation rows. ``backward`` takes a whole mini-batch; ``predict`` and
+annotation rows. ``backward`` takes a whole mini-batch, and so does the
+pass over the held-out songs after each epoch; ``predict`` and
 ``forward_loss`` pass a batch of one. The GRU gates use the logistic
 function in its tanh form.
 
@@ -51,6 +52,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .seeds import stream
 from .sgns import Embeddings, TrainingDiverged
 from .tokens import TokenizedSong
 from .vocab import Vocabulary, write_vocab
@@ -166,13 +168,14 @@ def init_model(
 ) -> AttentionModel:
     """Xavier-uniform matrices, zero biases; draw order is fixed for determinism.
 
-    Every array is drawn in float64, so the random stream does not depend on
+    The draws come from the seed's classifier-init stream. Every array is
+    drawn in float64, so the random stream does not depend on
     the precision, and the GRU arrays are then rounded to float32 once. A GRU
     gate's blocks are drawn H x d and H x H and stored transposed.
     """
     if len(labels) < 2:
         raise ValueError("need at least 2 classes")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "classifier_init")
     h, a, L = hidden, attention_dim, len(labels)
 
     def direction():
@@ -437,6 +440,18 @@ def make_examples(
     return examples
 
 
+def _mean_loss(examples: Sequence[SongExample], params: ModelParams, batch: int) -> float:
+    """The mean negative log likelihood of the examples, encoded in packed
+    mini-batches of batch songs."""
+    losses = []
+    for start in range(0, len(examples), batch):
+        chunk = examples[start : start + batch]
+        songs = _encode([ex.x for ex in chunk], params).songs
+        with np.errstate(divide="ignore"):
+            losses.extend(-np.log(song.probs[ex.label]) for ex, song in zip(chunk, songs))
+    return float(np.mean(losses))
+
+
 def train_classifier(
     examples: Sequence[SongExample],
     classes: Sequence[str],
@@ -445,9 +460,10 @@ def train_classifier(
 ) -> AttentionModel:
     """Mini-batch SGD; bit-reproducible under the seed.
 
-    With val_fraction > 0 a seeded holdout is split off and the parameters
-    of the best epoch by holdout loss are returned; otherwise the final
-    parameters are.
+    The holdout and each epoch's order come from the seed's classifier-order
+    stream. With val_fraction > 0 that holdout is split off, encoded in
+    mini-batches after each epoch, and the parameters of the best epoch by
+    holdout loss are returned; otherwise the final parameters are.
     """
     config = config or ClassifierConfig()
     if not examples:
@@ -456,7 +472,7 @@ def train_classifier(
     model = init_model(
         dim, classes, hidden=config.hidden, attention_dim=config.attention_dim, seed=seed
     )
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "classifier_order")
     examples = list(examples)
     n_val = int(round(config.val_fraction * len(examples)))
     if n_val:
@@ -497,9 +513,7 @@ def train_classifier(
             epoch_loss += loss
         model.epoch_losses.append(epoch_loss / len(train))
         if val:
-            val_loss = float(
-                np.mean([forward_loss(ex.x, ex.label, model.params)[1] for ex in val])
-            )
+            val_loss = _mean_loss(val, model.params, config.batch)
             model.val_losses.append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .seeds import stream
 from .sgns import Embeddings, read_embeddings, write_embeddings
 
 
@@ -123,7 +124,8 @@ def train_linear_svm(
     config: Optional[SvmConfig] = None,
     seed: int = 0,
 ) -> LinearSvmModel:
-    """One-vs-rest Pegasos; deterministic under the seed."""
+    """One-vs-rest Pegasos; deterministic under the seed. Class c draws its
+    epoch orders from the seed's SVM stream for c."""
     config = config or SvmConfig()
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -140,8 +142,7 @@ def train_linear_svm(
     biases = np.zeros(L)
     for c in range(L):
         y = np.where(labels == c, 1.0, -1.0)
-        rng = np.random.default_rng([seed, c])
-        weights[c], biases[c] = _pegasos_binary(X, y, config, rng)
+        weights[c], biases[c] = _pegasos_binary(X, y, config, stream(seed, "svm", c))
     return LinearSvmModel(weights=weights, biases=biases)
 
 

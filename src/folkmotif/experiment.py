@@ -2,7 +2,9 @@
 
 An experiment is fully described by an ExperimentConfig (JSON-serializable,
 so config files mirror it field for field). Its one ``seed`` seeds the split
-and every trainer: skip-gram, PV-DBOW, the classifier and the SVM.
+and every trainer: skip-gram, PV-DBOW, the classifier and the SVM. Each of
+them draws from its own independent stream of the seed (``seeds.stream``),
+so no two share a random number.
 Artifacts — token file, vocab, model, predictions, metrics JSON, text report
 — are written to an output directory, and reruns with the same config and
 corpus are byte-identical.

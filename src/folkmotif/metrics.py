@@ -8,13 +8,15 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
+from .seeds import stream
+
 Labeled = TypeVar("Labeled")  # anything with a .label attribute
 
 
 def split_dataset(
     items: Sequence[Labeled], ratio: float = 0.75, seed: int = 0
 ) -> tuple[list[Labeled], list[Labeled]]:
-    """Seeded stratified split into (train, test).
+    """Seeded stratified split into (train, test), from the seed's split stream.
 
     Each class is shuffled and split independently; the test share is
     rounded half-up and the remainder goes to train, so a 75% split of the
@@ -30,7 +32,7 @@ def split_dataset(
     by_label: dict[str, list[int]] = {}
     for i, item in enumerate(items):
         by_label.setdefault(item.label, []).append(i)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "split")
     train_idx: list[int] = []
     test_idx: list[int] = []
     for label in sorted(by_label):

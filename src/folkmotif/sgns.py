@@ -8,24 +8,26 @@ with negatives drawn from the count^0.75 unigram distribution. The input
 matrix holds the queried vectors v_w; the output matrix holds context
 vectors v_c. PV-DBOW is the same objective with a per-song document vector
 standing in for v_w, so one trainer, ``_train``, serves both; only the
-generator that yields a song's centers differs.
+function that lays out a song's centers differs.
 
 Each center takes one SGD step, in corpus order: its n context pairs, with
-k negatives each, are scored as one block of n*(k+1) rows. Skip-gram draws
-a center's window, then its n*k negatives. PV-DBOW has one pair per center
-and draws a song's T*k negatives in one call, which takes the same numbers
-as T calls of k, so its vectors equal those of per-pair SGD, bit for bit.
+k negatives each, are scored as one block of n*(k+1) rows. A song draws all
+its numbers before its first step: skip-gram draws the song's T windows in
+one call, then the negatives of all its pairs in one call; PV-DBOW has one
+pair per center and draws the song's T*k negatives in one call. The start
+vectors and the training draws come from two independent streams of the
+seed (``seeds.stream``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .seeds import stream
 from .tokens import TokenizedSong
 from .vocab import Vocabulary, negative_sampling_dist
 
@@ -87,10 +89,6 @@ class DocVectors:
             raise KeyError(f"unknown song id {song_id!r}") from None
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.exp(-np.logaddexp(0.0, -x))
-
-
 def pair_objective(
     w: np.ndarray, ctx: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -102,10 +100,11 @@ def pair_objective(
     expect that wrap the call in ``np.errstate``.
     """
     scores = ctx @ w
-    # -log sigmoid(+-score) is logaddexp(0, -+score); the label flips the sign.
-    loss = float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * scores).sum())
-    g = _sigmoid(scores) - labels
-    return loss, g @ ctx, g[:, None] * w
+    # -log sigmoid(score) is logaddexp(0, -score); it also gives the sigmoid.
+    neg_log_sig = np.logaddexp(0.0, -scores)
+    loss = float(np.where(labels, neg_log_sig, np.logaddexp(0.0, scores)).sum())
+    g = np.exp(-neg_log_sig) - labels
+    return loss, g @ ctx, np.dot(g[:, None], w[None, :])
 
 
 def _encode_corpus(songs: Iterable[TokenizedSong], vocab: Vocabulary) -> list[np.ndarray]:
@@ -117,69 +116,66 @@ def _encode_corpus(songs: Iterable[TokenizedSong], vocab: Vocabulary) -> list[np
     return encoded
 
 
-def _row_blocks(
-    contexts: np.ndarray, negatives: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block i holds context i then its row of negatives, as output-matrix
-    rows and as the flat indices of those rows' entries, which are gathered
-    from offsets, the V x d table of every entry's flat index.
-
-    The flat form of np.add.at(output_vectors, rows, grad) lets a repeated
-    row take each of its updates in turn.
-    """
-    n, width = len(contexts), negatives.shape[1] + 1
-    rows = np.empty((n, width), dtype=np.int64)
+def _row_blocks(contexts: np.ndarray, negatives: np.ndarray) -> np.ndarray:
+    """Output-matrix rows, flat: each context, then its row of negatives."""
+    rows = np.empty((len(contexts), negatives.shape[1] + 1), dtype=np.int64)
     rows[:, 0] = contexts
     rows[:, 1:] = negatives
-    return rows, offsets[rows].reshape(n, width * offsets.shape[1])
+    return rows.reshape(-1)
 
 
-def _skipgram_centers(s, seq, input_vectors, dist, config, rng, offsets):
-    """(w, rows, scatter) for each center of a song, drawn center by center.
+def _skipgram_blocks(s, seq, dist, config, rng):
+    """(inputs, rows, pairs) for the centers of a song: each center's input
+    row, every center's block of output rows back to back, and each center's
+    pair count.
 
-    The window draw takes half of a 64-bit output and keeps the other half
-    for the next center, so drawing negatives ahead would reorder the stream.
+    The song draws its T windows in one call, then all its negatives in one
+    call. Center t's contexts are the tokens within its window, left to
+    right; a window past either end of the song is cut there.
     """
-    for t in range(len(seq)):
-        b = int(rng.integers(1, config.window + 1))
-        contexts = np.concatenate([seq[max(0, t - b) : t], seq[t + 1 : t + 1 + b]])
-        negatives = dist.draw(rng, len(contexts) * config.negatives)
-        rows, scatter = _row_blocks(contexts, negatives.reshape(-1, config.negatives), offsets)
-        yield input_vectors[seq[t]], rows.ravel(), scatter.ravel()
+    W = config.window
+    windows = rng.integers(1, W + 1, size=len(seq))
+    shifts = np.concatenate([np.arange(-W, 0), np.arange(1, W + 1)])
+    positions = np.arange(len(seq))[:, None] + shifts
+    inside = (np.abs(shifts) <= windows[:, None]) & (positions >= 0) & (positions < len(seq))
+    contexts = seq[positions[inside]]
+    negatives = dist.draw(rng, len(contexts) * config.negatives)
+    rows = _row_blocks(contexts, negatives.reshape(-1, config.negatives))
+    return seq.tolist(), rows, np.count_nonzero(inside, axis=1).tolist()
 
 
-def _pvdbow_centers(s, seq, input_vectors, dist, config, rng, offsets):
-    """(w, rows, scatter) for each center of song s, whose vector w is row s.
+def _pvdbow_blocks(s, seq, dist, config, rng):
+    """(inputs, rows, pairs) for the centers of song s, whose input row is s.
 
-    A center's only pair is (w, its token). The song draws nothing but its
-    negatives, and each double takes one 64-bit output, so one call of T*k
-    gives the same numbers as T calls of k.
+    A center's only pair is (s, its token). The song draws nothing but its
+    T*k negatives, in one call.
     """
     negatives = dist.draw(rng, len(seq) * config.negatives)
-    rows, scatter = _row_blocks(seq, negatives.reshape(-1, config.negatives), offsets)
-    return zip(repeat(input_vectors[s]), rows, scatter)
+    rows = _row_blocks(seq, negatives.reshape(-1, config.negatives))
+    return [s] * len(seq), rows, [1] * len(seq)
 
 
-def _train(sequences, n_inputs, centers_of, vocab, config, seed):
-    """SGNS from a seeded n_inputs x d start, one SGD step per center.
+def _train(sequences, n_inputs, blocks_of, vocab, config, init, rng):
+    """SGNS from an n_inputs x d start drawn from init, one SGD step per
+    center, with every negative drawn from rng.
 
-    ``centers_of`` yields each center of song s as (w, rows, scatter): the
-    input row that steps, and the output rows it is scored against with
-    their flat indices. The learning rate decays linearly over all epochs.
-    Returns the input and output matrices and each epoch's mean objective.
+    ``blocks_of`` lays out the centers of song s as (inputs, rows, pairs), as
+    ``_skipgram_blocks`` does; a song with no token draws nothing. A center
+    with no pair takes an empty step, so the learning rate, which decays
+    linearly over all epochs, still counts it. Returns the input and output
+    matrices and each epoch's mean objective.
     """
-    rng = np.random.default_rng(seed)
-    input_vectors = (rng.random((n_inputs, config.dim)) - 0.5) / config.dim
+    input_vectors = (init.random((n_inputs, config.dim)) - 0.5) / config.dim
     output_vectors = np.zeros((len(vocab), config.dim))
     dist = negative_sampling_dist(vocab)
-    # Training restarts the stream that drew input_vectors (ROADMAP item 3).
-    rng = np.random.default_rng(seed)
-    k = config.negatives
-    labels = np.zeros(2 * config.window * (k + 1))
-    labels[:: k + 1] = 1.0
+    width = config.negatives + 1
+    labels = np.zeros(2 * config.window * width)
+    labels[::width] = 1.0
     flat_output = output_vectors.reshape(-1)
     # Every output entry's flat index, gathered per block instead of computed:
-    # V x d int64, about 6 MB at V = 5k and d = 150.
+    # V x d int64, about 6 MB at V = 5k and d = 150. The flat form of
+    # np.add.at(output_vectors, rows, grad) lets a repeated row take each of
+    # its updates in turn.
     offsets = np.arange(len(vocab))[:, None] * config.dim + np.arange(config.dim)
     centers = sum(len(seq) for seq in sequences)
     steps = config.epochs * centers
@@ -191,16 +187,22 @@ def _train(sequences, n_inputs, centers_of, vocab, config, seed):
         # finiteness of the loss, so the overflow itself is not worth a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             for s, seq in enumerate(sequences):
-                song = centers_of(s, seq, input_vectors, dist, config, rng, offsets)
-                for w, rows, scatter in song:
+                if not len(seq):
+                    continue
+                inputs, rows, pairs = blocks_of(s, seq, dist, config, rng)
+                stop = 0
+                for i, n in zip(inputs, pairs):
                     lr = max(config.lr_min, config.lr * (1.0 - step / steps))
                     step += 1
+                    block = rows[stop : stop + n * width]
+                    stop += n * width
+                    w = input_vectors[i]
                     loss, grad_w, grad_ctx = pair_objective(
-                        w, output_vectors[rows], labels[: len(rows)]
+                        w, output_vectors[block], labels[: len(block)]
                     )
                     total += loss
                     grad_ctx *= -lr
-                    np.add.at(flat_output, scatter, grad_ctx.ravel())
+                    np.add.at(flat_output, offsets[block].reshape(-1), grad_ctx.reshape(-1))
                     w -= lr * grad_w
         if not np.isfinite(total):
             raise TrainingDiverged(
@@ -220,7 +222,13 @@ def train_skipgram(
     config = config or SkipgramConfig()
     sequences = _encode_corpus(songs, vocab)
     input_vectors, output_vectors, objectives = _train(
-        sequences, len(vocab), _skipgram_centers, vocab, config, seed
+        sequences,
+        len(vocab),
+        _skipgram_blocks,
+        vocab,
+        config,
+        stream(seed, "skipgram_init"),
+        stream(seed, "skipgram_train"),
     )
     return Embeddings(
         vocab=vocab,
@@ -243,7 +251,15 @@ def train_pvdbow(
         if not len(seq):
             raise ValueError(f"song {song.id!r} has no in-vocabulary token")
     ids = [song.id for song in songs]
-    vectors, _, objectives = _train(sequences, len(ids), _pvdbow_centers, vocab, config, seed)
+    vectors, _, objectives = _train(
+        sequences,
+        len(ids),
+        _pvdbow_blocks,
+        vocab,
+        config,
+        stream(seed, "pvdbow_init"),
+        stream(seed, "pvdbow_train"),
+    )
     return DocVectors(ids=ids, vectors=vectors, epoch_objectives=objectives)
 
 

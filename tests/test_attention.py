@@ -28,6 +28,7 @@ from folkmotif.attention import (
     _energy_grad,
     _forward,
     _gate_sigmoid,
+    _mean_loss,
     _xavier,
     _pack,
     _param_arrays,
@@ -45,6 +46,7 @@ from folkmotif.attention import (
     vocab_digest,
     zero_gradients,
 )
+from folkmotif.seeds import stream
 from folkmotif.sgns import Embeddings
 from folkmotif.tokens import TokenizedSong
 from folkmotif.vocab import Vocabulary
@@ -120,10 +122,11 @@ def test_gru_step_zero_state_is_a_fixed_point():
 
 def test_init_model_stores_the_transposes_of_the_xavier_draws():
     # The draws are those of gate blocks H x d and H x H, in init_model's
-    # order, so the random stream is the one of the row-major layout.
+    # order on the classifier-init stream, so the random stream is the one of
+    # the row-major layout.
     dim, h = 3, 4
     model = init_model(dim, ["a", "b"], hidden=h, attention_dim=2, seed=5)
-    rng = np.random.default_rng(5)
+    rng = stream(5, "classifier_init")
     for p in (model.params.gru_fwd, model.params.gru_bwd):
         blocks = [_xavier(rng, h, cols) for cols in (dim, h) * 3]
         np.testing.assert_array_equal(p.w, np.vstack(blocks[0::2]).T.astype(np.float32))
@@ -295,6 +298,18 @@ def test_song_is_encoded_alike_alone_and_in_a_batch(lengths):
         np.testing.assert_allclose(song.alpha, alone.alpha, rtol=1e-12)
 
 
+@pytest.mark.parametrize("float64", [True, False], ids=["float64", "float32"])
+@pytest.mark.parametrize("batch", [1, 2, 3, 10])
+def test_mean_loss_in_batches_is_the_mean_of_song_losses(batch, float64):
+    """Whatever the chunk size, each song is scored against its own label;
+    the float32 scans agree with one song at a time to float32 rounding."""
+    params = randomized_model(6, labels=("a", "b", "c"), float64=float64).params
+    songs = batch_of((5, 2, 7, 1, 3, 4, 6))
+    losses = [forward_loss(ex.x, ex.label, params)[1] for ex in songs]
+    rel = 1e-12 if float64 else 1e-6
+    assert _mean_loss(songs, params, batch) == pytest.approx(np.mean(losses), rel=rel)
+
+
 # T=1 is the edge case for the weight gradients taken after the scan; the
 # T=5 cases keep their original ids.
 @pytest.mark.parametrize(
@@ -443,11 +458,13 @@ def test_training_is_bit_reproducible():
 
 
 def test_divergent_learning_rate_aborts():
+    """At seed 1 the first step saturates the model with a song on the wrong
+    side, so that song's label gets probability 0 in the next step."""
     emb = _toy_embeddings()
     examples = make_examples(_separable_songs(per_class=4), emb, ["alpha", "beta"])
     config = ClassifierConfig(hidden=5, attention_dim=3, epochs=20, lr=1e9)
     with pytest.raises(TrainingDiverged, match="^epoch 2, step 1: the loss is inf; lower"):
-        train_classifier(examples, ["alpha", "beta"], config)
+        train_classifier(examples, ["alpha", "beta"], config, seed=1)
 
 
 def test_divergence_names_the_epoch_step_and_gradient():
@@ -465,13 +482,17 @@ def test_validation_split_returns_best_epoch_parameters():
     config = ClassifierConfig(hidden=5, attention_dim=3, epochs=6, val_fraction=0.25, lr=0.3)
     model = train_classifier(examples, ["alpha", "beta"], config, seed=0)
     assert len(model.val_losses) == config.epochs
-    # replay the seeded split to recover the holdout set
-    rng = np.random.default_rng(0)
+    # replay the seeded split on the classifier-order stream to recover the holdout set
+    rng = stream(0, "classifier_order")
     n_val = int(round(config.val_fraction * len(examples)))
     order = rng.permutation(len(examples))
     val = [examples[i] for i in order[:n_val]]
-    loss = float(np.mean([forward_loss(ex.x, ex.label, model.params)[1] for ex in val]))
+    loss = _mean_loss(val, model.params, config.batch)
     assert loss == pytest.approx(min(model.val_losses), rel=1e-12)
+    # The held-out pass encodes in mini-batches; one song at a time differs
+    # only by float32 rounding in the scans.
+    per_song = float(np.mean([forward_loss(ex.x, ex.label, model.params)[1] for ex in val]))
+    assert per_song == pytest.approx(loss, rel=1e-6)
 
 
 def test_predict_single_motif_song():

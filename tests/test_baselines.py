@@ -15,6 +15,7 @@ from folkmotif.baselines import (
     train_linear_svm,
     write_svm,
 )
+from folkmotif.seeds import stream
 from folkmotif.sgns import Embeddings, read_embeddings
 from folkmotif.vocab import Vocabulary
 
@@ -135,7 +136,7 @@ def test_pegasos_equals_the_reference_loop_bit_for_bit(n_classes):
     model = train_linear_svm(X, labels, n_classes=n_classes, config=config, seed=seed)
     for c in range(n_classes):
         y = np.where(labels == c, 1.0, -1.0)
-        w, b = _reference_pegasos(X, y, config, np.random.default_rng([seed, c]))
+        w, b = _reference_pegasos(X, y, config, stream(seed, "svm", c))
         assert np.array_equal(model.weights[c], w)
         assert model.biases[c] == b
         assert np.any(y * (X @ w + b) < 1.0)

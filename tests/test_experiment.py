@@ -156,33 +156,34 @@ def test_rerun_is_byte_identical(tmp_path, model):
 
 
 # Sum and norm over all the arrays parsed back from each artifact, plus the
-# test predictions, recorded with one skip-gram step per center. Values are
-# compared with a tolerance, not as bytes, so BLAS differences between
-# machines do not break the pin. The sums run in float64, so the float32 GRU
-# arrays of model.txt add no rounding of their own.
-EMBEDDINGS_DIGEST = [2.0345592261477554, 0.8251602791936926]
+# test predictions, recorded with one skip-gram step per center, per-song
+# skip-gram draws and one independent stream per consumer of the seed.
+# Values are compared with a tolerance, not as bytes, so BLAS differences
+# between machines do not break the pin. The sums run in float64, so the
+# float32 GRU arrays of model.txt add no rounding of their own.
+EMBEDDINGS_DIGEST = [1.2195006303457603, 0.8256636699527302]
 GOLDEN = {
     "attention": (
         {
             "embeddings.txt": EMBEDDINGS_DIGEST,
-            "model.txt": [19.043120856388736, 9.357270934645056],
+            "model.txt": [-2.370723345883998, 9.55477065343511],
         },
-        ["alpha"] + ["beta"] * 5,
+        ["alpha", "beta", "beta", "beta", "beta", "alpha"],
     ),
     "average": (
         {
             "embeddings.txt": EMBEDDINGS_DIGEST,
-            "svm.txt": [0.143840051196803, 1.9033286875040996],
-            "song_vectors.txt": [0.6450979845168322, 0.1781135787517173],
+            "svm.txt": [0.4775389122167282, 2.1183802471981856],
+            "song_vectors.txt": [0.7051604507032971, 0.1743124496560026],
         },
-        ["beta"] * 6,
+        ["alpha"] * 6,
     ),
     "doc2vec": (
         {
-            "svm.txt": [0.21082866665202044, 3.153407197944245],
-            "song_vectors.txt": [0.5945979964451131, 0.4830282346461232],
+            "svm.txt": [0.2445802734477689, 2.2312129534494622],
+            "song_vectors.txt": [-0.2116838776685597, 0.47831352615729],
         },
-        ["beta"] * 6,
+        ["alpha", "alpha"] + ["beta"] * 4,
     ),
 }
 
@@ -235,14 +236,20 @@ def test_report_returned_without_out_dir():
     assert report.labels == ["alpha", "beta"]
 
 
-def test_average_baseline_separates_synthetic_classes(tmp_path):
-    config = fast_config(
-        model="average",
-        embedding=SkipgramConfig(dim=8, window=2, negatives=3, epochs=8),
-        svm=SvmConfig(epochs=200, lam=0.001),
-    )
-    report, _ = run_experiment(config, small_corpus(seed=3, songs_per_class=20), tmp_path)
-    assert report.accuracy >= 0.9
+def test_average_baseline_separates_synthetic_classes():
+    """Over five seeds of the split and the trainers: with 10 test songs one
+    seed's accuracy moves in steps of 0.1, so a single seed pins one draw."""
+    corpus = small_corpus(seed=3, songs_per_class=20)
+    accuracies = []
+    for seed in range(5):
+        config = fast_config(
+            model="average",
+            seed=seed,
+            embedding=SkipgramConfig(dim=8, window=2, negatives=3, epochs=8),
+            svm=SvmConfig(epochs=200, lam=0.001),
+        )
+        accuracies.append(run_experiment(config, corpus)[0].accuracy)
+    assert np.mean(accuracies) >= 0.9, accuracies
 
 
 def test_stage_name_in_vocabulary_error():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import assert_gradients_close, central_difference
 
 from folkmotif import sgns
+from folkmotif.seeds import stream
 from folkmotif.sgns import (
     DocVectors,
     Embeddings,
@@ -139,8 +140,12 @@ def test_training_is_bit_reproducible(fixture_songs):
 
 
 def test_epoch_objective_is_nondecreasing_early(fixture_songs):
+    """window=1 gives every center the same contexts in every epoch, so each
+    epoch's objective sums the same pairs; a wider window draws a new pair
+    count per epoch, which moves the objective by more than the late epochs'
+    progress."""
     vocab = build_vocab([s.tokens for s in fixture_songs])
-    config = SkipgramConfig(dim=8, window=2, negatives=3, epochs=5, lr=0.01)
+    config = SkipgramConfig(dim=8, window=1, negatives=3, epochs=5, lr=0.01)
     emb = train_skipgram(fixture_songs, vocab, config)
     first5 = emb.epoch_objectives[:5]
     assert len(first5) == 5
@@ -193,32 +198,37 @@ def _reference_pair_objective(w, ctx, labels):
 def _reference_train(songs, vocab, config, seed, per_center):
     """The trainer that train_skipgram and train_pvdbow must equal bit for bit.
 
-    The start is drawn from default_rng(seed) and training runs on a fresh
-    default_rng(seed). One draw of k negatives per pair and the term-by-term
-    objective. With per_center the center's pairs are scored as one flat
-    block and take one step (skip-gram); without it each pair takes its own
-    step and the input row is the song's (PV-DBOW). The context rows are
-    updated through the 2-D np.add.at. Returns the input matrix, the output
-    matrix and the per-epoch objectives.
+    The start is drawn from the seed's init stream and training runs on its
+    train stream (skip-gram's or PV-DBOW's). A skip-gram song first draws
+    its T windows in one call; every pair then draws its own k negatives,
+    which takes the same numbers as the trainer's one draw per song. The
+    term-by-term objective. With per_center the center's pairs are scored as
+    one flat block and take one step (skip-gram); without it each pair takes
+    its own step and the input row is the song's (PV-DBOW). The context rows
+    are updated through the 2-D np.add.at. Returns the input matrix, the
+    output matrix and the per-epoch objectives.
     """
     sequences = [np.array(vocab.encode(song.tokens), dtype=np.int64) for song in songs]
     d, k = config.dim, config.negatives
     n_inputs = len(vocab) if per_center else len(songs)
-    input_vectors = (np.random.default_rng(seed).random((n_inputs, d)) - 0.5) / d
+    name = "skipgram" if per_center else "pvdbow"
+    input_vectors = (stream(seed, f"{name}_init").random((n_inputs, d)) - 0.5) / d
     output_vectors = np.zeros((len(vocab), d))
     dist = negative_sampling_dist(vocab)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, f"{name}_train")
     centers = sum(len(seq) for seq in sequences)
     objectives = []
     for epoch in range(config.epochs):
         step, steps = epoch * centers, config.epochs * centers
         total = 0.0
         for s, seq in enumerate(sequences):
+            if per_center and len(seq):
+                windows = rng.integers(1, config.window + 1, size=len(seq))
             for t in range(len(seq)):
                 lr = max(config.lr_min, config.lr * (1.0 - step / steps))
                 step += 1
                 if per_center:
-                    b = int(rng.integers(1, config.window + 1))
+                    b = int(windows[t])
                     contexts = np.concatenate([seq[max(0, t - b) : t], seq[t + 1 : t + 1 + b]])
                     row = seq[t]
                 else:
@@ -262,7 +272,31 @@ def _many_token_songs():
     return songs, SkipgramConfig(dim=9, window=4, negatives=5, epochs=2, lr=0.1), 5
 
 
-@pytest.mark.parametrize("corpus", [_three_token_songs, _many_token_songs])
+def _short_songs():
+    """Songs of 1 and 2 motifs: a center has 0, 1 or 2 contexts."""
+    rng = np.random.default_rng(13)
+    songs = [
+        TokenizedSong(id=f"s{i}", label="x", tokens=tuple(rng.choice(["a", "b", "c"], size=n)))
+        for i, n in enumerate([1, 2, 2, 1, 2, 1])
+    ]
+    return songs, SkipgramConfig(dim=5, window=2, negatives=3, epochs=3, lr=0.2), 6
+
+
+def _wide_window_songs():
+    """Every window reaches past both ends of most songs (window >= T)."""
+    rng = np.random.default_rng(14)
+    tokens = [f"t{i}" for i in range(12)]
+    songs = [
+        TokenizedSong(id=f"s{i}", label="x", tokens=tuple(rng.choice(tokens, size=n)))
+        for i, n in enumerate([3, 6, 1, 7, 5])
+    ]
+    return songs, SkipgramConfig(dim=6, window=7, negatives=2, epochs=3, lr=0.1), 7
+
+
+SKIPGRAM_CORPORA = [_three_token_songs, _many_token_songs, _short_songs, _wide_window_songs]
+
+
+@pytest.mark.parametrize("corpus", SKIPGRAM_CORPORA)
 def test_skipgram_equals_the_per_center_reference_bit_for_bit(corpus):
     songs, config, seed = corpus()
     vocab = build_vocab([s.tokens for s in songs])
@@ -275,7 +309,7 @@ def test_skipgram_equals_the_per_center_reference_bit_for_bit(corpus):
     assert emb.epoch_objectives == objectives
 
 
-@pytest.mark.parametrize("corpus", [_three_token_songs, _many_token_songs])
+@pytest.mark.parametrize("corpus", SKIPGRAM_CORPORA)
 def test_pvdbow_equals_the_per_pair_reference_bit_for_bit(corpus):
     """PV-DBOW has one pair per center, so its doc vectors keep the per-pair values."""
     songs, config, seed = corpus()
@@ -303,9 +337,9 @@ def test_training_makes_one_pair_objective_call_per_center(monkeypatch, train):
 
 
 @pytest.mark.parametrize("train", [train_skipgram, train_pvdbow])
-def test_negatives_are_drawn_once_per_song_in_pvdbow_and_once_per_center_in_skipgram(
-    monkeypatch, train
-):
+def test_negatives_are_drawn_once_per_song(monkeypatch, train):
+    """One draw per song and epoch: PV-DBOW's T*k negatives, skip-gram's k
+    for each of its pairs."""
     songs, config, seed = _many_token_songs()
     vocab = build_vocab([s.tokens for s in songs])
     sizes = []
@@ -320,7 +354,9 @@ def test_negatives_are_drawn_once_per_song_in_pvdbow_and_once_per_center_in_skip
     if train is train_pvdbow:
         assert sizes == [len(s.tokens) * config.negatives for s in songs] * config.epochs
     else:
-        assert len(sizes) == sum(len(s.tokens) for s in songs) * config.epochs
+        assert len(sizes) == len(songs) * config.epochs
+        most = [2 * config.window * len(s.tokens) * config.negatives for s in songs]
+        assert all(n % config.negatives == 0 and n <= m for n, m in zip(sizes, most * 2))
 
 
 def test_skipgram_objective_rises_every_epoch():
@@ -337,22 +373,30 @@ def test_skipgram_on_one_token_songs_leaves_the_matrices_untouched():
     songs = [TokenizedSong(id=f"s{i}", label="x", tokens=(tok,)) for i, tok in enumerate("abcab")]
     vocab = build_vocab([s.tokens for s in songs])
     emb = train_skipgram(songs, vocab, FAST)
-    initial = (np.random.default_rng(0).random((len(vocab), FAST.dim)) - 0.5) / FAST.dim
+    initial = (stream(0, "skipgram_init").random((len(vocab), FAST.dim)) - 0.5) / FAST.dim
     assert np.array_equal(emb.input_vectors, initial)
     assert not emb.output_vectors.any()
     assert emb.epoch_objectives == [0.0] * FAST.epochs
 
 
-def test_skipgram_ignores_a_song_with_no_in_vocabulary_token():
+def test_skipgram_ignores_a_song_with_no_in_vocabulary_token(monkeypatch):
     """Its empty sequence has no center, so it draws no random number."""
     songs, config, seed = _three_token_songs()
     vocab = build_vocab([s.tokens for s in songs])
     emb = train_skipgram(songs, vocab, config, seed)
     blank = TokenizedSong(id="blank", label="x", tokens=("zzz",))
-    with_blank = train_skipgram([*songs[:2], blank, *songs[2:]], vocab, config, seed)
+    with_songs = [*songs[:2], blank, *songs[2:]]
+    draws = []
+    draw = SamplingDist.draw
+    monkeypatch.setattr(SamplingDist, "draw", lambda *args: draws.append(1) or draw(*args))
+    with_blank = train_skipgram(with_songs, vocab, config, seed)
+    assert len(draws) == len(songs) * config.epochs
     assert np.array_equal(emb.input_vectors, with_blank.input_vectors)
     assert np.array_equal(emb.output_vectors, with_blank.output_vectors)
     assert emb.epoch_objectives == with_blank.epoch_objectives
+    input_vectors, output_vectors, _ = _reference_train(with_songs, vocab, config, seed, True)
+    assert np.array_equal(with_blank.input_vectors, input_vectors)
+    assert np.array_equal(with_blank.output_vectors, output_vectors)
 
 
 def test_pvdbow_refuses_a_song_with_no_in_vocabulary_token():

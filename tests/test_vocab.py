@@ -133,10 +133,11 @@ def test_draws_are_deterministic_under_a_fixed_seed():
     st.integers(min_value=0, max_value=2**32),
 )
 def test_one_draw_per_center_takes_the_stream_of_one_draw_per_pair(contexts, k, seed):
-    """draw(rng, n*k) equals n draws of k, with the window draws in between.
+    """draw(rng, n*k) equals n draws of k, with other draws in between.
 
-    A skip-gram center draws its window size, then k negatives for each of
-    its n contexts; the trainer makes those n draws as one.
+    A skip-gram song draws its windows, then k negatives for each of its n
+    pairs; the trainer makes those n draws as one, the reference trainer of
+    the tests one per pair.
     """
     v = Vocabulary(tokens=["a", "b", "c", "d", "e"], counts=np.array([9, 5, 3, 2, 1]))
     dist = negative_sampling_dist(v)
