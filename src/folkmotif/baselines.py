@@ -1,11 +1,12 @@
-"""Baseline classifiers: averaged song vectors and a Pegasos-trained linear SVM.
+"""Baseline classifiers: averaged song vectors and an exact linear SVM.
 
-The SVM minimizes, per one-vs-rest class,
+Per one-vs-rest class the SVM minimizes liblinear's L2-loss objective (Fan et
+al. 2008) with an unregularized bias,
 
-    lambda/2 ||w||^2 + mean_i max(0, 1 - y_i (w . x_i + b))
+    lambda/2 ||w||^2 + mean_i max(0, 1 - y_i (w . x_i + b))^2,
 
-by Pegasos SGD (step size 1/(lambda * t), unregularized bias). Multi-class
-prediction takes the maximum margin score, ties to the lowest class index.
+exactly, by finite Newton (Keerthi & DeCoste 2005); it draws no random number.
+Multi-class prediction takes the maximum margin score, ties to the lowest class index.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .seeds import stream
 from .sgns import Embeddings, read_embeddings, write_embeddings
 
 
@@ -31,7 +31,7 @@ def average_embedding(tokens: Sequence[str], embeddings: Embeddings) -> np.ndarr
 @dataclass
 class SvmConfig:
     lam: float = 0.01
-    epochs: int = 200
+    epochs: int = 200  # most Newton steps; a fit that needs more is refused
 
     def __post_init__(self):
         # Written so that nan fails too; an infinite lam gives nan weights.
@@ -58,63 +58,51 @@ class LinearSvmModel:
 def svm_objective(
     w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, lam: float
 ) -> tuple[float, np.ndarray, float]:
-    """Binary hinge objective and its (sub)gradient.
+    """Binary squared-hinge objective and its gradient; y holds +1/-1.
 
-    y holds +1/-1. At points where no margin equals exactly 1 the objective
-    is differentiable and the returned gradient is the gradient.
+    The objective is differentiable everywhere, so the gradient is exact.
     """
-    margins = y * (X @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    value = 0.5 * lam * float(w @ w) + float(hinge.mean())
-    active = (margins < 1.0).astype(np.float64)
-    grad_w = lam * w - (active * y) @ X / len(y)
-    grad_b = -float((active * y).mean())
-    return value, grad_w, grad_b
+    slack = np.maximum(0.0, 1.0 - y * (X @ w + b))
+    value = 0.5 * lam * float(w @ w) + float(slack @ slack) / len(y)
+    coef = (-2.0 / len(y)) * slack * y
+    return value, lam * w + coef @ X, float(coef.sum())
 
 
-def _pegasos_binary(
-    X: np.ndarray, y: np.ndarray, config: SvmConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """Pegasos with the projection step and tail-averaged iterates.
+def _newton_binary(X: np.ndarray, y: np.ndarray, config: SvmConfig) -> tuple[np.ndarray, float]:
+    """The exact minimiser of svm_objective by finite Newton.
 
-    The step size 1/(lam*t) is huge for small t; projecting w onto the
-    1/sqrt(lam) ball and averaging the second half of the trajectory gives
-    the stability the plain last iterate lacks.
+    Over the points with margin < 1 (the active set) the objective is
+    quadratic. Each step solves its Hessian system, which has curvature in the
+    bias because with both classes present the active set is never empty, and
+    backtracks to the Armijo condition. A full step that leaves the active set
+    unchanged lands on the minimum of its quadratic, the exact optimum.
     """
     n, d = X.shape
-    # Python floats and a list of row views step without numpy scalar
-    # overhead; each operation is the one numpy scalars would do, in the same
-    # order, and np.linalg.norm of a 1-D float array is sqrt(w.dot(w)).
-    rows = list(X)
-    ys = y.tolist()
     lam = config.lam
-    w = np.zeros(d)
-    b = 0.0
-    radius = 1.0 / math.sqrt(lam)
-    total = config.epochs * n
-    tail_start = total // 2
-    w_sum = np.zeros(d)
-    b_sum = 0.0
-    tail = 0
-    t = 0
+    w, b = np.zeros(d), 0.0
+    active = y * (X @ w + b) < 1.0
+    value, grad_w, grad_b = svm_objective(w, b, X, y, lam)
     for _ in range(config.epochs):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            eta = 1.0 / (lam * t)
-            yi = ys[i]
-            margin = yi * (float(rows[i].dot(w)) + b)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w += eta * yi * rows[i]
-                b += eta * yi
-            norm = math.sqrt(w.dot(w))
-            if norm > radius:
-                w *= radius / norm
-            if t > tail_start:
-                w_sum += w
-                b_sum += b
-                tail += 1
-    return w_sum / tail, b_sum / tail
+        Xa = np.column_stack([X[active], np.ones(int(active.sum()))])
+        hessian = (2.0 / n) * (Xa.T @ Xa)
+        hessian[np.arange(d), np.arange(d)] += lam
+        grad = np.append(grad_w, grad_b)
+        step = np.linalg.solve(hessian, -grad)
+        slope = float(step @ grad)
+        t = 1.0
+        while True:
+            w_t, b_t = w + t * step[:d], b + t * step[d]
+            active_t = y * (X @ w_t + b_t) < 1.0
+            if t == 1.0 and np.array_equal(active_t, active):
+                return w_t, b_t
+            value_t, grad_w, grad_b = svm_objective(w_t, b_t, X, y, lam)
+            if not value_t > value + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        w, b, active, value = w_t, b_t, active_t, value_t
+    raise ValueError(
+        f"the SVM did not converge within svm.epochs = {config.epochs} Newton steps"
+    )
 
 
 def train_linear_svm(
@@ -122,15 +110,16 @@ def train_linear_svm(
     labels: Sequence[int],
     n_classes: Optional[int] = None,
     config: Optional[SvmConfig] = None,
-    seed: int = 0,
 ) -> LinearSvmModel:
-    """One-vs-rest Pegasos; deterministic under the seed. Class c draws its
-    epoch orders from the seed's SVM stream for c."""
+    """One-vs-rest exact squared-hinge SVM; draws no random number."""
     config = config or SvmConfig()
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(X) != len(labels):
         raise ValueError("vectors and labels must align")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if len(bad):
+        raise ValueError(f"training vector {int(bad[0])} is not finite")
     present = np.unique(labels)
     if len(present) < 2:
         raise ValueError("training data contains a single class")
@@ -138,11 +127,19 @@ def train_linear_svm(
     outside = labels[(labels < 0) | (labels >= L)]
     if len(outside):
         raise ValueError(f"label {int(outside[0])} is outside [0, {L})")
+    # A class with no point has no unique optimum (w = 0, any b <= -1), and
+    # rounding on its all-margin points keeps changing the active set.
+    missing = np.setdiff1d(np.arange(L), present)
+    if len(missing):
+        raise ValueError(f"class {int(missing[0])} has no training vector")
     weights = np.zeros((L, X.shape[1]))
     biases = np.zeros(L)
-    for c in range(L):
+    # Two classes pose one problem with y negated, so class 1 is class 0 negated.
+    for c in range(1 if L == 2 else L):
         y = np.where(labels == c, 1.0, -1.0)
-        weights[c], biases[c] = _pegasos_binary(X, y, config, stream(seed, "svm", c))
+        weights[c], biases[c] = _newton_binary(X, y, config)
+    if L == 2:
+        weights[1], biases[1] = -weights[0], -biases[0]
     return LinearSvmModel(weights=weights, biases=biases)
 
 

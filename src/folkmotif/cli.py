@@ -322,7 +322,8 @@ def _build_parser() -> _Parser:
     _add_config_flags(p, SkipgramConfig, DOC2VEC_FLAGS,
                       dim="doc2vec vector size", epochs="doc2vec training epochs")
     p.add_argument("--lam", type=float, default=SvmConfig.lam, help="SVM regularization strength")
-    p.add_argument("--svm-epochs", type=int, default=SvmConfig.epochs)
+    p.add_argument("--svm-epochs", type=int, default=SvmConfig.epochs,
+                   help="most Newton steps the SVM may take")
     p.add_argument("--out-svm", default=None)
     p.add_argument("--out-json", default=None)
     p.set_defaults(fn=_cmd_baseline)

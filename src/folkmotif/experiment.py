@@ -2,9 +2,9 @@
 
 An experiment is fully described by an ExperimentConfig (JSON-serializable,
 so config files mirror it field for field). Its one ``seed`` seeds the split
-and every trainer: skip-gram, PV-DBOW, the classifier and the SVM. Each of
-them draws from its own independent stream of the seed (``seeds.stream``),
-so no two share a random number.
+and every trainer that draws random numbers: skip-gram, PV-DBOW and the
+classifier (the exact SVM draws none), each from its own independent stream
+of the seed (``seeds.stream``), so no two share a random number.
 Artifacts — token file, vocab, model, predictions, metrics JSON, text report
 — are written to an output directory, and reruns with the same config and
 corpus are byte-identical.
@@ -171,7 +171,7 @@ def classify(config: ExperimentConfig, songs, train, test, vocab, embeddings):
     class_index = {c: i for i, c in enumerate(classes)}
     X = np.array([vectors[s.id] for s in train])
     y = [class_index[s.label] for s in train]
-    svm = train_linear_svm(X, y, len(classes), config.svm, config.seed)
+    svm = train_linear_svm(X, y, len(classes), config.svm)
     predictions = [classes[predict_svm(svm, vectors[s.id])] for s in test]
     files = {"svm.txt": write_svm(svm, classes), "song_vectors.txt": write_embeddings(ids, matrix)}
     return predictions, files, None

@@ -20,7 +20,6 @@ STREAM_KEYS = {
     "pvdbow_train": 5,
     "classifier_init": 6,
     "classifier_order": 7,
-    "svm": 8,  # one stream per class c, spawn key (8, c)
 }
 
 

@@ -15,7 +15,6 @@ from folkmotif.baselines import (
     train_linear_svm,
     write_svm,
 )
-from folkmotif.seeds import stream
 from folkmotif.sgns import Embeddings, read_embeddings
 from folkmotif.vocab import Vocabulary
 
@@ -65,7 +64,7 @@ def test_hinge_objective_gradient_matches_finite_differences():
     assert_gradients_close(np.array([grad_b]), num_b, what="d objective / d bias")
 
 
-def test_pegasos_separates_one_dimensional_data():
+def test_svm_separates_one_dimensional_data():
     X = np.array([[-1.0], [1.0]])
     labels = [0, 1]
     model = train_linear_svm(X, labels, config=SvmConfig(lam=0.01, epochs=100))
@@ -74,11 +73,15 @@ def test_pegasos_separates_one_dimensional_data():
 
 
 def test_duplicating_points_leaves_predictions_unchanged():
+    """The mean loss over every point twice is the mean loss over each once,
+    so the optimum does not move."""
     rng = np.random.default_rng(1)
     X = np.concatenate([rng.normal(-2.0, 0.3, (10, 2)), rng.normal(2.0, 0.3, (10, 2))])
     labels = [0] * 10 + [1] * 10
-    base = train_linear_svm(X, labels, seed=3)
-    doubled = train_linear_svm(np.concatenate([X, X]), list(labels) + list(labels), seed=3)
+    base = train_linear_svm(X, labels)
+    doubled = train_linear_svm(np.concatenate([X, X]), list(labels) + list(labels))
+    np.testing.assert_allclose(doubled.weights, base.weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(doubled.biases, base.biases, rtol=0, atol=1e-12)
     assert [predict_svm(base, x) for x in X] == [predict_svm(doubled, x) for x in X]
 
 
@@ -90,56 +93,87 @@ def test_heavy_regularization_shrinks_weights():
     assert np.linalg.norm(model.weights) < 1e-2
 
 
-def _reference_pegasos(X, y, config, rng):
-    """The Pegasos loop that train_linear_svm must equal bit for bit, written
-    with numpy scalars and np.linalg.norm."""
-    n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    radius = 1.0 / np.sqrt(config.lam)
-    total = config.epochs * n
-    tail_start = total // 2
-    w_sum = np.zeros(d)
-    b_sum = 0.0
-    tail = 0
-    t = 0
-    for _ in range(config.epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (config.lam * t)
-            margin = y[i] * (X[i] @ w + b)
-            w *= 1.0 - eta * config.lam
-            if margin < 1.0:
-                w += eta * y[i] * X[i]
-                b += eta * y[i]
-            norm = np.linalg.norm(w)
-            if norm > radius:
-                w *= radius / norm
-            if t > tail_start:
-                w_sum += w
-                b_sum += b
-                tail += 1
-    return w_sum / tail, b_sum / tail
+def _random_problem(seed, n_classes):
+    """A unit-scale problem: overlapping Gaussian classes around random centers."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(6, 60)), int(rng.integers(1, 10))
+    labels = np.arange(n) % n_classes
+    X = rng.normal(size=(n, d)) + rng.normal(size=(n_classes, d))[labels]
+    return X, labels
 
 
+@pytest.mark.parametrize("lam", [1e-3, 1e-2, 1.0])
 @pytest.mark.parametrize("n_classes", [2, 3])
-def test_pegasos_equals_the_reference_loop_bit_for_bit(n_classes):
-    """Every row is longer than sqrt(lam), so the first step, w = x_i / lam,
-    leaves the 1/sqrt(lam) ball and is projected back. The classes overlap,
-    so hinge steps still fire in the tail."""
-    rng = np.random.default_rng(7)
-    centers = rng.normal(scale=0.5, size=(n_classes, 5))
-    labels = np.arange(40) % n_classes
-    X = rng.normal(size=(40, 5)) + centers[labels]
-    config, seed = SvmConfig(lam=0.05, epochs=30), 11
-    assert np.linalg.norm(X, axis=1).min() > np.sqrt(config.lam)
-    model = train_linear_svm(X, labels, n_classes=n_classes, config=config, seed=seed)
-    for c in range(n_classes):
-        y = np.where(labels == c, 1.0, -1.0)
-        w, b = _reference_pegasos(X, y, config, stream(seed, "svm", c))
-        assert np.array_equal(model.weights[c], w)
-        assert model.biases[c] == b
-        assert np.any(y * (X @ w + b) < 1.0)
+def test_the_fit_is_a_stationary_point(lam, n_classes):
+    for seed in range(20):
+        X, labels = _random_problem(seed, n_classes)
+        model = train_linear_svm(X, labels, config=SvmConfig(lam=lam))
+        for c in range(n_classes):
+            y = np.where(labels == c, 1.0, -1.0)
+            _, grad_w, grad_b = svm_objective(model.weights[c], model.biases[c], X, y, lam)
+            assert np.sqrt(grad_w @ grad_w + grad_b**2) < 1e-8, (seed, c)
+
+
+def _brute_force_svm(X, y, lam):
+    """Try every active set: minimise its quadratic in closed form, keep the
+    solutions whose own active set it is, and return the lowest objective."""
+    n, d = X.shape
+    Xb = np.column_stack([X, np.ones(n)])
+    ridge = np.diag(np.append(np.full(d, lam), 0.0))
+    best = None
+    for mask in range(1, 2**n):
+        active = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
+        Xa = Xb[active]
+        z = np.linalg.solve(ridge + (2.0 / n) * Xa.T @ Xa, (2.0 / n) * Xa.T @ y[active])
+        margins = y * (Xb @ z)
+        if np.all(margins[active] < 1.0 + 1e-9) and np.all(margins[~active] >= 1.0 - 1e-9):
+            value = svm_objective(z[:d], z[d], X, y, lam)[0]
+            if best is None or value < best[0]:
+                best = (value, z)
+    return best[1][:d], best[1][d]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_fit_matches_a_brute_force_solve(seed):
+    rng = np.random.default_rng(100 + seed)
+    n, d = int(rng.integers(3, 9)), int(rng.integers(1, 4))
+    X = rng.normal(size=(n, d)) * 2.0
+    labels = np.arange(n) % 2
+    X[labels == 1] += 1.5
+    lam = [1e-3, 1e-2, 1e-1][seed % 3]
+    model = train_linear_svm(X, labels, config=SvmConfig(lam=lam))
+    w, b = _brute_force_svm(X, np.where(labels == 0, 1.0, -1.0), lam)
+    np.testing.assert_allclose(model.weights[0], w, rtol=0, atol=1e-10)
+    assert abs(model.biases[0] - b) < 1e-10
+
+
+def test_two_classes_give_rows_of_opposite_sign():
+    X, labels = _random_problem(3, 2)
+    model = train_linear_svm(X, labels)
+    assert np.array_equal(model.weights[1], -model.weights[0])
+    assert model.biases[1] == -model.biases[0]
+
+
+def test_a_fit_that_needs_more_newton_steps_than_epochs_is_refused():
+    """The first step solves ridge regression on +-1 targets, which carries
+    the outer points past the margin, so one step cannot be the optimum."""
+    X = np.array([[-3.0], [-1.0], [1.0], [3.0]])
+    labels = [0, 0, 1, 1]
+    train_linear_svm(X, labels, config=SvmConfig(lam=1e-3, epochs=10))
+    with pytest.raises(ValueError, match=r"^the SVM did not converge within svm\.epochs = 1 "):
+        train_linear_svm(X, labels, config=SvmConfig(lam=1e-3, epochs=1))
+
+
+def test_a_class_with_no_training_vector_is_refused():
+    with pytest.raises(ValueError, match="^class 1 has no training vector$"):
+        train_linear_svm(np.eye(4), [0, 2, 0, 2], n_classes=3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_training_vector_that_is_not_finite_is_refused(bad):
+    X = np.array([[1.0, 0.0], [bad, 1.0], [0.0, -1.0], [2.0, bad]])
+    with pytest.raises(ValueError, match="^training vector 1 is not finite$"):
+        train_linear_svm(X, [0, 1, 1, 0])
 
 
 def test_single_class_is_error():
@@ -190,8 +224,8 @@ def test_training_is_deterministic():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 4))
     labels = (rng.random(30) < 0.5).astype(int)
-    a = train_linear_svm(X, labels, seed=9)
-    b = train_linear_svm(X, labels, seed=9)
+    a = train_linear_svm(X, labels)
+    b = train_linear_svm(X, labels)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.biases, b.biases)
 

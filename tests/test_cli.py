@@ -594,7 +594,8 @@ CLI_SURFACE = {
         (("--negatives",), "negatives", 5, int, None, False, None),
         (("--epochs",), "epochs", 5, int, None, False, "doc2vec training epochs"),
         (("--lam",), "lam", 0.01, float, None, False, "SVM regularization strength"),
-        (("--svm-epochs",), "svm_epochs", 200, int, None, False, None),
+        (("--svm-epochs",), "svm_epochs", 200, int, None, False,
+         "most Newton steps the SVM may take"),
         (("--out-svm",), "out_svm", None, None, None, False, None),
         (("--out-json",), "out_json", None, None, None, False, None),
     ],

@@ -86,8 +86,10 @@ def test_doc2vec_experiment_trains_no_skipgram(monkeypatch):
 
 
 def test_the_experiment_seed_reaches_every_trainer(monkeypatch):
+    """Every trainer that draws random numbers gets the seed; the SVM draws none."""
+    assert "seed" not in inspect.signature(folkmotif.experiment.train_linear_svm).parameters
     seeds = {}
-    for name in ("train_skipgram", "train_pvdbow", "train_classifier", "train_linear_svm"):
+    for name in ("train_skipgram", "train_pvdbow", "train_classifier"):
         original = getattr(folkmotif.experiment, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
@@ -102,7 +104,6 @@ def test_the_experiment_seed_reaches_every_trainer(monkeypatch):
     assert seeds == {
         "train_skipgram": [7, 7],  # attention, average
         "train_classifier": [7],
-        "train_linear_svm": [7, 7],  # average, doc2vec
         "train_pvdbow": [7],
     }
 
@@ -157,7 +158,8 @@ def test_rerun_is_byte_identical(tmp_path, model):
 
 # Sum and norm over all the arrays parsed back from each artifact, plus the
 # test predictions, recorded with one skip-gram step per center, per-song
-# skip-gram draws and one independent stream per consumer of the seed.
+# skip-gram draws, one independent stream per consumer of the seed and the
+# exact SVM (two classes, so the svm.txt rows cancel and its sum is 0.0).
 # Values are compared with a tolerance, not as bytes, so BLAS differences
 # between machines do not break the pin. The sums run in float64, so the
 # float32 GRU arrays of model.txt add no rounding of their own.
@@ -173,17 +175,17 @@ GOLDEN = {
     "average": (
         {
             "embeddings.txt": EMBEDDINGS_DIGEST,
-            "svm.txt": [0.4775389122167282, 2.1183802471981856],
+            "svm.txt": [0.0, 4.151329354328657],
             "song_vectors.txt": [0.7051604507032971, 0.1743124496560026],
         },
-        ["alpha"] * 6,
+        ["alpha", "beta", "alpha", "beta", "beta", "alpha"],
     ),
     "doc2vec": (
         {
-            "svm.txt": [0.2445802734477689, 2.2312129534494622],
+            "svm.txt": [0.0, 3.6088925034606674],
             "song_vectors.txt": [-0.2116838776685597, 0.47831352615729],
         },
-        ["alpha", "alpha"] + ["beta"] * 4,
+        ["beta"] * 6,
     ),
 }
 
