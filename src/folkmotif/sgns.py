@@ -11,12 +11,18 @@ standing in for v_w, so one trainer, ``_train``, serves both; only the
 function that lays out a song's centers differs.
 
 Each center takes one SGD step, in corpus order: its n context pairs, with
-k negatives each, are scored as one block of n*(k+1) rows. A song draws all
-its numbers before its first step: skip-gram draws the song's T windows in
-one call, then the negatives of all its pairs in one call; PV-DBOW has one
-pair per center and draws the song's T*k negatives in one call. The start
-vectors and the training draws come from two independent streams of the
-seed (``seeds.stream``).
+k negatives each, are scored as one block of n*(k+1) rows in one softplus
+pass. With sign -1 on each positive row and +1 on the negatives, row i costs
+t_i = softplus(sign_i * score_i), and c_i = sign_i * expm1(-t_i) is minus
+the loss's derivative by the score. The center's learning rate scales the
+n*(k+1) coefficients once; the context rows then take c (x) w, and w takes
+c @ ctx. A song's learning rates come from one vectorised call.
+
+A song draws all its numbers before its first step: skip-gram draws the
+song's T windows in one call, then the negatives of all its pairs in one
+call; PV-DBOW has one pair per center and draws the song's T*k negatives in
+one call. The start vectors and the training draws come from two
+independent streams of the seed (``seeds.stream``).
 """
 
 from __future__ import annotations
@@ -89,22 +95,19 @@ class DocVectors:
             raise KeyError(f"unknown song id {song_id!r}") from None
 
 
-def pair_objective(
-    w: np.ndarray, ctx: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+def pair_objective(w: np.ndarray, ctx: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
     """Negative SGNS objective for one target vector against rows of ctx.
 
-    labels holds 1 for the positive context and 0 for negatives. Returns
-    (loss, d loss/d w, d loss/d ctx); minimizing this loss ascends the
-    objective. Scores that overflow give a non-finite loss; callers that
+    signs holds -1 for the positive context and +1 for negatives, so row i
+    costs t_i = softplus(signs_i * score_i), which is -log sigma(score_i) for
+    the positive and -log sigma(-score_i) for a negative. Returns (loss, coef)
+    with coef_i = signs_i * expm1(-t_i) = -d loss/d score_i, so d loss/d w is
+    -coef @ ctx and d loss/d ctx is -coef (x) w; minimizing this loss ascends
+    the objective. Scores that overflow give a non-finite loss; callers that
     expect that wrap the call in ``np.errstate``.
     """
-    scores = ctx @ w
-    # -log sigmoid(score) is logaddexp(0, -score); it also gives the sigmoid.
-    neg_log_sig = np.logaddexp(0.0, -scores)
-    loss = float(np.where(labels, neg_log_sig, np.logaddexp(0.0, scores)).sum())
-    g = np.exp(-neg_log_sig) - labels
-    return loss, g @ ctx, np.dot(g[:, None], w[None, :])
+    t = np.logaddexp(0.0, signs * ctx.dot(w))
+    return float(t.sum()), signs * np.expm1(-t)
 
 
 def _encode_corpus(songs: Iterable[TokenizedSong], vocab: Vocabulary) -> list[np.ndarray]:
@@ -155,6 +158,13 @@ def _pvdbow_blocks(s, seq, dist, config, rng):
     return [s] * len(seq), rows, [1] * len(seq)
 
 
+def _learning_rates(config, step, count, steps):
+    """The learning rates of steps step .. step + count - 1 of steps, as
+    Python floats: lr decays linearly to 0 over all steps, floored at lr_min."""
+    done = np.arange(step, step + count) / steps
+    return np.maximum(config.lr_min, config.lr * (1.0 - done)).tolist()
+
+
 def _train(sequences, n_inputs, blocks_of, vocab, config, init, rng):
     """SGNS from an n_inputs x d start drawn from init, one SGD step per
     center, with every negative drawn from rng.
@@ -163,19 +173,20 @@ def _train(sequences, n_inputs, blocks_of, vocab, config, init, rng):
     ``_skipgram_blocks`` does; a song with no token draws nothing. A center
     with no pair takes an empty step, so the learning rate, which decays
     linearly over all epochs, still counts it. Returns the input and output
-    matrices and each epoch's mean objective.
+    matrices and each epoch's mean objective; raises TrainingDiverged if the
+    objective or either matrix is non-finite at the end of an epoch.
     """
     input_vectors = (init.random((n_inputs, config.dim)) - 0.5) / config.dim
     output_vectors = np.zeros((len(vocab), config.dim))
     dist = negative_sampling_dist(vocab)
     width = config.negatives + 1
-    labels = np.zeros(2 * config.window * width)
-    labels[::width] = 1.0
+    signs = np.ones(2 * config.window * width)
+    signs[::width] = -1.0
     flat_output = output_vectors.reshape(-1)
     # Every output entry's flat index, gathered per block instead of computed:
     # V x d int64, about 6 MB at V = 5k and d = 150. The flat form of
-    # np.add.at(output_vectors, rows, grad) lets a repeated row take each of
-    # its updates in turn.
+    # np.add.at(output_vectors, rows, update) lets a repeated row take each
+    # of its updates in turn.
     offsets = np.arange(len(vocab))[:, None] * config.dim + np.arange(config.dim)
     centers = sum(len(seq) for seq in sequences)
     steps = config.epochs * centers
@@ -184,29 +195,38 @@ def _train(sequences, n_inputs, blocks_of, vocab, config, init, rng):
         step = epoch * centers
         total = 0.0
         # Divergence shows up as overflowing scores; that is detected via the
-        # finiteness of the loss, so the overflow itself is not worth a warning.
+        # finiteness of the loss and the matrices, so the overflow itself is
+        # not worth a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             for s, seq in enumerate(sequences):
                 if not len(seq):
                     continue
                 inputs, rows, pairs = blocks_of(s, seq, dist, config, rng)
+                rates = _learning_rates(config, step, len(seq), steps)
+                step += len(seq)
                 stop = 0
-                for i, n in zip(inputs, pairs):
-                    lr = max(config.lr_min, config.lr * (1.0 - step / steps))
-                    step += 1
-                    block = rows[stop : stop + n * width]
-                    stop += n * width
+                for i, n, lr in zip(inputs, pairs, rates):
+                    start, stop = stop, stop + n * width
+                    block = rows[start:stop]
+                    # take and dot, not [] and @: on blocks this small the
+                    # operators' dispatch costs about as much as the work.
+                    ctx = output_vectors.take(block, axis=0)
                     w = input_vectors[i]
-                    loss, grad_w, grad_ctx = pair_objective(
-                        w, output_vectors[block], labels[: len(block)]
-                    )
+                    loss, coef = pair_objective(w, ctx, signs[: stop - start])
                     total += loss
-                    grad_ctx *= -lr
-                    np.add.at(flat_output, offsets[block].reshape(-1), grad_ctx.reshape(-1))
-                    w -= lr * grad_w
+                    coef *= lr
+                    update = np.dot(coef[:, None], w[None, :])
+                    np.add.at(flat_output, offsets.take(block, axis=0).ravel(), update.ravel())
+                    w += coef.dot(ctx)
         if not np.isfinite(total):
             raise TrainingDiverged(
                 f"non-finite training objective {total}; lower the learning rate ({config.lr})"
+            )
+        # An epoch's last updates are never scored, so its objective can be
+        # finite while the vectors it leaves are not.
+        if not (np.isfinite(input_vectors).all() and np.isfinite(output_vectors).all()):
+            raise TrainingDiverged(
+                f"non-finite vectors after epoch {epoch + 1}; lower the learning rate ({config.lr})"
             )
         objectives.append(-total / centers)
     return input_vectors, output_vectors, objectives
@@ -314,13 +334,17 @@ def write_embeddings(tokens: Sequence[str], matrix: np.ndarray) -> str:
     if len(tokens) != V:
         raise ValueError("token count must match matrix rows")
     lines = [f"{V} {d}"]
-    for tok, row in zip(tokens, matrix):
-        lines.append(tok + " " + " ".join(repr(float(x)) for x in row))
+    for tok, row in zip(tokens, matrix.astype(float, copy=False)):
+        lines.append(tok + " " + " ".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
 def read_embeddings(text: str) -> tuple[list[str], np.ndarray]:
-    """Parse ``write_embeddings`` output; a ValueError names the bad line. Each token is new."""
+    """Parse ``write_embeddings`` output; a ValueError names the bad line. Each token is new.
+
+    Every row's field count is checked before the matrix exists, so a header
+    that promises more than the text holds is refused, not allocated.
+    """
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty embedding file")
@@ -333,13 +357,14 @@ def read_embeddings(text: str) -> tuple[list[str], np.ndarray]:
     body = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != V:
         raise ValueError(f"expected {V} rows, found {len(body)}")
+    for lineno, line in body:
+        if line.count(" ") != d:
+            raise ValueError(f"line {lineno}: expected token and {d} floats")
     tokens = []
     seen: set[str] = set()
     matrix = np.empty((V, d))
     for i, (lineno, line) in enumerate(body):
         fields = line.split(" ")
-        if len(fields) != d + 1:
-            raise ValueError(f"line {lineno}: expected token and {d} floats")
         try:
             row = [float(x) for x in fields[1:]]
         except ValueError:

@@ -109,21 +109,23 @@ def test_criterion_4_gradient_suite_matches_finite_differences():
         rng = np.random.default_rng(seed)
         w = rng.normal(size=6)
         ctx = rng.normal(size=(4, 6))
-        labels = np.array([1.0, 0.0, 0.0, 0.0])
-        _, grad_w, grad_ctx = pair_objective(w, ctx, labels)
+        signs = np.array([-1.0, 1.0, 1.0, 1.0])
+        _, coef = pair_objective(w, ctx, signs)
         assert_gradients_close(
-            grad_w, central_difference(lambda _: pair_objective(w, ctx, labels)[0], w), what="sgns w"
+            -coef @ ctx,
+            central_difference(lambda _: pair_objective(w, ctx, signs)[0], w),
+            what="sgns w",
         )
         assert_gradients_close(
-            grad_ctx,
-            central_difference(lambda _: pair_objective(w, ctx, labels)[0], ctx),
+            -np.outer(coef, w),
+            central_difference(lambda _: pair_objective(w, ctx, signs)[0], ctx),
             what="sgns ctx",
         )
         docs = rng.normal(size=(3, 6))
-        _, grad_doc, _ = pair_objective(docs[1], ctx, labels)
+        _, coef_doc = pair_objective(docs[1], ctx, signs)
         assert_gradients_close(
-            grad_doc,
-            central_difference(lambda _: pair_objective(docs[1], ctx, labels)[0], docs[1]),
+            -coef_doc @ ctx,
+            central_difference(lambda _: pair_objective(docs[1], ctx, signs)[0], docs[1]),
             what="doc vector",
         )
 

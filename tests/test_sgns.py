@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -33,20 +34,21 @@ def test_pair_loss_at_zero_scores():
     """One positive and one negative at score 0 cost -2 log(1/2)."""
     w = np.zeros(4)
     ctx = np.zeros((2, 4))
-    loss, _, _ = pair_objective(w, ctx, np.array([1.0, 0.0]))
+    loss, _ = pair_objective(w, ctx, np.array([-1.0, 1.0]))
     assert loss == pytest.approx(1.3863, abs=1e-4)
 
 
 def test_pair_objective_matches_finite_differences():
+    """coef is -d loss / d score: d loss / d w = -coef @ ctx, d loss / d ctx = -coef (x) w."""
     rng = np.random.default_rng(3)
     w = rng.normal(scale=0.5, size=6)
     ctx = rng.normal(scale=0.5, size=(4, 6))
-    labels = np.array([1.0, 0.0, 0.0, 0.0])
-    _, grad_w, grad_ctx = pair_objective(w, ctx, labels)
-    num_w = central_difference(lambda v: pair_objective(v, ctx, labels)[0], w)
-    num_ctx = central_difference(lambda c: pair_objective(w, c, labels)[0], ctx)
-    assert_gradients_close(grad_w, num_w, what="d loss / d target vector")
-    assert_gradients_close(grad_ctx, num_ctx, what="d loss / d context rows")
+    signs = np.array([-1.0, 1.0, 1.0, 1.0])
+    _, coef = pair_objective(w, ctx, signs)
+    num_w = central_difference(lambda v: pair_objective(v, ctx, signs)[0], w)
+    num_ctx = central_difference(lambda c: pair_objective(w, c, signs)[0], ctx)
+    assert_gradients_close(-coef @ ctx, num_w, what="d loss / d target vector")
+    assert_gradients_close(-np.outer(coef, w), num_ctx, what="d loss / d context rows")
 
 
 @pytest.mark.parametrize("scale", [0.5, 30.0, 1e160])
@@ -55,12 +57,36 @@ def test_pair_objective_equals_the_term_by_term_form_bit_for_bit(scale):
     rng = np.random.default_rng(7)
     w = rng.normal(scale=scale, size=5)
     ctx = rng.normal(scale=scale, size=(6, 5))
-    labels = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    signs = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        got = pair_objective(w, ctx, labels)
-    want = _reference_pair_objective(w, ctx, labels)
+        got = pair_objective(w, ctx, signs)
+    want = _reference_pair_objective(w, ctx, signs)
     for a, b in zip(got, want):
         assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("scale", [0.5, 30.0, 1e160])
+def test_pair_loss_equals_the_labels_form_bit_for_bit(scale):
+    """The signed softplus sums the same terms as the np.where form on 0/1 labels."""
+    rng = np.random.default_rng(8)
+    w = rng.normal(scale=scale, size=5)
+    ctx = rng.normal(scale=scale, size=(12, 5))
+    labels = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0] * 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, _ = pair_objective(w, ctx, 1.0 - 2.0 * labels)
+        want = _labels_pair_objective(w, ctx, labels)[0]
+    assert np.array_equal(loss, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("score", [1e3, -1e3])
+def test_saturated_scores_give_limit_coefficients_without_warnings(score):
+    """A positive row costs softplus(-score), a negative softplus(score); at
+    |score| = 1e3 each coefficient is at its limit, 0 or +-1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, coef = pair_objective(np.ones(1), np.full((2, 1), score), np.array([-1.0, 1.0]))
+    assert loss == 1e3
+    assert coef.tolist() == ([0.0, -1.0] if score > 0 else [1.0, 0.0])
 
 
 def test_cosine_orthogonal():
@@ -184,8 +210,34 @@ def test_huge_learning_rate_diverges(fixture_songs):
         train_skipgram(fixture_songs, vocab, config)
 
 
-def _reference_pair_objective(w, ctx, labels):
-    """pair_objective written out term by term: np.where on the labels, np.outer."""
+def _reference_pair_objective(w, ctx, signs):
+    """pair_objective written out term by term: the positive row's softplus
+    and coefficient, then the negatives'."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = ctx @ w
+        positive = signs < 0
+        t = np.where(positive, np.logaddexp(0.0, -scores), np.logaddexp(0.0, scores))
+        loss = float(t.sum())
+        coef = np.where(positive, -np.expm1(-t), np.expm1(-t))
+        return loss, coef
+
+
+def _signed_step(w, output_vectors, ix, k, lr):
+    """One step of the signed form on the rows ix, whose every (k+1)-th row is
+    a positive: the coefficients scaled by lr, the context rows updated
+    through the 2-D np.add.at. Returns the loss and w's new value."""
+    ctx = output_vectors[ix]
+    signs = np.ones(len(ix))
+    signs[:: k + 1] = -1.0
+    loss, coef = _reference_pair_objective(w, ctx, signs)
+    coef = lr * coef
+    np.add.at(output_vectors, ix, np.outer(coef, w))
+    return loss, w + coef @ ctx
+
+
+def _labels_pair_objective(w, ctx, labels):
+    """The objective before the signed form, verbatim: np.where on 0/1
+    labels, np.outer, and the gradients of the loss."""
     with np.errstate(over="ignore", invalid="ignore"):
         scores = ctx @ w
         log_sig = -np.logaddexp(0.0, -scores)
@@ -195,18 +247,27 @@ def _reference_pair_objective(w, ctx, labels):
         return loss, g @ ctx, np.outer(g, w)
 
 
-def _reference_train(songs, vocab, config, seed, per_center):
+def _labels_step(w, output_vectors, ix, k, lr):
+    """The step before the signed form, verbatim, in _signed_step's interface."""
+    labels = np.zeros(len(ix))
+    labels[:: k + 1] = 1.0
+    loss, grad_w, grad_ctx = _labels_pair_objective(w, output_vectors[ix], labels)
+    np.add.at(output_vectors, ix, -lr * grad_ctx)
+    return loss, w - lr * grad_w
+
+
+def _reference_train(songs, vocab, config, seed, per_center, update=_signed_step):
     """The trainer that train_skipgram and train_pvdbow must equal bit for bit.
 
     The start is drawn from the seed's init stream and training runs on its
     train stream (skip-gram's or PV-DBOW's). A skip-gram song first draws
     its T windows in one call; every pair then draws its own k negatives,
-    which takes the same numbers as the trainer's one draw per song. The
-    term-by-term objective. With per_center the center's pairs are scored as
-    one flat block and take one step (skip-gram); without it each pair takes
-    its own step and the input row is the song's (PV-DBOW). The context rows
-    are updated through the 2-D np.add.at. Returns the input matrix, the
-    output matrix and the per-epoch objectives.
+    which takes the same numbers as the trainer's one draw per song. Each
+    center's learning rate is computed on its own. With per_center the
+    center's pairs are scored as one flat block and take one step
+    (skip-gram); without it each pair takes its own step and the input row
+    is the song's (PV-DBOW). update is _signed_step or _labels_step. Returns
+    the input matrix, the output matrix and the per-epoch objectives.
     """
     sequences = [np.array(vocab.encode(song.tokens), dtype=np.int64) for song in songs]
     d, k = config.dim, config.negatives
@@ -239,14 +300,9 @@ def _reference_train(songs, vocab, config, seed, per_center):
                 )
                 w = input_vectors[row]
                 for ix in [pairs.ravel()] if per_center else pairs:
-                    labels = np.zeros(len(ix))
-                    labels[:: k + 1] = 1.0
-                    loss, grad_w, grad_ctx = _reference_pair_objective(
-                        w, output_vectors[ix], labels
-                    )
+                    loss, new_w = update(w, output_vectors, ix, k, lr)
                     total += loss
-                    np.add.at(output_vectors, ix, -lr * grad_ctx)
-                    input_vectors[row] = w - lr * grad_w
+                    input_vectors[row] = new_w
         objectives.append(-total / centers)
     return input_vectors, output_vectors, objectives
 
@@ -318,6 +374,63 @@ def test_pvdbow_equals_the_per_pair_reference_bit_for_bit(corpus):
     vectors, _, objectives = _reference_train(songs, vocab, config, seed, per_center=False)
     assert np.array_equal(docs.vectors, vectors)
     assert docs.epoch_objectives == objectives
+
+
+@pytest.mark.parametrize("corpus", SKIPGRAM_CORPORA)
+@pytest.mark.parametrize("train", [train_skipgram, train_pvdbow])
+def test_trainers_match_the_labels_form_within_rounding(corpus, train):
+    """The signed step rounds differently from the 0/1-label gradients it
+    replaced, and by no more than rounding."""
+    songs, config, seed = corpus()
+    vocab = build_vocab([s.tokens for s in songs])
+    per_center = train is train_skipgram
+    want_in, want_out, want_objectives = _reference_train(
+        songs, vocab, config, seed, per_center, update=_labels_step
+    )
+    trained = train(songs, vocab, config, seed)
+    if per_center:
+        pairs = [(trained.input_vectors, want_in), (trained.output_vectors, want_out)]
+    else:
+        pairs = [(trained.vectors, want_in)]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.allclose(trained.epoch_objectives, want_objectives, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "lr, lr_min, steps",
+    [
+        (0.025, 0.0001, 7),
+        (0.025, 0.0001, 100_003),
+        (0.1, 0.0, 4_096),
+        (0.3, 0.3, 50),
+        (0.7, 0.2, 999),
+    ],
+)
+def test_learning_rates_equal_the_per_center_formula(lr, lr_min, steps):
+    """Each song's rates come from one vectorised call; they equal the
+    scalar max(lr_min, lr * (1 - step / steps)) of every center exactly."""
+    config = SkipgramConfig(lr=lr, lr_min=lr_min)
+    cuts = sorted({0, 1, steps // 3, steps // 2, steps - 1, steps})
+    for start, stop in zip(cuts, cuts[1:]):
+        rates = sgns._learning_rates(config, start, stop - start, steps)
+        assert all(type(r) is float for r in rates)
+        assert rates == [max(lr_min, lr * (1.0 - step / steps)) for step in range(start, stop)]
+
+
+def test_skipgram_refuses_vectors_an_epochs_unscored_last_step_left_non_finite():
+    """The epoch's last update is never scored, so its objective (-8.8e196
+    here) is finite while the vectors are not; PV-DBOW stays finite on the
+    same config."""
+    songs = [TokenizedSong(id="s", label="x", tokens=("p", "q"))]
+    vocab = build_vocab([s.tokens for s in songs])
+    config = SkipgramConfig(dim=4, window=1, negatives=1, epochs=1, lr=1e200, lr_min=1e200)
+    message = r"^non-finite vectors after epoch 1; lower the learning rate \(1e\+200\)$"
+    with pytest.raises(TrainingDiverged, match=message):
+        train_skipgram(songs, vocab, config)
+    docs = train_pvdbow(songs, vocab, config)
+    assert np.isfinite(docs.vectors).all()
+    assert docs.epoch_objectives == [pytest.approx(-1.386, abs=1e-3)]
 
 
 @pytest.mark.parametrize("train", [train_skipgram, train_pvdbow])
@@ -458,6 +571,24 @@ def test_embedding_file_round_trip(v, d, seed):
     assert np.array_equal(back, matrix)
 
 
+def _float_by_float(tokens, matrix):
+    """write_embeddings before it formatted from tolist(): repr per NumPy scalar."""
+    lines = [f"{matrix.shape[0]} {matrix.shape[1]}"]
+    for tok, row in zip(tokens, matrix):
+        lines.append(tok + " " + " ".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_embedding_text_is_byte_identical_to_the_per_scalar_formatter():
+    edge = np.array([[-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]])
+    random = np.random.default_rng(21).normal(scale=1e-3, size=(9, 150))
+    for matrix in (edge, -edge, random):
+        tokens = [f"t{i}" for i in range(len(matrix))]
+        assert write_embeddings(tokens, matrix) == _float_by_float(tokens, matrix)
+    want = "1 4\na -0.0 5e-324 1.7976931348623157e+308 0.30000000000000004\n"
+    assert write_embeddings(["a"], edge) == want
+
+
 def test_read_embeddings_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         read_embeddings("not a header\n")
@@ -473,6 +604,13 @@ def test_read_embeddings_rejects_wrong_row_count():
     # Counted before the matrix is allocated, so a huge header is no MemoryError.
     with pytest.raises(ValueError, match="^expected 100000000000 rows, found 1$"):
         read_embeddings("100000000000 2\nt0 0.0 1.0\n")
+
+
+def test_read_embeddings_checks_the_rows_before_it_allocates():
+    """A header width of 2e9 would take 14.9 GiB for one row; the short row
+    is refused first."""
+    with pytest.raises(ValueError, match="^line 2: expected token and 2000000000 floats$"):
+        read_embeddings("1 2000000000\na 1.0\n")
 
 
 @pytest.mark.parametrize(
