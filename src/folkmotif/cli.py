@@ -25,7 +25,7 @@ from .experiment import REPRESENTATIONS, ExperimentConfig, ExperimentError, clas
 from .experiment import run_experiment, songs_with_motifs
 from .kern import ParseError
 from .melody import CorpusError, load_corpus, read_jsonl, write_jsonl
-from .metrics import evaluate, render_report, split_dataset
+from .metrics import evaluate, render_report
 from .sgns import Embeddings, SkipgramConfig, TrainingDiverged, most_similar, read_embeddings
 from .sgns import train_skipgram, write_embeddings
 from .synth import SynthConfig, generate_corpus
@@ -159,23 +159,14 @@ def _cmd_similar(args) -> None:
         print(f"{token}\t{score:.4f}")
 
 
-def _classify_songs(songs, config: ExperimentConfig, vocab, emb):
-    """Filter, split and classify the songs as ``run_experiment`` does. Returns the test
-    songs, ``classify``'s files and attention weights, the report and its title."""
-    songs = songs_with_motifs(songs, vocab)
-    train, test = split_dataset(songs, config.split_ratio, config.seed)
-    predictions, files, weighted = classify(config, songs, train, test, vocab, emb)
-    report = evaluate(predictions, [s.label for s in test], sorted({s.label for s in songs}))
-    return test, files, weighted, report, f"{config.model} ({len(train)} train / {len(test)} test)"
-
-
 def _cmd_train_classifier(args) -> None:
     songs = read_token_file(Path(args.tokens).read_text(encoding="utf-8"))
     emb = _read_embedding_set(args.embeddings, args.vocab)
     classifier = _config_from_flags(args, ClassifierConfig, CLASSIFIER_FLAGS)
     config = ExperimentConfig(model="attention", split_ratio=args.ratio, seed=args.seed,
                               classifier=classifier)
-    test, files, weighted, report, title = _classify_songs(songs, config, emb.vocab, emb)
+    songs = songs_with_motifs(songs, emb.vocab)
+    train, test, _, files, weighted, report = classify(config, songs, emb.vocab, emb)
     Path(args.out).write_text(files["model.txt"], encoding="utf-8")
     print(f"model written to {args.out}")
     if args.alpha_dir:
@@ -183,7 +174,7 @@ def _cmd_train_classifier(args) -> None:
         out.mkdir(parents=True, exist_ok=True)
         for song, pairs in zip(test, weighted):
             (out / f"{song.id}.csv").write_text(alpha_csv(pairs), encoding="utf-8")
-    _report_out(report, title, args.out_json)
+    _report_out(report, f"attention ({len(train)} train / {len(test)} test)", args.out_json)
 
 
 def _cmd_baseline(args) -> None:
@@ -196,15 +187,19 @@ def _cmd_baseline(args) -> None:
     else:
         if not args.vocab:
             raise UsageError("baseline doc2vec requires --vocab")
+        if args.embeddings:
+            raise UsageError("baseline doc2vec takes no --embeddings: "
+                             "doc2vec learns its own song vectors")
         emb, vocab = None, read_vocab(Path(args.vocab).read_text(encoding="utf-8"))
     embedding = _config_from_flags(args, SkipgramConfig, DOC2VEC_FLAGS)
     svm = SvmConfig(lam=args.lam, epochs=args.svm_epochs)
     config = ExperimentConfig(model=args.kind, split_ratio=args.ratio, seed=args.seed,
                               embedding=embedding, svm=svm)
-    _, files, _, report, title = _classify_songs(songs, config, vocab, emb)
+    songs = songs_with_motifs(songs, vocab)
+    train, test, _, files, _, report = classify(config, songs, vocab, emb)
     if args.out_svm:
         Path(args.out_svm).write_text(files["svm.txt"], encoding="utf-8")
-    _report_out(report, title, args.out_json)
+    _report_out(report, f"{args.kind} ({len(train)} train / {len(test)} test)", args.out_json)
 
 
 def _cmd_evaluate(args) -> None:
@@ -367,7 +362,8 @@ def main(argv=None) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
     except (ParseError, CorpusError, ExperimentError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -1,4 +1,4 @@
-"""End-to-end experiment runner: tokenize -> embed -> split -> train -> evaluate.
+"""End-to-end experiment runner: tokenize -> split -> embed -> train -> evaluate.
 
 An experiment is fully described by an ExperimentConfig (JSON-serializable,
 so config files mirror it field for field). Its one ``seed`` seeds the split
@@ -8,12 +8,13 @@ of the seed (``seeds.stream``), so no two share a random number.
 Artifacts — token file, vocab, model, predictions, metrics JSON, text report
 — are written to an output directory, and reruns with the same config and
 corpus are byte-identical.
+``classify`` runs the split, the skip-gram training when the model needs it, the
+model and the scoring, for ``run_experiment`` and the staged CLI commands alike,
+so a staged command's error names its stage too.
 The attention and average models read skip-gram motif vectors, so only they
 train skip-gram and write ``embeddings.txt``. Doc2vec is PV-DBOW, which
 learns its song vectors straight from the tokens; for it the ``embedding``
-block configures PV-DBOW, which does not use ``window``. ``classify`` is the
-one place that trains and runs the chosen model; the staged CLI commands call
-it and ``songs_with_motifs`` too, so they make no model decision of their own.
+block configures PV-DBOW, which does not use ``window``.
 """
 
 from __future__ import annotations
@@ -145,16 +146,37 @@ def songs_with_motifs(songs, vocab):
     return kept
 
 
-def classify(config: ExperimentConfig, songs, train, test, vocab, embeddings):
-    """Train ``config.model`` on the train songs and predict the test songs.
+def classify(config: ExperimentConfig, songs, vocab, embeddings=None):
+    """Split the songs, train ``config.model`` on the train songs, predict and score the test.
 
-    songs are all the split's songs, each with an in-vocabulary motif; doc2vec
-    learns a vector for every one of them. embeddings are the skip-gram motif
-    vectors, None for doc2vec. Returns the predicted labels, the model's files
-    by name, and for attention each test song's (motif, attention weight)
-    pairs (None for the SVM models).
+    songs each have an in-vocabulary motif. embeddings are the skip-gram motif vectors
+    that attention and average read; given None, those models train them here and
+    return them as ``embeddings.txt``. Returns the train and test songs, the predicted
+    labels, the files by name, the attention model's (motif, weight) pairs per test song
+    (None for the SVM models), and the report.
     """
+    train, test = _stage("split", split_dataset, songs, config.split_ratio, config.seed)
     classes = sorted({s.label for s in songs})
+    # PV-DBOW (doc2vec) reads no motif vectors.
+    trains_skipgram = embeddings is None and config.model != "doc2vec"
+    if trains_skipgram:
+        embeddings = _stage(
+            "embeddings", train_skipgram, songs, vocab, config.embedding, config.seed
+        )
+    stage = "classifier" if config.model == "attention" else "baseline"
+    predictions, files, weighted = _stage(
+        stage, _fit_predict, config, songs, classes, train, test, vocab, embeddings
+    )
+    if trains_skipgram:  # written after the model, whose training is the memory peak
+        vectors = write_embeddings(vocab.tokens, embeddings.input_vectors)
+        files = {"embeddings.txt": vectors, **files}
+    report = _stage("evaluate", evaluate, predictions, [s.label for s in test], classes)
+    return train, test, predictions, files, weighted, report
+
+
+def _fit_predict(config: ExperimentConfig, songs, classes, train, test, vocab, embeddings):
+    """The model stage of ``classify``: (predicted labels, files, weighted pairs).
+    doc2vec learns a vector for every one of the songs, the test songs too."""
     if config.model == "attention":
         max_len = config.classifier.max_len
         examples = make_examples(train, embeddings, classes, max_len)
@@ -200,21 +222,7 @@ def run_experiment(
         raise ExperimentError("tokenize", ValueError("no melody survived tokenization"))
     vocab = _stage("vocabulary", build_vocab, [s.tokens for s in songs], config.min_count)
     songs = _stage("vocabulary", songs_with_motifs, songs, vocab)
-    train, test = _stage("split", split_dataset, songs, config.split_ratio, config.seed)
-    classes = sorted({s.label for s in songs})
-    embeddings = None  # PV-DBOW (doc2vec) reads no motif vectors
-    if config.model != "doc2vec":
-        embeddings = _stage(
-            "embeddings", train_skipgram, songs, vocab, config.embedding, config.seed
-        )
-
-    stage = "classifier" if config.model == "attention" else "baseline"
-    predictions, model_files, _ = _stage(
-        stage, classify, config, songs, train, test, vocab, embeddings
-    )
-
-    gold = [s.label for s in test]
-    report = _stage("evaluate", evaluate, predictions, gold, classes)
+    train, test, predictions, classify_files, _, report = classify(config, songs, vocab)
 
     artifacts: dict[str, str] = {}
     if out_dir is not None:
@@ -230,12 +238,7 @@ def run_experiment(
             "experiment.json": json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n",
             "tokens.tsv": write_token_file(songs),
             "vocab.tsv": write_vocab(vocab),
-            **(
-                {"embeddings.txt": write_embeddings(vocab.tokens, embeddings.input_vectors)}
-                if embeddings is not None
-                else {}
-            ),
-            **model_files,
+            **classify_files,
             "predictions.csv": prediction_rows.getvalue(),
             "metrics.json": report.to_json(),
             "report.txt": render_report(report, title=title),

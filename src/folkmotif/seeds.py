@@ -23,8 +23,6 @@ STREAM_KEYS = {
 }
 
 
-def stream(seed: int, consumer: str, *key: int) -> np.random.Generator:
-    """The generator of ``consumer`` under ``seed``; ``key`` extends its spawn key."""
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(STREAM_KEYS[consumer], *key))
-    )
+def stream(seed: int, consumer: str) -> np.random.Generator:
+    """The generator of ``consumer`` under ``seed``, spawned with its key."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(STREAM_KEYS[consumer],)))

@@ -188,15 +188,15 @@ def tokenize_corpus(
 ) -> list[TokenizedSong]:
     """Tokenize every melody, optionally re-chunking into multiwords.
 
-    Melodies that cannot be tokenized (too few pitched events in
-    intervallic mode) are dropped.
+    Melodies with fewer than 2 pitched events are dropped in intervallic
+    mode, which has no token for them; any other melody that cannot be
+    tokenized raises.
     """
     songs = []
     for m in melodies:
-        try:
-            tokens = tokenize_melody(m, mode)
-        except ValueError:
+        if mode == "intervallic" and len(m.pitched_events()) < 2:
             continue
+        tokens = tokenize_melody(m, mode)
         if multiword is not None:
             tokens = build_multiwords(tokens, multiword, multiword_mode)
         songs.append(TokenizedSong(id=m.id, label=m.label, tokens=tuple(tokens)))

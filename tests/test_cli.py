@@ -185,6 +185,14 @@ def test_similar_unknown_token_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_similar_unknown_token_prints_the_message_and_its_hint(tmp_path, capsys):
+    emb = tmp_path / "embeddings.txt"
+    emb.write_text("3 2\n11_10 0.1 0.2\n10_10 0.3 0.4\n21_20 0.5 0.6\n")
+    assert main(["similar", "11_100", "--embeddings", str(emb)]) == 2
+    err = "error: unknown token '11_100'; did you mean '11_10', '10_10'?\n"
+    assert capsys.readouterr().err == err
+
+
 def test_similar_refuses_a_repeated_embedding_row(tmp_path, capsys):
     emb = tmp_path / "embeddings.txt"
     emb.write_text("2 1\na 1.0\na 2.0\n")
@@ -232,6 +240,16 @@ def test_train_classifier_refuses_song_ids_outside_the_alpha_dir(tmp_path, capsy
     assert not list(tmp_path.rglob("esc*.csv"))
 
 
+def test_train_classifier_split_error_names_its_stage(tmp_path, capsys):
+    _, tokens, emb, vocab = synth_pipeline(tmp_path)
+    assert main(["train-classifier", "--tokens", str(tokens), "--embeddings", str(emb),
+                 "--vocab", str(vocab), "--ratio", "0.95",
+                 "--out", str(tmp_path / "model.txt")]) == 2
+    err = "error: stage 'split': class 'alpha' gets no test song at ratio 0.95\n"
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "model.txt").exists()
+
+
 def test_classifier_divergence_exit_code(tmp_path, capsys):
     _, tokens, emb, vocab = synth_pipeline(tmp_path)
     assert main(["train-classifier", "--tokens", str(tokens), "--embeddings", str(emb),
@@ -261,6 +279,13 @@ def test_baseline_doc2vec(tmp_path, capsys):
     assert main(["baseline", "doc2vec", "--tokens", str(tokens), "--vocab", str(vocab),
                  "--dim", "8", "--epochs", "2"]) == 0
     assert "accuracy" in capsys.readouterr().out
+
+
+def test_baseline_doc2vec_refuses_embeddings(tmp_path, capsys):
+    _, tokens, emb, vocab = synth_pipeline(tmp_path)
+    assert main(["baseline", "doc2vec", "--tokens", str(tokens), "--embeddings", str(emb),
+                 "--vocab", str(vocab)]) == 1
+    assert "doc2vec learns its own song vectors" in capsys.readouterr().err
 
 
 def test_baseline_refuses_a_repeated_song_id(tmp_path, capsys):
@@ -687,7 +712,7 @@ CONFIG_CASES = {
     ),
     **{
         f"baseline-{kind}": (
-            ["baseline", kind], ("tokens", "embeddings", "vocab"), "classify", 0,
+            ["baseline", kind], inputs, "classify", 0,
             ["--ratio", "0.5", "--seed", "5", "--dim", "7", "--negatives", "3",
              "--epochs", "4", "--lam", "1", "--svm-epochs", "9"],
             ExperimentConfig(model=kind, split_ratio=0.5, seed=5,
@@ -695,7 +720,8 @@ CONFIG_CASES = {
                              svm=SvmConfig(lam=1.0, epochs=9)),
             ExperimentConfig(model=kind),
         )
-        for kind in ("average", "doc2vec")
+        for kind, inputs in (("average", ("tokens", "embeddings", "vocab")),
+                             ("doc2vec", ("tokens", "vocab")))
     },
     "synth-corpus": (
         ["synth-corpus"], (), "generate_corpus", 0,

@@ -12,10 +12,11 @@ from folkmotif.attention import ClassifierConfig, _param_arrays, load_model
 from folkmotif.baselines import SvmConfig, read_svm
 import folkmotif.experiment
 from folkmotif.experiment import ExperimentConfig, ExperimentError, classify, run_experiment
+from folkmotif.experiment import songs_with_motifs
 from folkmotif.melody import LabeledCorpus
-from folkmotif.sgns import SkipgramConfig, TrainingDiverged, read_embeddings
+from folkmotif.sgns import SkipgramConfig, TrainingDiverged, read_embeddings, train_skipgram
 from folkmotif.synth import SynthConfig, generate_corpus
-from folkmotif.tokens import TokenizedSong
+from folkmotif.tokens import TokenizedSong, tokenize_corpus
 from folkmotif.vocab import build_vocab
 
 
@@ -224,12 +225,63 @@ def test_doc2vec_song_vectors_refuse_a_song_with_no_in_vocabulary_motif():
         TokenizedSong(id="a", label="x", tokens=("p", "q")),
         TokenizedSong(id="b", label="x", tokens=("zzz",)),
         TokenizedSong(id="c", label="y", tokens=("q", "p")),
+        TokenizedSong(id="d", label="y", tokens=("p", "q")),
     ]
     vocab = build_vocab([songs[0].tokens])
     embedding = SkipgramConfig(dim=4, negatives=2, epochs=1)
     config = ExperimentConfig(model="doc2vec", embedding=embedding)
-    with pytest.raises(ValueError, match="song 'b'"):
-        classify(config, songs, songs[:2], songs[2:], vocab, None)
+    with pytest.raises(ExperimentError, match="stage 'baseline': song 'b'"):
+        classify(config, songs, vocab)
+
+
+def motif_songs(config, corpus):
+    """The songs and vocabulary that ``run_experiment`` hands to ``classify``."""
+    songs = tokenize_corpus(corpus, config.representation, multiword=config.multiword_size,
+                            multiword_mode=config.multiword_mode)
+    vocab = build_vocab([s.tokens for s in songs], config.min_count)
+    return songs_with_motifs(songs, vocab), vocab
+
+
+def count_skipgram(monkeypatch):
+    calls = []
+    train = folkmotif.experiment.train_skipgram
+
+    def counted(*args):
+        calls.append(args)
+        return train(*args)
+
+    monkeypatch.setattr(folkmotif.experiment, "train_skipgram", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["attention", "average"])
+def test_classify_given_motif_vectors_trains_no_skipgram(monkeypatch, model):
+    config = fast_config(model=model)
+    songs, vocab = motif_songs(config, small_corpus())
+    embeddings = train_skipgram(songs, vocab, config.embedding, config.seed)
+    calls = count_skipgram(monkeypatch)
+    train, test, predictions, files, weighted, report = classify(config, songs, vocab, embeddings)
+    assert calls == []
+    assert "embeddings.txt" not in files
+    assert len(train) + len(test) == len(songs)
+    assert len(predictions) == len(test) == report.confusion.sum()
+    assert (weighted is None) == (model == "average")
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN))
+def test_classify_trains_skipgram_only_when_the_model_reads_motif_vectors(
+    tmp_path, monkeypatch, model
+):
+    """Without vectors, attention and average train skip-gram once, and every
+    file equals the one-shot run's; doc2vec never trains skip-gram."""
+    config = fast_config(model=model)
+    _, artifacts = run_experiment(config, small_corpus(), tmp_path)
+    calls = count_skipgram(monkeypatch)
+    files = classify(config, *motif_songs(config, small_corpus()))[3]
+    assert len(calls) == (model != "doc2vec")
+    assert ("embeddings.txt" in files) == (model != "doc2vec")
+    for name, text in files.items():
+        assert text.encode("utf-8") == Path(artifacts[name]).read_bytes(), name
 
 
 def test_report_returned_without_out_dir():

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from folkmotif.melody import Melody, NoteEvent
+from folkmotif.synth import SynthConfig, generate_corpus
 from folkmotif.tokens import (
     TokenizedSong,
     build_multiwords,
@@ -219,3 +220,24 @@ def test_tokenize_corpus_drops_untokenizable_melodies():
     songs = tokenize_corpus([good, bad], "intervallic", multiword=2)
     assert [s.id for s in songs] == ["good"]
     assert songs[0].tokens == ("21_21",)
+
+
+def test_tokenize_corpus_drops_a_melody_only_where_it_has_no_interval():
+    """One note and a rest: no interval token, but two rhythm tokens."""
+    one = Melody(id="one", label="l", meter=[(0, 4, 4)],
+                 events=[note(60, 1, 0), note(None, 1, 1)])
+    assert tokenize_corpus([one], "intervallic") == []
+    assert [s.tokens for s in tokenize_corpus([one], "rhythmic")] == [("1-1-1", "0-1-1")]
+
+
+def test_tokenize_corpus_raises_on_an_unknown_mode():
+    melodies = generate_corpus(SynthConfig(songs_per_class=2))
+    with pytest.raises(ValueError, match="^unknown tokenization mode 'melodic'$"):
+        tokenize_corpus(melodies, "melodic")
+
+
+def test_tokenize_corpus_raises_on_a_rhythmic_melody_with_no_meter():
+    late = Melody(id="late", label="l", meter=[(1, 4, 4)],
+                  events=[note(60, 1, 0), note(62, 1, 0, measure=1)])
+    with pytest.raises(ValueError, match="^melody 'late' has no meter at measure 0$"):
+        tokenize_corpus([late], "rhythmic")
