@@ -23,7 +23,6 @@ from .attention import ClassifierConfig, alpha_csv
 from .baselines import SvmConfig
 from .experiment import REPRESENTATIONS, ExperimentConfig, ExperimentError, classify
 from .experiment import run_experiment, songs_with_motifs
-from .kern import ParseError
 from .melody import CorpusError, load_corpus, read_jsonl, write_jsonl
 from .metrics import evaluate, render_report
 from .sgns import Embeddings, SkipgramConfig, TrainingDiverged, most_similar, read_embeddings
@@ -66,13 +65,14 @@ def _config_from_flags(args, cls, names, **extra):
     return cls(**{name: getattr(args, name) for name in names}, **extra)
 
 
-def _parse_sources(pairs: list[str]) -> list[tuple[str, str]]:
+def _parse_sources(pairs: list[str], value: str = "PATH") -> list[tuple[str, str]]:
+    """Split each LABEL=VALUE pair; value names the right-hand side in the message."""
     sources = []
     for pair in pairs:
-        label, sep, path = pair.partition("=")
-        if not sep or not label or not path:
-            raise UsageError(f"expected LABEL=PATH, got {pair!r}")
-        sources.append((label, path))
+        label, sep, rest = pair.partition("=")
+        if not sep or not label or not rest:
+            raise UsageError(f"expected LABEL={value}, got {pair!r}")
+        sources.append((label, rest))
     return sources
 
 
@@ -140,17 +140,18 @@ def _cmd_tokenize(args) -> None:
 
 
 def _cmd_train_embeddings(args) -> None:
+    embedding = _config_from_flags(args, SkipgramConfig, EMBEDDING_FLAGS)
+    config = ExperimentConfig(seed=args.seed, min_count=args.min_count, embedding=embedding)
     songs = read_token_file(Path(args.tokens).read_text(encoding="utf-8"))
-    vocab = build_vocab([s.tokens for s in songs], args.min_count)
-    config = _config_from_flags(args, SkipgramConfig, EMBEDDING_FLAGS)
-    emb = train_skipgram(songs, vocab, config, args.seed)
+    vocab = build_vocab([s.tokens for s in songs], config.min_count)
+    emb = train_skipgram(songs, vocab, config.embedding, config.seed)
     for i, objective in enumerate(emb.epoch_objectives, start=1):
-        print(f"epoch {i}/{config.epochs}: objective {objective:.4f}")
+        print(f"epoch {i}/{config.embedding.epochs}: objective {objective:.4f}")
     Path(args.out_embeddings).write_text(
         write_embeddings(vocab.tokens, emb.input_vectors), encoding="utf-8"
     )
     Path(args.out_vocab).write_text(write_vocab(vocab), encoding="utf-8")
-    print(f"wrote {len(vocab.tokens)} x {config.dim} embeddings to {args.out_embeddings}")
+    print(f"wrote {len(vocab.tokens)} x {config.embedding.dim} embeddings to {args.out_embeddings}")
 
 
 def _cmd_similar(args) -> None:
@@ -179,9 +180,13 @@ def _cmd_train_classifier(args) -> None:
 
 def _cmd_baseline(args) -> None:
     songs = read_token_file(Path(args.tokens).read_text(encoding="utf-8"))
+    embedding = _config_from_flags(args, SkipgramConfig, DOC2VEC_FLAGS)
     if args.kind == "average":
         if not args.embeddings:
             raise UsageError("baseline average requires --embeddings")
+        if embedding != SkipgramConfig():
+            raise UsageError("baseline average takes no --dim, --negatives or --epochs: "
+                             "they configure doc2vec, and the average model trains no vectors")
         emb = _read_embedding_set(args.embeddings, args.vocab)
         vocab = emb.vocab
     else:
@@ -191,7 +196,6 @@ def _cmd_baseline(args) -> None:
             raise UsageError("baseline doc2vec takes no --embeddings: "
                              "doc2vec learns its own song vectors")
         emb, vocab = None, read_vocab(Path(args.vocab).read_text(encoding="utf-8"))
-    embedding = _config_from_flags(args, SkipgramConfig, DOC2VEC_FLAGS)
     svm = SvmConfig(lam=args.lam, epochs=args.svm_epochs)
     config = ExperimentConfig(model=args.kind, split_ratio=args.ratio, seed=args.seed,
                               embedding=embedding, svm=svm)
@@ -247,13 +251,10 @@ def _cmd_experiment(args) -> None:
 def _cmd_synth_corpus(args) -> None:
     kwargs = {"noise_sizes": tuple(int(x) for x in args.noise.split(","))}
     if args.inventory:
-        inventories = {}
-        for pair in args.inventory:
-            label, sep, sizes = pair.partition("=")
-            if not sep or not label or not sizes:
-                raise UsageError(f"expected LABEL=SIZE[,SIZE...], got {pair!r}")
-            inventories[label] = tuple(int(x) for x in sizes.split(","))
-        kwargs["inventories"] = inventories
+        kwargs["inventories"] = {
+            label: tuple(int(x) for x in sizes.split(","))
+            for label, sizes in _parse_sources(args.inventory, "SIZE[,SIZE...]")
+        }
     corpus = generate_corpus(_config_from_flags(args, SynthConfig, SYNTH_FLAGS, **kwargs))
     Path(args.out).write_bytes(write_jsonl(corpus))
     print(f"wrote {len(corpus)} synthetic melodies ({', '.join(corpus.labels())}) to {args.out}")
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, CorpusError, ExperimentError, OSError, ValueError, KeyError) as exc:
+    except (ExperimentError, OSError, ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all.
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2

@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ValueError("split_ratio must be in (0, 1)")
         if self.min_count < 1:
             raise ValueError("min_count must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -92,14 +94,11 @@ class ExperimentConfig:
             raise ValueError("experiment config must be a JSON object")
         obj = dict(obj)
         kwargs = {}
-        for name, sub_cls in (
-            ("embedding", SkipgramConfig),
-            ("classifier", ClassifierConfig),
-            ("svm", SvmConfig),
-        ):
-            sub = obj.pop(name, {})
-            _check_fields(sub_cls, sub, name)
-            kwargs[name] = sub_cls(**sub)
+        for name, sub_cls in get_type_hints(cls).items():  # the nested config blocks
+            if dataclasses.is_dataclass(sub_cls):
+                sub = obj.pop(name, {})
+                _check_fields(sub_cls, sub, name)
+                kwargs[name] = sub_cls(**sub)
         _check_fields(cls, obj, "experiment")
         return cls(**obj, **kwargs)
 

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Optional, Union
 
-from .melody import Melody, MeterChange, NoteEvent, meter_problem
+from .melody import CorpusError, Melody, MeterChange, NoteEvent, meter_problem
 
 _STEP_SEMITONES = {"c": 0, "d": 2, "e": 4, "f": 5, "g": 7, "a": 9, "b": 11}
 
@@ -31,12 +31,8 @@ _TOKEN_RE = re.compile(
 _MARKS_RE = re.compile(r"[{}();'\"`LJ]")
 
 
-class ParseError(ValueError):
+class ParseError(CorpusError):
     """Kern input the subset grammar cannot accept; carries the 1-based line."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 def _duration(digits: str, dots: int) -> Fraction:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -18,7 +18,8 @@ logger = logging.getLogger(__name__)
 
 
 class CorpusError(ValueError):
-    """Raised for corpus-level problems: empty corpus, duplicate ids, bad JSONL."""
+    """A song file or corpus this package refuses: an empty corpus, a duplicate id,
+    or a bad JSONL, kern or token file. Given a 1-based line, the message names it."""
 
     def __init__(self, message: str, line: Optional[int] = None):
         super().__init__(message if line is None else f"line {line}: {message}")
@@ -161,16 +162,9 @@ class Melody:
 
     def transposed(self, semitones: int) -> "Melody":
         """Copy with all pitches shifted; rests untouched. Pitches must stay in range."""
-        events = [
-            NoteEvent(
-                pitch=None if e.pitch is None else e.pitch + semitones,
-                duration=e.duration,
-                onset=e.onset,
-                measure=e.measure,
-            )
-            for e in self.events
-        ]
-        return Melody(id=self.id, label=self.label, meter=list(self.meter), events=events)
+        events = [e if e.pitch is None else replace(e, pitch=e.pitch + semitones)
+                  for e in self.events]
+        return replace(self, meter=list(self.meter), events=events)
 
 
 @dataclass
@@ -315,7 +309,7 @@ def load_corpus(paths: Sequence[tuple[str, Optional[str]]]) -> LabeledCorpus:
     skipped and reported in the diagnostics. The corpus is ordered by the
     sorted file paths so repeated loads are deterministic.
     """
-    from .kern import ParseError, parse_kern
+    from .kern import parse_kern
 
     melodies: list[Melody] = []
     sources: list[str] = []  # the file of each melody
@@ -324,16 +318,11 @@ def load_corpus(paths: Sequence[tuple[str, Optional[str]]]) -> LabeledCorpus:
         p = Path(path)
         try:
             text = p.read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            diagnostics.skipped.append((str(path), str(exc)))
-            logger.warning("skipping %s: %s", path, exc)
-            continue
-        try:
             if text.lstrip().startswith(("{", "[")) or p.suffix == ".jsonl":
                 loaded = read_jsonl(text.encode("utf-8"))
             else:
                 loaded = [parse_kern(text, id=p.stem, label=label or "")]
-        except (ParseError, CorpusError) as exc:
+        except (OSError, CorpusError) as exc:
             diagnostics.skipped.append((str(path), str(exc)))
             logger.warning("skipping %s: %s", path, exc)
             continue

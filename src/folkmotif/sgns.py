@@ -284,15 +284,19 @@ def train_pvdbow(
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    # Cosine ignores scale, so each vector is first scaled to a largest magnitude
+    # of 1: the sum of squares of a tiny vector would lose precision as a subnormal.
+    sa = float(np.max(np.abs(a)))
+    sb = float(np.max(np.abs(b)))
+    if sa == 0.0 or sb == 0.0:
         raise ValueError("cosine similarity is undefined for a zero vector")
-    return float(np.dot(a, b) / (na * nb))
+    a, b = a / sa, b / sb
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 def most_similar(embeddings: Embeddings, token: str, k: int = 10) -> list[tuple[str, float]]:
-    """Top-k input-matrix neighbors by cosine, excluding the query itself."""
+    """Top-k input-matrix neighbors by cosine, excluding the query itself and zero
+    vectors, so fewer than k come back when fewer rows remain."""
     if k < 1:
         raise ValueError("k must be positive")
     qi = embeddings._index(token)
@@ -305,8 +309,8 @@ def most_similar(embeddings: Embeddings, token: str, k: int = 10) -> list[tuple[
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = np.where(norms > 0.0, (M @ q) / (norms * qn), -np.inf)
     sims[qi] = -np.inf
-    order = np.argsort(-sims, kind="stable")[: min(k, len(sims) - 1)]
-    return [(embeddings.vocab.tokens[i], float(sims[i])) for i in order]
+    order = np.argsort(-sims, kind="stable")[:k]
+    return [(embeddings.vocab.tokens[i], float(sims[i])) for i in order if sims[i] > -np.inf]
 
 
 def _edit_distance(a: str, b: str) -> int:

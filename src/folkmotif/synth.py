@@ -39,6 +39,8 @@ class SynthConfig:
             raise ValueError("need 2 <= min_length <= max_length")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValueError("noise_rate must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         flat = [s for sizes in self.inventories.values() for s in sizes]
         if any(s <= 0 for s in flat) or any(s <= 0 for s in self.noise_sizes):
             raise ValueError("interval sizes must be positive")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
 
-from .melody import Melody, NoteEvent, corpus_problem
+from .melody import CorpusError, Melody, NoteEvent, corpus_problem
 
 
 def format_duration(duration: Fraction) -> str:
@@ -158,7 +158,7 @@ def write_token_file(songs: Iterable[TokenizedSong]) -> str:
 
 
 def read_token_file(text: str) -> list[TokenizedSong]:
-    """Parse ``write_token_file`` output; a ValueError names the bad line.
+    """Parse ``write_token_file`` output; a CorpusError names the bad line.
 
     Songs are checked with ``corpus_problem``: a name that would break an
     output file, or an id an earlier line already used, is refused.
@@ -170,13 +170,13 @@ def read_token_file(text: str) -> list[TokenizedSong]:
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected id<TAB>label<TAB>tokens")
+            raise CorpusError("expected id<TAB>label<TAB>tokens", lineno)
         sid, label, toks = fields
         songs.append(TokenizedSong(id=sid, label=label, tokens=tuple(toks.split())))
         linenos.append(lineno)
     found = corpus_problem(songs)
     if found is not None:
-        raise ValueError(f"line {linenos[found[0]]}: {found[1]}")
+        raise CorpusError(found[1], linenos[found[0]])
     return songs
 
 

@@ -21,21 +21,13 @@ from conftest import (
     central_difference,
 )
 
-from folkmotif.attention import (
-    ClassifierConfig,
-    SongExample,
-    init_model,
-    make_examples,
-    predict,
-    predict_song,
-    train_classifier,
-)
-from folkmotif.baselines import SvmConfig, average_embedding, predict_svm, svm_objective, train_linear_svm
+from folkmotif.attention import ClassifierConfig, SongExample, init_model, predict
+from folkmotif.baselines import SvmConfig, svm_objective
 from folkmotif.cli import _expand_sources
-from folkmotif.experiment import ExperimentConfig, run_experiment
+from folkmotif.experiment import ExperimentConfig, classify, run_experiment, songs_with_motifs
 from folkmotif.melody import load_corpus, read_jsonl, write_jsonl
-from folkmotif.metrics import evaluate, split_dataset
-from folkmotif.sgns import SkipgramConfig, most_similar, pair_objective, train_pvdbow, train_skipgram
+from folkmotif.metrics import split_dataset
+from folkmotif.sgns import SkipgramConfig, most_similar, pair_objective, train_skipgram
 from folkmotif.synth import SynthConfig, generate_corpus, motif_class
 from folkmotif.tokens import tokenize_corpus, tokenize_melody
 from folkmotif.vocab import Vocabulary, build_vocab, negative_sampling_dist
@@ -174,47 +166,25 @@ def test_criterion_5_synthetic_separable_corpus():
     assert len(corpus) == 400
     songs = tokenize_corpus(corpus, "intervallic", multiword=2)
     vocab = build_vocab([s.tokens for s in songs])
-    embeddings = train_skipgram(
-        songs, vocab, SkipgramConfig(dim=32, window=2, negatives=5, epochs=8)
-    )
-    train, test = split_dataset(songs, 0.75, seed=0)
-    classes = sorted({s.label for s in songs})
+    songs = songs_with_motifs(songs, vocab)
+    embedding = SkipgramConfig(dim=32, window=2, negatives=5, epochs=8)
+    embeddings = train_skipgram(songs, vocab, embedding)
 
-    config = ClassifierConfig(
+    classifier = ClassifierConfig(
         hidden=32, attention_dim=16, epochs=20, batch=10, lr=0.05, max_len=60
     )
-    assert config.epochs <= 50
-    model = train_classifier(make_examples(train, embeddings, classes, config.max_len), classes, config)
-    predictions, alpha_hits = [], 0
-    for song in test:
-        label, _, weighted = predict_song(model, song, embeddings, config.max_len)
-        predictions.append(label)
-        top_motif = max(weighted, key=lambda mw: mw[1])[0]
-        alpha_hits += motif_class(top_motif, synth) == song.label
-    attention_report = evaluate(predictions, [s.label for s in test], classes)
-    alpha_rate = alpha_hits / len(test)
+    assert classifier.epochs <= 50
 
-    class_index = {c: i for i, c in enumerate(classes)}
-    svm_config = SvmConfig(lam=0.001, epochs=200)
-    gold = [s.label for s in test]
+    def run(model, shared_embeddings):
+        config = ExperimentConfig(model=model, embedding=embedding, classifier=classifier,
+                                  svm=SvmConfig(lam=0.001, epochs=200))
+        return classify(config, songs, vocab, shared_embeddings)
 
-    vectors = {s.id: average_embedding(s.tokens, embeddings) for s in songs}
-    svm = train_linear_svm(
-        np.array([vectors[s.id] for s in train]),
-        [class_index[s.label] for s in train],
-        n_classes=len(classes),
-        config=svm_config,
-    )
-    average_report = evaluate([classes[predict_svm(svm, vectors[s.id])] for s in test], gold, classes)
-
-    docs = train_pvdbow(songs, vocab, SkipgramConfig(dim=32, window=2, negatives=5, epochs=8))
-    svm = train_linear_svm(
-        np.array([docs.vector(s.id) for s in train]),
-        [class_index[s.label] for s in train],
-        n_classes=len(classes),
-        config=svm_config,
-    )
-    doc2vec_report = evaluate([classes[predict_svm(svm, docs.vector(s.id))] for s in test], gold, classes)
+    _, test, _, _, weighted, attention_report = run("attention", embeddings)
+    *_, average_report = run("average", embeddings)
+    *_, doc2vec_report = run("doc2vec", None)
+    top_motifs = [max(pairs, key=lambda mw: mw[1])[0] for pairs in weighted]
+    alpha_rate = sum(motif_class(m, synth) == s.label for m, s in zip(top_motifs, test)) / len(test)
 
     elapsed = time.monotonic() - t0
     print(

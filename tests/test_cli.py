@@ -193,6 +193,13 @@ def test_similar_unknown_token_prints_the_message_and_its_hint(tmp_path, capsys)
     assert capsys.readouterr().err == err
 
 
+def test_similar_lists_no_zero_vector_and_never_the_query(tmp_path, capsys):
+    emb = tmp_path / "z.txt"
+    emb.write_text("3 2\na 0.1 0.2\nb 0.0 0.0\nc 0.3 0.1\n")
+    assert main(["similar", "a", "--embeddings", str(emb), "--k", "5"]) == 0
+    assert capsys.readouterr().out == "c\t0.7071\n"
+
+
 def test_similar_refuses_a_repeated_embedding_row(tmp_path, capsys):
     emb = tmp_path / "embeddings.txt"
     emb.write_text("2 1\na 1.0\na 2.0\n")
@@ -272,6 +279,14 @@ def test_baseline_average_requires_embeddings(tmp_path, capsys):
     _, tokens, _, _ = synth_pipeline(tmp_path)
     assert main(["baseline", "average", "--tokens", str(tokens)]) == 1
     assert "--embeddings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--dim", "3"], ["--negatives", "2"], ["--epochs", "99"]])
+def test_baseline_average_refuses_doc2vec_flags(tmp_path, capsys, flag):
+    _, tokens, emb, vocab = synth_pipeline(tmp_path)
+    assert main(["baseline", "average", "--tokens", str(tokens), "--embeddings", str(emb),
+                 "--vocab", str(vocab), *flag]) == 1
+    assert "the average model trains no vectors" in capsys.readouterr().err
 
 
 def test_baseline_doc2vec(tmp_path, capsys):
@@ -399,7 +414,8 @@ FAST_STAGED = {
     "train-embeddings": ["--dim", "8", "--window", "2", "--negatives", "2", "--epochs", "2"],
     "train-classifier": ["--hidden", "5", "--attention-dim", "3", "--epochs", "2",
                          "--max-len", "30"],
-    "baseline": ["--dim", "8", "--negatives", "2", "--epochs", "2", "--svm-epochs", "50"],
+    "baseline-doc2vec": ["--dim", "8", "--negatives", "2", "--epochs", "2", "--svm-epochs", "50"],
+    "baseline-average": ["--svm-epochs", "50"],
 }
 
 
@@ -435,7 +451,7 @@ def test_staged_commands_reproduce_experiment_one(tmp_path, model):
         compared = ["embeddings.txt", "model.txt"]
     else:
         with_emb = ["--embeddings", str(emb)] if model == "average" else []
-        assert main(["baseline", model, *common, *with_emb, *FAST_STAGED["baseline"],
+        assert main(["baseline", model, *common, *with_emb, *FAST_STAGED[f"baseline-{model}"],
                      "--out-svm", str(staged / "svm.txt")]) == 0
         compared = ["svm.txt"] + (["embeddings.txt"] if model == "average" else [])
     for name in ["vocab.tsv", "metrics.json", *compared]:
@@ -518,6 +534,7 @@ def test_experiment_config_with_workers_is_data_error(tmp_path, capsys):
         ("ab", "experiment config"),
         ([], "experiment config"),
         ([["model", "doc2vec"]], "experiment config"),
+        ({"seed": -1}, "seed"),
     ],
 )
 def test_experiment_config_with_bad_step_setting_is_data_error(tmp_path, capsys, bad, field):
@@ -527,6 +544,21 @@ def test_experiment_config_with_bad_step_setting_is_data_error(tmp_path, capsys,
     assert main(["experiment", "1", f"a={paths['alpha']}", f"b={paths['beta']}",
                  "--config", str(config)]) == 2
     assert f"{field} must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth-corpus", "--seed", "-1"], "seed must be non-negative"),
+    (["train-embeddings", "--tokens", "tokens.tsv", "--seed", "-1"], "seed must be non-negative"),
+    (["train-embeddings", "--tokens", "tokens.tsv", "--min-count", "0"],
+     "min_count must be at least 1"),
+], ids=["synth-corpus-seed", "train-embeddings-seed", "train-embeddings-min-count"])
+def test_a_negative_seed_or_zero_min_count_names_its_field(tmp_path, monkeypatch, capsys, argv,
+                                                           message):
+    monkeypatch.chdir(tmp_path)
+    staged_inputs(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt", "tokens.tsv", "vocab.tsv"]
 
 
 def test_experiment_doc2vec_divergence_exit_code(tmp_path, capsys):
@@ -713,15 +745,16 @@ CONFIG_CASES = {
     **{
         f"baseline-{kind}": (
             ["baseline", kind], inputs, "classify", 0,
-            ["--ratio", "0.5", "--seed", "5", "--dim", "7", "--negatives", "3",
-             "--epochs", "4", "--lam", "1", "--svm-epochs", "9"],
-            ExperimentConfig(model=kind, split_ratio=0.5, seed=5,
-                             embedding=SkipgramConfig(dim=7, negatives=3, epochs=4),
+            ["--ratio", "0.5", "--seed", "5", *doc2vec_flags, "--lam", "1", "--svm-epochs", "9"],
+            ExperimentConfig(model=kind, split_ratio=0.5, seed=5, embedding=embedding,
                              svm=SvmConfig(lam=1.0, epochs=9)),
             ExperimentConfig(model=kind),
         )
-        for kind, inputs in (("average", ("tokens", "embeddings", "vocab")),
-                             ("doc2vec", ("tokens", "vocab")))
+        for kind, inputs, doc2vec_flags, embedding in (
+            ("average", ("tokens", "embeddings", "vocab"), [], SkipgramConfig()),
+            ("doc2vec", ("tokens", "vocab"), ["--dim", "7", "--negatives", "3", "--epochs", "4"],
+             SkipgramConfig(dim=7, negatives=3, epochs=4)),
+        )
     },
     "synth-corpus": (
         ["synth-corpus"], (), "generate_corpus", 0,
