@@ -144,8 +144,8 @@ def train_linear_svm(
 
 
 def predict_svm(model: LinearSvmModel, x: np.ndarray) -> int:
-    """Argmax margin score; np.argmax already breaks ties toward lower index."""
-    return int(np.argmax(model.scores(x)))
+    """Argmax margin score; ``ndarray.argmax`` breaks ties toward the lower index."""
+    return int(model.scores(x).argmax())
 
 
 def write_svm(model: LinearSvmModel, class_names: Sequence[str]) -> str:

@@ -248,13 +248,23 @@ def _cmd_experiment(args) -> None:
     print(f"artifacts in {out_dir}: {', '.join(sorted(artifacts))}")
 
 
+def _parse_sizes(text: str, given: str) -> tuple[int, ...]:
+    """The comma-separated interval sizes in text; given names the flag in the message."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"{given}: sizes must be comma-separated integers") from None
+
+
 def _cmd_synth_corpus(args) -> None:
-    kwargs = {"noise_sizes": tuple(int(x) for x in args.noise.split(","))}
+    kwargs = {"noise_sizes": _parse_sizes(args.noise, f"--noise {args.noise}")}
     if args.inventory:
-        kwargs["inventories"] = {
-            label: tuple(int(x) for x in sizes.split(","))
-            for label, sizes in _parse_sources(args.inventory, "SIZE[,SIZE...]")
-        }
+        inventories = {}
+        for label, sizes in _parse_sources(args.inventory, "SIZE[,SIZE...]"):
+            if label in inventories:
+                raise UsageError(f"--inventory: class {label!r} is given twice")
+            inventories[label] = _parse_sizes(sizes, f"--inventory {label}={sizes}")
+        kwargs["inventories"] = inventories
     corpus = generate_corpus(_config_from_flags(args, SynthConfig, SYNTH_FLAGS, **kwargs))
     Path(args.out).write_bytes(write_jsonl(corpus))
     print(f"wrote {len(corpus)} synthetic melodies ({', '.join(corpus.labels())}) to {args.out}")

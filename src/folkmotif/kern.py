@@ -8,12 +8,16 @@ than one space-separated token) and anything else unrecognized raise
 ParseError with the offending line number.
 
 A note or rest token is parsed by a pure function of its text, cached, so a
-corpus pays for each distinct token once rather than once per event.
+corpus pays for each distinct token once rather than once per event. The
+parser keeps a measure's onset and capacity as integer ticks on a grid that
+grows when a duration or a meter brings a new denominator, and makes each
+onset's `Fraction` once per tick.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 from typing import Optional, Union
@@ -94,9 +98,20 @@ def parse_kern(text: str, id: str = "", label: str = "") -> Melody:
     meter: list[MeterChange] = []
     events: list[NoteEvent] = []
     measure = 0
-    onset = Fraction(0)
     events_in_measure = 0
-    capacity: Optional[Fraction] = None
+    # Times in the current measure, in ticks of 1/grid quarter note.
+    grid = 1
+    onset = 0
+    capacity: Optional[int] = None
+    onsets: dict[int, Fraction] = {}  # tick -> onset, on the current grid
+
+    def refine(den: int) -> None:
+        """Grow the grid to a multiple of den, rescaling every tick count."""
+        nonlocal grid, onset, capacity, onsets
+        factor = den // math.gcd(grid, den)
+        grid, onset, onsets = grid * factor, onset * factor, {}
+        if capacity is not None:
+            capacity *= factor
 
     def set_meter(num: int, den: int, line: int) -> None:
         nonlocal capacity
@@ -108,8 +123,10 @@ def parse_kern(text: str, id: str = "", label: str = "") -> Melody:
             meter[-1] = (start, num, den)
         else:
             meter.append((start, num, den))
+        if grid % den:
+            refine(den)
         if start == measure:
-            capacity = Fraction(4 * num, den)
+            capacity = 4 * num * grid // den
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -134,12 +151,13 @@ def parse_kern(text: str, id: str = "", label: str = "") -> Melody:
         if line.startswith("="):
             if events_in_measure:
                 measure += 1
-                onset = Fraction(0)
+                onset = 0
                 events_in_measure = 0
                 # set_meter gives every meter a start no later than the
-                # measure after the current one, so the last is in effect.
+                # measure after the current one, so the last is in effect;
+                # it also put the meter's denominator on the grid.
                 _, num, den = meter[-1]
-                capacity = Fraction(4 * num, den)
+                capacity = 4 * num * grid // den
             continue
         fields = line.split()
         if len(fields) > 1:
@@ -150,10 +168,16 @@ def parse_kern(text: str, id: str = "", label: str = "") -> Melody:
         if capacity is None:
             raise ParseError("note before any meter", lineno)
         dur, pitch = parsed
-        end = onset + dur
+        if grid % dur.denominator:
+            refine(dur.denominator)  # before onset is read: it rescales onset
+        end = onset + dur.numerator * grid // dur.denominator
         if end > capacity:
-            raise ParseError(f"measure {measure} overfull: {end} > {capacity} quarters", lineno)
-        events.append(NoteEvent(pitch=pitch, duration=dur, onset=onset, measure=measure))
+            raise ParseError(f"measure {measure} overfull: {Fraction(end, grid)} > "
+                             f"{Fraction(capacity, grid)} quarters", lineno)
+        start = onsets.get(onset)
+        if start is None:
+            start = onsets[onset] = Fraction(onset, grid)
+        events.append(NoteEvent(pitch=pitch, duration=dur, onset=start, measure=measure))
         onset = end
         events_in_measure += 1
 

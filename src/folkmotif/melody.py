@@ -1,14 +1,17 @@
 """Canonical melody representation and the JSONL interchange format.
 
 A melody is an ordered list of note/rest events with exact rational
-durations (in quarter-note units) and metric positions. Durations stay
-`Fraction` end to end so triplets round-trip without loss.
+durations (in quarter-note units) and metric positions. Times stay
+`Fraction` (or plain `int`) end to end so triplets round-trip without loss;
+`Melody.validate` checks them on one integer grid, so a song costs no
+`Fraction` arithmetic per event.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -80,14 +83,25 @@ class NoteEvent:
     measure: int
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.onset < 0:
-            raise ValueError(f"onset must be non-negative, got {self.onset}")
+        # A float would lose a triplet, and a bool is an int to Python. Both
+        # are refused here rather than failing later in rhythm tokens or JSONL.
+        duration, onset = self.duration, self.onset
+        if not _is_time(duration):
+            raise ValueError(f"duration must be a Fraction or an int, got {duration!r}")
+        if not _is_time(onset):
+            raise ValueError(f"onset must be a Fraction or an int, got {onset!r}")
+        if duration.numerator <= 0:
+            raise ValueError(f"duration must be positive, got {duration}")
+        if onset.numerator < 0:
+            raise ValueError(f"onset must be non-negative, got {onset}")
         if self.measure < 0:
             raise ValueError(f"measure index must be non-negative, got {self.measure}")
         if self.pitch is not None and not 0 <= self.pitch <= 127:
             raise ValueError(f"pitch out of MIDI range: {self.pitch}")
+
+
+def _is_time(x) -> bool:
+    return isinstance(x, Fraction) or type(x) is int
 
 
 # (first measure index the meter applies to, numerator, denominator)
@@ -132,33 +146,45 @@ class Melody:
         return [e for e in self.events if e.pitch is not None]
 
     def validate(self) -> None:
-        """Check ordering, monophony, and metric-position invariants."""
+        """Check ordering, monophony, and metric-position invariants.
+
+        The events keep their ``Fraction`` times. The checks put every time
+        on one grid, the lcm of the meter denominators and of every onset and
+        duration denominator, and compare integer ticks.
+        """
         if not self.meter:
             raise ValueError(f"melody {self.id!r} has no meter")
-        prev: Optional[NoteEvent] = None
-        prev_end = measure = capacity = None
-        for ev in self.events:
+        events = self.events
+        dens = {den for _, _, den in self.meter}
+        dens.update(e.onset.denominator for e in events)
+        dens.update(e.duration.denominator for e in events)
+        grid = math.lcm(*dens)
+        ticks = {den: grid // den for den in dens}  # ticks per 1/den quarter
+        prev_start = prev_end = measure = capacity = None
+        for ev in events:
             if ev.measure != measure:
-                measure, capacity = ev.measure, self.measure_capacity(ev.measure)
-            end = ev.onset + ev.duration
+                num, den = self.meter_at(ev.measure)
+                capacity = 4 * num * ticks[den]
+            onset, duration = ev.onset, ev.duration
+            start = onset.numerator * ticks[onset.denominator]
+            end = start + duration.numerator * ticks[duration.denominator]
             if end > capacity:
                 raise ValueError(
                     f"melody {self.id!r}: event at measure {ev.measure} overflows the meter"
                 )
-            if prev is not None:
-                if ev.measure < prev.measure:
-                    raise ValueError(f"melody {self.id!r}: measures out of order")
-                if ev.measure == prev.measure:
-                    if ev.onset <= prev.onset:
-                        raise ValueError(
-                            f"melody {self.id!r}: onsets not strictly increasing in "
-                            f"measure {ev.measure}"
-                        )
-                    if ev.onset < prev_end:
-                        raise ValueError(
-                            f"melody {self.id!r}: overlapping events in measure {ev.measure}"
-                        )
-            prev, prev_end = ev, end
+            if ev.measure == measure:
+                if start <= prev_start:
+                    raise ValueError(
+                        f"melody {self.id!r}: onsets not strictly increasing in "
+                        f"measure {measure}"
+                    )
+                if start < prev_end:
+                    raise ValueError(
+                        f"melody {self.id!r}: overlapping events in measure {measure}"
+                    )
+            elif measure is not None and ev.measure < measure:
+                raise ValueError(f"melody {self.id!r}: measures out of order")
+            measure, prev_start, prev_end = ev.measure, start, end
 
     def transposed(self, semitones: int) -> "Melody":
         """Copy with all pitches shifted; rests untouched. Pitches must stay in range."""

@@ -55,12 +55,19 @@ def beat_unit(meter: tuple[int, int]) -> Fraction:
     return Fraction(1)
 
 
-# A corpus holds a few dozen to a few hundred distinct rhythm tokens.
-@functools.lru_cache(maxsize=1024)
 def render_rhythm(is_note: bool, onset: Fraction, duration: Fraction, meter: tuple[int, int]) -> str:
     """The rendered rhythm token of a note (or rest) at ``onset`` in a measure of ``meter``."""
-    on_beat = (onset % beat_unit(meter)) == 0
-    return f"{int(is_note)}-{int(on_beat)}-{format_duration(duration)}"
+    return _rhythm_token(is_note, onset.numerator, onset.denominator,
+                         duration.numerator, duration.denominator, meter)
+
+
+# A corpus holds a few dozen to a few hundred distinct rhythm tokens. The key
+# is integers: hashing two Fractions per event cost three times the lookup.
+@functools.lru_cache(maxsize=1024)
+def _rhythm_token(is_note: bool, onset_num: int, onset_den: int,
+                  duration_num: int, duration_den: int, meter: tuple[int, int]) -> str:
+    on_beat = (Fraction(onset_num, onset_den) % beat_unit(meter)) == 0
+    return f"{int(is_note)}-{int(on_beat)}-{format_duration(Fraction(duration_num, duration_den))}"
 
 
 Mode = Literal["intervallic", "rhythmic"]
@@ -82,7 +89,9 @@ def tokenize_melody(melody: Melody, mode: Mode) -> list[str]:
         for e in melody.events:
             if e.measure != measure:
                 measure, meter = e.measure, melody.meter_at(e.measure)
-            tokens.append(render_rhythm(e.pitch is not None, e.onset, e.duration, meter))
+            onset, duration = e.onset, e.duration
+            tokens.append(_rhythm_token(e.pitch is not None, onset.numerator, onset.denominator,
+                                        duration.numerator, duration.denominator, meter))
         return tokens
     raise ValueError(f"unknown tokenization mode {mode!r}")
 

@@ -193,6 +193,15 @@ def test_label_outside_the_classes_is_error(labels, n_classes, bad):
         train_linear_svm(np.eye(4), labels, n_classes=n_classes)
 
 
+def test_predict_svm_breaks_ties_toward_the_lower_class():
+    model = LinearSvmModel(weights=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]),
+                           biases=np.zeros(3))
+    assert predict_svm(model, np.array([1.0, 0.0])) == 1  # scores 0, 1, 1
+    assert predict_svm(model, np.array([0.0, 1.0])) == 0  # scores 0, 0, 0
+    assert predict_svm(model, np.array([-1.0, 0.0])) == 0  # scores 0, -1, -1
+    assert type(predict_svm(model, np.array([1.0, 0.0]))) is int
+
+
 def test_predict_by_sign():
     model = LinearSvmModel(weights=np.array([[1.0, 0.0], [-1.0, 0.0]]), biases=np.zeros(2))
     assert predict_svm(model, np.array([2.0, 0.0])) == 0

@@ -589,6 +589,24 @@ def test_synth_corpus_overlapping_inventories_rejected(tmp_path, capsys):
                  "--out", str(tmp_path / "c.jsonl")]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--inventory", "x=1", "--inventory", "x=2", "--inventory", "y=4"],
+     "--inventory: class 'x' is given twice"),
+    (["--inventory", "x=1,,2", "--inventory", "y=4"],
+     "--inventory x=1,,2: sizes must be comma-separated integers"),
+    (["--inventory", "x=1", "--inventory", "y=4.5"],
+     "--inventory y=4.5: sizes must be comma-separated integers"),
+    (["--noise", "3,x"], "--noise 3,x: sizes must be comma-separated integers"),
+    (["--noise", ""], "--noise : sizes must be comma-separated integers"),
+], ids=["repeated-label", "empty-size", "non-integer-size", "non-integer-noise", "empty-noise"])
+def test_synth_corpus_refuses_bad_sizes_naming_the_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "c.jsonl"
+    assert main(["synth-corpus", *argv, "--songs-per-class", "2", "--min-length", "5",
+                 "--max-length", "6", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # Each subcommand's options as the parser holds them:
 # (option strings, dest, default, type, choices, required, help).
 CLI_SURFACE = {

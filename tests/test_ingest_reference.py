@@ -1,11 +1,15 @@
 """Ingest and rhythmic tokenization against the per-event implementation.
 
-``parse_kern`` parses each distinct note or rest token once, ``Melody.validate``
-adds each event's end once and looks each measure's capacity up once, and
-rhythmic ``tokenize_melody`` renders each distinct token once. The reference
-functions below are the per-event code they replaced, kept verbatim, and the
-tests require equal melodies, errors and tokens, compared by ``repr`` so a
-Fraction cannot pass as an equal int.
+``parse_kern`` parses each distinct note or rest token once and counts a
+measure in integer ticks on a grid that grows with each new denominator,
+``Melody.validate`` compares integer ticks on one grid for the whole melody,
+and rhythmic ``tokenize_melody`` renders each distinct token once, keyed by
+integers. The reference functions below are the per-event ``Fraction`` code
+they replaced, kept verbatim, and the tests require equal melodies, errors
+(by type, text and line) and tokens, compared by ``repr`` so a Fraction
+cannot pass as an equal int. The generated songs and melodies mix tuplet
+denominators (3, 5, 7) with binary ones (up to 16), so the grids have to
+combine coprime denominators.
 """
 
 import re
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 
 from folkmotif.kern import ParseError, _note_or_rest, parse_kern
 from folkmotif.melody import Melody, MeterChange, NoteEvent
-from folkmotif.tokens import beat_unit, format_duration, render_rhythm, tokenize_melody
+from folkmotif.tokens import _rhythm_token, beat_unit, format_duration, tokenize_melody
 
 # ---- reference implementation, verbatim ----
 
@@ -245,19 +249,24 @@ KERN_DURATIONS = {
     "2": Fraction(2), "4..": Fraction(7, 4), "4.": Fraction(3, 2), "4": Fraction(1),
     "8.": Fraction(3, 4), "8": Fraction(1, 2), "12": Fraction(1, 3), "16": Fraction(1, 4),
     "24": Fraction(1, 6), "32": Fraction(1, 8),
+    # Tuplets: thirds, fifths and sevenths of a whole or half note.
+    "3": Fraction(4, 3), "5": Fraction(4, 5), "7": Fraction(4, 7), "10": Fraction(2, 5),
+    "20": Fraction(1, 5), "28": Fraction(1, 7),
 }
 BODIES = ("r", "c", "d#", "e-", "fn", "g##", "cc", "bb-", "ccc", "C", "B-", "AA", "GG#")
 MARKS = ("", "", "", "L", "J", "{", "}", "(", ")", ";", "'", '"', "`")
-METERS = ((2, 4), (3, 4), (4, 4), (5, 4), (6, 8), (9, 8), (12, 8), (3, 2), (3, 8))
+METERS = ((2, 4), (3, 4), (4, 4), (5, 4), (6, 8), (9, 8), (12, 8), (3, 2), (3, 8), (7, 16), (2, 1))
 
 
 @st.composite
-def kern_songs(draw):
+def kern_songs(draw, overfull=False):
     """A valid monophonic kern song, with pickups and meter changes both
-    between measures and in the middle of one."""
+    between measures and in the middle of one; or, with ``overfull``, one
+    whose last measure ends in a note that does not fit."""
     meter = draw(st.sampled_from(METERS))
     lines = ["!!!OTL: song", "**kern", "*clefG2", f"*M{meter[0]}/{meter[1]}"]
-    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+    n_measures = draw(st.integers(min_value=1, max_value=5))
+    for i in range(n_measures):
         remaining = Fraction(4 * meter[0], meter[1])
         next_meter = meter
         for _ in range(draw(st.integers(min_value=1, max_value=8))):
@@ -271,6 +280,9 @@ def kern_songs(draw):
             if draw(st.integers(min_value=0, max_value=9)) == 0:
                 next_meter = draw(st.sampled_from(METERS))
                 lines.append(f"*M{next_meter[0]}/{next_meter[1]}")
+        if overfull and i == n_measures - 1:
+            too_long = [d for d, q in KERN_DURATIONS.items() if q > remaining]
+            lines.append(f"{draw(st.sampled_from(too_long))}{draw(st.sampled_from(BODIES))}")
         lines.append("=")
         meter = next_meter
         if draw(st.integers(min_value=0, max_value=4)) == 0:
@@ -286,7 +298,17 @@ def test_generated_kern_songs_match_the_reference(text):
     assert_same_song(text)
 
 
-@given(st.text(alphabet="kern*M/=4812cdr#-.[]{}\n\tqX", max_size=80))
+@settings(max_examples=200)
+@given(kern_songs(overfull=True))
+def test_overfull_kern_songs_fail_as_the_reference_does(text):
+    """The overfull message renders both sides in quarters from the grid's
+    ticks; it must read exactly as the Fraction sums did."""
+    error = outcome(parse_kern, text)
+    assert isinstance(error, tuple) and "overfull" in error[1]
+    assert error == outcome(reference_parse_kern, text)
+
+
+@given(st.text(alphabet="kern*M/=4812357cdr#-.[]{}\n\tqX", max_size=80))
 def test_errors_on_arbitrary_text_match_the_reference(text):
     """Any text gives the same melody or the same ParseError as the reference.
 
@@ -303,20 +325,24 @@ def test_errors_on_arbitrary_text_match_the_reference(text):
         assert new == ref
 
 
-FRACTIONS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]
+# Onsets and durations; a plain int is a time too. Thirds, fifths, sevenths
+# and sixteenths need a grid that combines coprime denominators.
+TIMES = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3),
+         2, Fraction(2, 5), Fraction(4, 7), Fraction(3, 16), Fraction(1, 5)]
 
 
 @st.composite
 def melodies(draw):
     """A melody that may break any of validate's rules."""
     meter = draw(st.lists(
-        st.tuples(st.integers(0, 2), st.integers(1, 6), st.sampled_from([2, 4, 8])), max_size=3,
+        st.tuples(st.integers(0, 2), st.integers(1, 6), st.sampled_from([1, 2, 4, 8, 16])),
+        max_size=3,
     ))
     event = st.builds(
         NoteEvent,
         pitch=st.one_of(st.none(), st.integers(0, 127)),
-        duration=st.sampled_from(FRACTIONS[1:]),
-        onset=st.sampled_from(FRACTIONS),
+        duration=st.sampled_from(TIMES[1:]),
+        onset=st.sampled_from(TIMES),
         measure=st.integers(0, 3),
     )
     return Melody(id="m", label="x", meter=meter, events=draw(st.lists(event, max_size=8)))
@@ -328,7 +354,7 @@ def test_validate_matches_the_reference(melody):
     assert outcome(melody.validate) == outcome(reference_validate, melody)
 
 
-@pytest.mark.parametrize("cached", [_note_or_rest, render_rhythm],
+@pytest.mark.parametrize("cached", [_note_or_rest, _rhythm_token],
                          ids=lambda f: f.__name__)
 def test_every_ingest_cache_is_bounded(cached):
     assert cached.cache_info().maxsize is not None

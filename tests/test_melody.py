@@ -7,11 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from folkmotif.kern import ParseError, parse_kern
+from folkmotif.synth import SynthConfig, generate_corpus
 from folkmotif.melody import (
     CorpusError,
     Melody,
     NoteEvent,
     load_corpus,
+    melody_from_dict,
     read_jsonl,
     song_name_problem,
     write_jsonl,
@@ -49,6 +51,54 @@ def test_note_event_invariants():
         NoteEvent(pitch=60, duration=Fraction(1), onset=Fraction(-1), measure=0)
     with pytest.raises(ValueError):
         NoteEvent(pitch=200, duration=Fraction(1), onset=Fraction(0), measure=0)
+
+
+@pytest.mark.parametrize("field", ["duration", "onset"])
+@pytest.mark.parametrize("value", [1.0, 0.5, True, False, "1"],
+                         ids=["float", "float-half", "true", "false", "str"])
+def test_note_event_refuses_a_time_that_is_not_a_fraction_or_int(field, value):
+    times = {"duration": Fraction(1), "onset": Fraction(0), field: value}
+    message = f"{field} must be a Fraction or an int, got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        NoteEvent(pitch=60, measure=0, **times)
+
+
+def test_note_event_takes_plain_int_times():
+    melody = Melody(id="s", label="x", meter=[(0, 4, 4)], events=[
+        NoteEvent(pitch=60, duration=1, onset=0, measure=0),
+        NoteEvent(pitch=62, duration=Fraction(3), onset=1, measure=0),
+    ])
+    melody.validate()
+    events = read_jsonl(write_jsonl([melody]))[0].events
+    assert [(e.onset, e.duration) for e in events] == [(0, 1), (1, 3)]
+
+
+@pytest.mark.parametrize(
+    "event,message",
+    [
+        ({"duration": [0, 1]}, "duration must be positive, got 0"),
+        ({"duration": [1, -2]}, "duration must be positive, got -1/2"),
+        ({"onset": [-1, 3]}, "onset must be non-negative, got -1/3"),
+    ],
+    ids=["zero-duration", "negative-duration", "negative-onset"],
+)
+def test_melody_from_dict_reports_a_note_event_refusal_with_its_line(event, message):
+    # A [num, den] pair always loads as a Fraction, so from JSONL the
+    # NoteEvent can only refuse a sign; its message keeps the field's name.
+    record = json.loads(one_note_record(**event))
+    expected = f"line 7: malformed melody record: {message}"
+    with pytest.raises(CorpusError, match="^" + re.escape(expected) + "$") as info:
+        melody_from_dict(record, 7)
+    assert info.value.line == 7
+
+
+def test_jsonl_kern_and_synth_melodies_carry_fractions():
+    kern = parse_kern("**kern\n*M6/8\n4.c\n8d\n12e\n12f\n12g\n=\n4r\n*-\n", "k", "x")
+    synth = generate_corpus(SynthConfig(songs_per_class=2, min_length=5, max_length=9))
+    jsonl = read_jsonl(write_jsonl([kern, *synth]))
+    for melody in [kern, *synth.melodies, *jsonl]:
+        for e in melody.events:
+            assert type(e.onset) is Fraction and type(e.duration) is Fraction
 
 
 def test_validate_rejects_overfull_measure():
