@@ -16,9 +16,8 @@ songs still running, and the input projections and weight gradients are
 one product over all N rows. The backward direction packs each song
 reversed. Attention and the output layer run per song on that song's
 annotation rows. ``backward`` takes a whole mini-batch, and so does the
-pass over the held-out songs after each epoch; ``predict`` and
-``forward_loss`` pass a batch of one. The GRU gates use the logistic
-function in its tanh form.
+pass over the held-out songs after each epoch; ``predict`` passes a batch
+of one. The GRU gates use the logistic function in its tanh form.
 
 Each GRU direction stores its weights in the orientation the scan multiplies
 by, ``x @ W`` and ``state @ U``, as C-contiguous d x 3H and H x 3H matrices
@@ -339,18 +338,6 @@ def _encode(xs: Sequence[np.ndarray], params: ModelParams) -> _BatchCache:
     return _BatchCache(sizes, rows, fwd, bwd, songs)
 
 
-def _forward(x: np.ndarray, params: ModelParams) -> _SongCache:
-    """One song through the batch encoder, as a batch of one."""
-    return _encode([x], params).songs[0]
-
-
-def forward_loss(x: np.ndarray, label: int, params: ModelParams) -> tuple[np.ndarray, float]:
-    """Class probabilities and the negative log likelihood of the label."""
-    cache = _forward(x, params)
-    with np.errstate(divide="ignore"):
-        return cache.probs, float(-np.log(cache.probs[label]))
-
-
 def _energy_grad(alpha: np.ndarray, d_alpha: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. softmax outputs back to the energies.
 
@@ -527,8 +514,8 @@ def predict(model: AttentionModel, x: np.ndarray) -> tuple[int, np.ndarray, np.n
     """Argmax class index, class probabilities, and attention weights."""
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != model.dim:
         raise ValueError(f"expected a T x {model.dim} input, got {x.shape}")
-    cache = _forward(x, model.params)
-    return int(np.argmax(cache.probs)), cache.probs, cache.alpha
+    song = _encode([x], model.params).songs[0]
+    return int(np.argmax(song.probs)), song.probs, song.alpha
 
 
 def predict_song(

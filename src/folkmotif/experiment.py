@@ -204,7 +204,8 @@ def run_experiment(
     """Run the pipeline on an ingested corpus; returns (metrics, artifact paths).
 
     A corpus built in memory is checked as ``load_corpus`` checks one read
-    from files, before any stage runs.
+    from files: each ``Melody`` checked itself when it was built, and the
+    ids and class names are checked here, before any stage runs.
     """
     found = corpus_problem(corpus.melodies)
     if found is not None:

@@ -185,6 +185,4 @@ def parse_kern(text: str, id: str = "", label: str = "") -> Melody:
         raise ParseError("missing **kern header", 1)
     if not events:
         raise ParseError("no events", len(lines) or 1)
-    melody = Melody(id=id, label=label, meter=meter, events=events)
-    melody.validate()
-    return melody
+    return Melody(id=id, label=label, meter=meter, events=events)

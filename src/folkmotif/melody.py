@@ -2,9 +2,10 @@
 
 A melody is an ordered list of note/rest events with exact rational
 durations (in quarter-note units) and metric positions. Times stay
-`Fraction` (or plain `int`) end to end so triplets round-trip without loss;
-`Melody.validate` checks them on one integer grid, so a song costs no
-`Fraction` arithmetic per event.
+`Fraction` (or plain `int`) end to end so triplets round-trip without loss.
+A melody is checked when built, by `NoteEvent` and `Melody.validate` alone,
+whether it comes from kern, JSONL, `synth` or a caller; `validate` compares
+integer ticks on one grid, so a song costs no `Fraction` arithmetic per event.
 """
 
 from __future__ import annotations
@@ -83,21 +84,26 @@ class NoteEvent:
     measure: int
 
     def __post_init__(self):
-        # A float would lose a triplet, and a bool is an int to Python. Both
-        # are refused here rather than failing later in rhythm tokens or JSONL.
-        duration, onset = self.duration, self.onset
+        # A float would lose a triplet or a measure, and a bool is an int to
+        # Python. Both are refused here rather than failing later in rhythm
+        # tokens or in the JSONL that write_jsonl would write.
+        duration, onset, pitch, measure = self.duration, self.onset, self.pitch, self.measure
         if not _is_time(duration):
             raise ValueError(f"duration must be a Fraction or an int, got {duration!r}")
         if not _is_time(onset):
             raise ValueError(f"onset must be a Fraction or an int, got {onset!r}")
+        if pitch is not None and type(pitch) is not int:
+            raise ValueError(f"pitch must be an integer or null, got {pitch!r}")
+        if type(measure) is not int:
+            raise ValueError(f"measure must be an integer, got {measure!r}")
         if duration.numerator <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
         if onset.numerator < 0:
             raise ValueError(f"onset must be non-negative, got {onset}")
-        if self.measure < 0:
-            raise ValueError(f"measure index must be non-negative, got {self.measure}")
-        if self.pitch is not None and not 0 <= self.pitch <= 127:
-            raise ValueError(f"pitch out of MIDI range: {self.pitch}")
+        if measure < 0:
+            raise ValueError(f"measure index must be non-negative, got {measure}")
+        if pitch is not None and not 0 <= pitch <= 127:
+            raise ValueError(f"pitch out of MIDI range: {pitch}")
 
 
 def _is_time(x) -> bool:
@@ -118,12 +124,16 @@ def meter_problem(num: int, den: int) -> Optional[str]:
 
 @dataclass
 class Melody:
-    """A monophonic song: events ordered by (measure, onset), plus meter map."""
+    """A monophonic song: events ordered by (measure, onset), plus meter map.
+    Checked when built: the constructor runs ``validate``."""
 
     id: str
     label: str
     meter: list[MeterChange]
     events: list[NoteEvent]
+
+    def __post_init__(self):
+        self.validate()
 
     def meter_at(self, measure: int) -> tuple[int, int]:
         """Active (numerator, denominator) for a measure index."""
@@ -146,16 +156,29 @@ class Melody:
         return [e for e in self.events if e.pitch is not None]
 
     def validate(self) -> None:
-        """Check ordering, monophony, and metric-position invariants.
-
-        The events keep their ``Fraction`` times. The checks put every time
-        on one grid, the lcm of the meter denominators and of every onset and
-        duration denominator, and compare integer ticks.
+        """Check the meter map (each meter passes ``meter_problem``, starts
+        strictly ascend, none negative), then ordering, monophony and metric
+        positions. The constructor runs it; call it again only after changing
+        a melody in place. Times go on one grid, the lcm of the meter, onset
+        and duration denominators, and are compared as integer ticks.
         """
-        if not self.meter:
+        meter = self.meter
+        if not meter:
             raise ValueError(f"melody {self.id!r} has no meter")
+        dens = set()
+        last_start = -1
+        for start, num, den in meter:
+            problem = meter_problem(num, den)
+            if problem is not None:
+                raise ValueError(problem)
+            if start <= last_start:
+                raise ValueError(
+                    "meter changes must start at strictly ascending measures, none negative, "
+                    f"got {[list(change) for change in meter]!r}"
+                )
+            last_start = start
+            dens.add(den)
         events = self.events
-        dens = {den for _, _, den in self.meter}
         dens.update(e.onset.denominator for e in events)
         dens.update(e.duration.denominator for e in events)
         grid = math.lcm(*dens)
@@ -256,46 +279,31 @@ def _meter_from_list(change, line: int) -> MeterChange:
         raise CorpusError(
             f"meter change must be a [measure, num, den] integer triple, got {change!r}", line
         )
-    problem = meter_problem(change[1], change[2])
-    if problem is not None:
-        raise CorpusError(problem, line)
     return tuple(change)
 
 
 def _event_from_dict(e: dict, line: int) -> NoteEvent:
-    pitch, measure = e["pitch"], e["measure"]
-    if pitch is not None and not _is_int(pitch):
-        raise CorpusError(f"pitch must be an integer or null, got {pitch!r}", line)
-    if not _is_int(measure):
-        raise CorpusError(f"measure must be an integer, got {measure!r}", line)
     return NoteEvent(
-        pitch=pitch,
+        pitch=e["pitch"],
         duration=_pair_to_frac(e["duration"], line),
         onset=_pair_to_frac(e["onset"], line),
-        measure=measure,
+        measure=e["measure"],
     )
 
 
 def melody_from_dict(obj: dict, line: int = 0) -> Melody:
+    """One JSONL record's melody. A missing key or a wrong shape is a malformed
+    record; a refusal of ``NoteEvent`` or ``Melody`` keeps its own message."""
     try:
         meter = [_meter_from_list(change, line) for change in obj["meter"]]
-        starts = [start for start, _, _ in meter]
-        if starts and (starts[0] < 0 or starts != sorted(set(starts))):
-            raise CorpusError(
-                "meter changes must start at strictly ascending measures, none negative, "
-                f"got {obj['meter']!r}", line
-            )
         events = [_event_from_dict(e, line) for e in obj["events"]]
-        melody = Melody(id=str(obj["id"]), label=str(obj["label"]), meter=meter, events=events)
+        return Melody(id=str(obj["id"]), label=str(obj["label"]), meter=meter, events=events)
     except CorpusError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CorpusError(f"malformed melody record: {exc}", line) from exc
-    try:
-        melody.validate()
     except ValueError as exc:
         raise CorpusError(str(exc), line) from exc
-    return melody
 
 
 def write_jsonl(corpus: Iterable[Melody]) -> bytes:
@@ -307,8 +315,9 @@ def write_jsonl(corpus: Iterable[Melody]) -> bytes:
 def read_jsonl(data: bytes) -> list[Melody]:
     """Parse canonical JSONL; raises CorpusError with the offending line number.
 
-    The melodies are checked with ``corpus_problem``: a name that would break
-    an output file, or an id an earlier line already used, is refused.
+    Each melody checks itself when built; together they are checked with
+    ``corpus_problem``: a name that would break an output file, or an id an
+    earlier line already used, is refused.
     """
     melodies = []
     linenos = []

@@ -35,6 +35,11 @@ class SynthConfig:
     def __post_init__(self):
         if len(self.inventories) < 2:
             raise ValueError("need at least 2 classes")
+        empty = [label for label, sizes in self.inventories.items() if not sizes]
+        if empty:
+            raise ValueError(f"class {empty[0]!r} has an empty inventory")
+        if self.songs_per_class < 1:
+            raise ValueError(f"songs_per_class must be at least 1, got {self.songs_per_class}")
         if not 2 <= self.min_length <= self.max_length:
             raise ValueError("need 2 <= min_length <= max_length")
         if not 0.0 <= self.noise_rate < 1.0:
@@ -88,14 +93,8 @@ def generate_corpus(config: Optional[SynthConfig] = None) -> LabeledCorpus:
                 )
                 for j, p in enumerate(pitches)
             ]
-            melody = Melody(
-                id=f"{label}-{i:04d}",
-                label=label,
-                meter=[(0, 4, 4)],
-                events=events,
-            )
-            melody.validate()
-            melodies.append(melody)
+            melodies.append(Melody(id=f"{label}-{i:04d}", label=label, meter=[(0, 4, 4)],
+                                   events=events))
     return LabeledCorpus(melodies=melodies, diagnostics=CorpusDiagnostics())
 
 

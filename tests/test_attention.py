@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from conftest import (
     assert_batch_gradient_matches_finite_differences,
     at_float64,
+    encode_one,
     relative_error,
+    song_loss,
 )
 
 from folkmotif.attention import (
@@ -26,7 +28,6 @@ from folkmotif.attention import (
     TrainingDiverged,
     _encode,
     _energy_grad,
-    _forward,
     _gate_sigmoid,
     _mean_loss,
     _xavier,
@@ -35,7 +36,6 @@ from folkmotif.attention import (
     _sgd_step,
     alpha_csv,
     backward,
-    forward_loss,
     init_model,
     load_model,
     make_examples,
@@ -140,7 +140,7 @@ def test_bgru_annotations_match_definition():
         x = np.random.default_rng(2 + T).normal(size=(T, 3))
         fwd = reference_scan(x, model.params.gru_fwd)
         bwd = reference_scan(x[::-1], model.params.gru_bwd)[::-1]
-        ann = _forward(x, model.params).annotations
+        ann = encode_one(x, model.params).annotations
         np.testing.assert_allclose(ann, np.concatenate([fwd, bwd], axis=1), rtol=1e-12)
 
 
@@ -151,7 +151,7 @@ def test_bgru_zero_parameters_give_zero_annotations():
         attn=AttentionParams(w=np.zeros((3, 8)), b=np.zeros(3), u=np.zeros(3)),
         out=OutputParams(w=np.zeros((2, 8)), b=np.zeros(2)),
     )
-    ann = _forward(np.ones((6, 3)), params).annotations
+    ann = encode_one(np.ones((6, 3)), params).annotations
     assert ann.shape == (6, 8)
     np.testing.assert_array_equal(ann, np.zeros((6, 8)))
 
@@ -161,13 +161,13 @@ def test_bgru_zero_parameters_give_zero_annotations():
 def test_annotation_count_and_width(T, seed):
     model = randomized_model(5)
     x = np.random.default_rng(seed).normal(size=(T, 3))
-    assert _forward(x, model.params).annotations.shape == (T, 2 * 4)
+    assert encode_one(x, model.params).annotations.shape == (T, 2 * 4)
 
 
 def test_uniform_attention_when_query_is_zero():
     model = randomized_model(0)
     model.params.attn.u[...] = 0.0
-    cache = _forward(np.random.default_rng(0).normal(size=(4, 3)), model.params)
+    cache = encode_one(np.random.default_rng(0).normal(size=(4, 3)), model.params)
     np.testing.assert_allclose(cache.alpha, [0.25] * 4)
     np.testing.assert_allclose(cache.context, cache.annotations.mean(axis=0))
 
@@ -177,17 +177,17 @@ def test_attention_weights_match_analytic_softmax():
     # can be set to make the energies (ln 2, 0); the weights must be (2/3, 1/3).
     model = randomized_model(1, attention_dim=1)
     x = np.random.default_rng(3).normal(size=(2, 3))
-    h = _forward(x, model.params).annotations[:, 0]
+    h = encode_one(x, model.params).annotations[:, 0]
     scale = np.arctanh(np.log(2.0)) / (h[0] - h[1])
     model.params.attn = AttentionParams(
         w=np.eye(1, 8) * scale, b=np.array([-scale * h[1]]), u=np.array([1.0])
     )
-    np.testing.assert_allclose(_forward(x, model.params).alpha, [2 / 3, 1 / 3])
+    np.testing.assert_allclose(encode_one(x, model.params).alpha, [2 / 3, 1 / 3])
 
 
 def test_single_annotation_takes_all_attention():
     model = randomized_model(1)
-    cache = _forward(np.random.default_rng(1).normal(size=(1, 3)), model.params)
+    cache = encode_one(np.random.default_rng(1).normal(size=(1, 3)), model.params)
     np.testing.assert_allclose(cache.alpha, [1.0])
     np.testing.assert_allclose(cache.context, cache.annotations[0])
 
@@ -210,9 +210,8 @@ def test_loss_is_log2_at_even_odds():
         attn=AttentionParams(w=np.zeros((3, 8)), b=np.zeros(3), u=np.zeros(3)),
         out=OutputParams(w=np.zeros((2, 8)), b=np.zeros(2)),
     )
-    probs, loss = forward_loss(np.ones((4, 3)), 0, params)
-    np.testing.assert_allclose(probs, [0.5, 0.5])
-    assert loss == pytest.approx(0.6931, abs=1e-4)
+    np.testing.assert_allclose(encode_one(np.ones((4, 3)), params).probs, [0.5, 0.5])
+    assert song_loss(np.ones((4, 3)), 0, params) == pytest.approx(0.6931, abs=1e-4)
 
 
 def test_loss_is_log3_for_uniform_three_classes():
@@ -222,8 +221,7 @@ def test_loss_is_log3_for_uniform_three_classes():
         attn=AttentionParams(w=np.zeros((3, 8)), b=np.zeros(3), u=np.zeros(3)),
         out=OutputParams(w=np.zeros((3, 8)), b=np.zeros(3)),
     )
-    _, loss = forward_loss(np.ones((2, 3)), 2, params)
-    assert loss == pytest.approx(1.0986, abs=1e-4)
+    assert song_loss(np.ones((2, 3)), 2, params) == pytest.approx(1.0986, abs=1e-4)
 
 
 def test_certain_prediction_has_zero_loss_and_vanishing_output_gradient():
@@ -231,9 +229,8 @@ def test_certain_prediction_has_zero_loss_and_vanishing_output_gradient():
     model.params.out.b = np.array([1000.0, 0.0])
     model.params.out.w[...] = 0.0
     x = np.random.default_rng(4).normal(size=(5, 3))
-    probs, loss = forward_loss(x, 0, model.params)
-    assert probs[0] == pytest.approx(1.0)
-    assert loss == pytest.approx(0.0, abs=1e-12)
+    assert encode_one(x, model.params).probs[0] == pytest.approx(1.0)
+    assert song_loss(x, 0, model.params) == pytest.approx(0.0, abs=1e-12)
     g = zero_gradients(model.params)
     backward([SongExample(x, 0)], model.params, g)
     assert np.linalg.norm(g.out.w) < 1e-6
@@ -293,7 +290,7 @@ def test_song_is_encoded_alike_alone_and_in_a_batch(lengths):
     params = randomized_model(5, labels=("a", "b", "c")).params
     batch = batch_of(lengths)
     for ex, song in zip(batch, _encode([ex.x for ex in batch], params).songs):
-        alone = _forward(ex.x, params)
+        alone = encode_one(ex.x, params)
         np.testing.assert_allclose(song.probs, alone.probs, rtol=1e-12)
         np.testing.assert_allclose(song.alpha, alone.alpha, rtol=1e-12)
 
@@ -305,7 +302,7 @@ def test_mean_loss_in_batches_is_the_mean_of_song_losses(batch, float64):
     the float32 scans agree with one song at a time to float32 rounding."""
     params = randomized_model(6, labels=("a", "b", "c"), float64=float64).params
     songs = batch_of((5, 2, 7, 1, 3, 4, 6))
-    losses = [forward_loss(ex.x, ex.label, params)[1] for ex in songs]
+    losses = [song_loss(ex.x, ex.label, params) for ex in songs]
     rel = 1e-12 if float64 else 1e-6
     assert _mean_loss(songs, params, batch) == pytest.approx(np.mean(losses), rel=rel)
 
@@ -396,11 +393,11 @@ def test_relabeling_symmetry():
     """Permuting class identities with output rows leaves the loss unchanged."""
     model = randomized_model(6)
     x = np.random.default_rng(7).normal(size=(4, 3))
-    _, base = forward_loss(x, 0, model.params)
+    base = song_loss(x, 0, model.params)
     swapped = randomized_model(6).params
     swapped.out.w = model.params.out.w[[1, 0]]
     swapped.out.b = model.params.out.b[[1, 0]]
-    _, permuted = forward_loss(x, 1, swapped)
+    permuted = song_loss(x, 1, swapped)
     assert permuted == pytest.approx(base, rel=1e-12)
 
 
@@ -491,7 +488,7 @@ def test_validation_split_returns_best_epoch_parameters():
     assert loss == pytest.approx(min(model.val_losses), rel=1e-12)
     # The held-out pass encodes in mini-batches; one song at a time differs
     # only by float32 rounding in the scans.
-    per_song = float(np.mean([forward_loss(ex.x, ex.label, model.params)[1] for ex in val]))
+    per_song = float(np.mean([song_loss(ex.x, ex.label, model.params) for ex in val]))
     assert per_song == pytest.approx(loss, rel=1e-6)
 
 

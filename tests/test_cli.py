@@ -584,6 +584,14 @@ def test_synth_corpus_custom_inventories(tmp_path):
     assert len(melodies) == 6
 
 
+@pytest.mark.parametrize("songs", ["0", "-2"])
+def test_synth_corpus_refuses_fewer_than_one_song_per_class(tmp_path, capsys, songs):
+    out = tmp_path / "c.jsonl"
+    assert main(["synth-corpus", "--songs-per-class", songs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: songs_per_class must be at least 1, got {songs}\n"
+    assert not out.exists()
+
+
 def test_synth_corpus_overlapping_inventories_rejected(tmp_path, capsys):
     assert main(["synth-corpus", "--inventory", "x=1", "--inventory", "y=1",
                  "--out", str(tmp_path / "c.jsonl")]) == 2

@@ -92,3 +92,29 @@ def test_all_names_exactly_the_public_imports():
     namespace: dict = {}
     exec("from folkmotif import *", namespace)
     assert set(folkmotif.__all__) <= set(namespace)
+
+
+def _validate_calls(source: str) -> list[int]:
+    """The lines that call a ``.validate(...)`` method."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "validate"
+    ]
+
+
+def test_only_melody_calls_validate():
+    """A Melody checks itself when built, so no other module re-checks one."""
+    calls = {
+        p.name: _validate_calls(p.read_text(encoding="utf-8"))
+        for p in sorted(PACKAGE.rglob("*.py"))
+        if p.name != "melody.py"
+    }
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_a_validate_call_is_found():
+    source = "m.validate()\nbase64.b64decode(x, validate=True)\nvalidate(m)\n"
+    assert _validate_calls(source) == [1]

@@ -2,7 +2,8 @@
 
 ``parse_kern`` parses each distinct note or rest token once and counts a
 measure in integer ticks on a grid that grows with each new denominator,
-``Melody.validate`` compares integer ticks on one grid for the whole melody,
+``Melody.validate``, which the constructor runs, compares integer ticks on
+one grid for the whole melody,
 and rhythmic ``tokenize_melody`` renders each distinct token once, keyed by
 integers. The reference functions below are the per-event ``Fraction`` code
 they replaced, kept verbatim, and the tests require equal melodies, errors
@@ -332,8 +333,8 @@ TIMES = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2
 
 
 @st.composite
-def melodies(draw):
-    """A melody that may break any of validate's rules."""
+def melody_fields(draw):
+    """The fields of a melody that may break any of validate's rules."""
     meter = draw(st.lists(
         st.tuples(st.integers(0, 2), st.integers(1, 6), st.sampled_from([1, 2, 4, 8, 16])),
         max_size=3,
@@ -345,13 +346,36 @@ def melodies(draw):
         onset=st.sampled_from(TIMES),
         measure=st.integers(0, 3),
     )
-    return Melody(id="m", label="x", meter=meter, events=draw(st.lists(event, max_size=8)))
+    return {"id": "m", "label": "x", "meter": meter, "events": draw(st.lists(event, max_size=8))}
+
+
+def unchecked(fields: dict) -> Melody:
+    """A Melody with these fields that the constructor has not checked."""
+    melody = object.__new__(Melody)
+    for name, value in fields.items():
+        setattr(melody, name, value)
+    return melody
+
+
+def construct(fields: dict) -> None:
+    Melody(**fields)
 
 
 @settings(max_examples=300)
-@given(melodies())
-def test_validate_matches_the_reference(melody):
-    assert outcome(melody.validate) == outcome(reference_validate, melody)
+@given(melody_fields())
+def test_validate_matches_the_reference(fields):
+    """The constructor refuses what the reference refuses, with its text.
+    The reference never looked at the order of the meter changes; where
+    their starts do not strictly ascend, the constructor refuses that first."""
+    built = outcome(construct, fields)
+    starts = [start for start, _, _ in fields["meter"]]
+    if all(a < b for a, b in zip(starts, starts[1:])):
+        assert built == outcome(reference_validate, unchecked(fields))
+    else:
+        meter = [list(change) for change in fields["meter"]]
+        message = ("meter changes must start at strictly ascending measures, none negative, "
+                   f"got {meter!r}")
+        assert built == ("ValueError", message, None)
 
 
 @pytest.mark.parametrize("cached", [_note_or_rest, _rhythm_token],

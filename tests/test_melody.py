@@ -63,6 +63,75 @@ def test_note_event_refuses_a_time_that_is_not_a_fraction_or_int(field, value):
         NoteEvent(pitch=60, measure=0, **times)
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"measure": 1.5}, "measure must be an integer, got 1.5"),
+        ({"measure": True}, "measure must be an integer, got True"),
+        ({"pitch": True}, "pitch must be an integer or null, got True"),
+        ({"pitch": "60"}, "pitch must be an integer or null, got '60'"),
+        ({"pitch": 60.5}, "pitch must be an integer or null, got 60.5"),
+    ],
+    ids=["float-measure", "bool-measure", "bool-pitch", "str-pitch", "float-pitch"],
+)
+def test_note_event_refuses_a_pitch_or_measure_that_is_not_an_int(fields, message):
+    fields = {"pitch": 60, "duration": Fraction(1), "onset": Fraction(0), "measure": 0, **fields}
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        NoteEvent(**fields)
+
+
+ORDER = "meter changes must start at strictly ascending measures, none negative, got"
+
+
+@pytest.mark.parametrize(
+    "meter,events,message",
+    [
+        ([(0, 4, 3)], None, "unsupported meter 4/3"),
+        ([(0, 4, 4), (0, 3, 4)], None, f"{ORDER} [[0, 4, 4], [0, 3, 4]]"),
+        ([(2, 3, 4), (0, 4, 4)], None, f"{ORDER} [[2, 3, 4], [0, 4, 4]]"),
+        ([(-1, 4, 4)], None, f"{ORDER} [[-1, 4, 4]]"),
+        ([(0, 4, 4)], [(1, 0), (0, 0)], "melody 's': measures out of order"),
+        ([(0, 4, 4)], [(0, 2), (0, 1)], "melody 's': onsets not strictly increasing in measure 0"),
+    ],
+    ids=["odd-meter", "repeated-start", "descending-starts", "negative-start",
+         "measures-out-of-order", "onsets-out-of-order"],
+)
+def test_melody_refuses_a_bad_meter_or_events_out_of_order_when_built(meter, events, message):
+    events = [NoteEvent(pitch=60, duration=Fraction(1), onset=Fraction(onset), measure=measure)
+              for measure, onset in events or [(0, 0)]]
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        Melody(id="s", label="x", meter=meter, events=events)
+
+
+# Values of every type and sign a caller might pass, valid or not.
+ANY_VALUE = {
+    "pitch": st.one_of(st.none(), st.integers(-2, 130), st.booleans(), st.floats(0, 128),
+                       st.sampled_from(["60", b"60"])),
+    "duration": st.one_of(st.fractions(-1, 6, max_denominator=12), st.integers(-1, 6),
+                          st.booleans(), st.floats(-1, 6), st.just("1")),
+    "measure": st.one_of(st.integers(-1, 3), st.booleans(), st.floats(-1, 3)),
+    "meter": st.lists(st.tuples(st.integers(-1, 3), st.integers(-1, 7), st.integers(-1, 16)),
+                      max_size=3),
+}
+ANY_VALUE["onset"] = ANY_VALUE["duration"]
+
+
+@given(melodies(), st.sampled_from([None, *ANY_VALUE]), st.data())
+def test_a_melody_is_refused_when_built_or_survives_jsonl(melody, field, data):
+    """Set one field of a valid melody, its meter or one event's pitch, time
+    or measure, to any value. Construction then refuses it with a
+    ValueError, or the melody's JSONL reads back as the same melody."""
+    meter = data.draw(ANY_VALUE["meter"]) if field == "meter" else melody.meter
+    events = [vars(e).copy() for e in melody.events]
+    if field not in (None, "meter"):
+        events[data.draw(st.integers(0, len(events) - 1))][field] = data.draw(ANY_VALUE[field])
+    try:
+        built = Melody(melody.id, melody.label, meter, [NoteEvent(**e) for e in events])
+    except ValueError:
+        return
+    assert read_jsonl(write_jsonl([built])) == [built]
+
+
 def test_note_event_takes_plain_int_times():
     melody = Melody(id="s", label="x", meter=[(0, 4, 4)], events=[
         NoteEvent(pitch=60, duration=1, onset=0, measure=0),
@@ -86,7 +155,7 @@ def test_melody_from_dict_reports_a_note_event_refusal_with_its_line(event, mess
     # A [num, den] pair always loads as a Fraction, so from JSONL the
     # NoteEvent can only refuse a sign; its message keeps the field's name.
     record = json.loads(one_note_record(**event))
-    expected = f"line 7: malformed melody record: {message}"
+    expected = f"line 7: {message}"
     with pytest.raises(CorpusError, match="^" + re.escape(expected) + "$") as info:
         melody_from_dict(record, 7)
     assert info.value.line == 7
@@ -102,28 +171,26 @@ def test_jsonl_kern_and_synth_melodies_carry_fractions():
 
 
 def test_validate_rejects_overfull_measure():
-    m = Melody(
-        id="x",
-        label="german",
-        meter=[(0, 2, 4)],
-        events=[NoteEvent(pitch=60, duration=Fraction(3), onset=Fraction(0), measure=0)],
-    )
     with pytest.raises(ValueError, match="overflow"):
-        m.validate()
+        Melody(
+            id="x",
+            label="german",
+            meter=[(0, 2, 4)],
+            events=[NoteEvent(pitch=60, duration=Fraction(3), onset=Fraction(0), measure=0)],
+        )
 
 
 def test_validate_rejects_overlap():
-    m = Melody(
-        id="x",
-        label="german",
-        meter=[(0, 4, 4)],
-        events=[
-            NoteEvent(pitch=60, duration=Fraction(2), onset=Fraction(0), measure=0),
-            NoteEvent(pitch=62, duration=Fraction(1), onset=Fraction(1), measure=0),
-        ],
-    )
     with pytest.raises(ValueError, match="overlap"):
-        m.validate()
+        Melody(
+            id="x",
+            label="german",
+            meter=[(0, 4, 4)],
+            events=[
+                NoteEvent(pitch=60, duration=Fraction(2), onset=Fraction(0), measure=0),
+                NoteEvent(pitch=62, duration=Fraction(1), onset=Fraction(1), measure=0),
+            ],
+        )
 
 
 def test_meter_changes_apply_from_their_measure():

@@ -71,3 +71,16 @@ def test_overlapping_inventories_rejected():
 def test_oversized_steps_rejected():
     with pytest.raises(ValueError, match="at most"):
         SynthConfig(inventories={"a": (1,), "b": (25,)})
+
+
+@pytest.mark.parametrize("songs", [0, -2])
+def test_songs_per_class_below_one_rejected(songs):
+    message = f"songs_per_class must be at least 1, got {songs}"
+    with pytest.raises(ValueError, match="^" + message + "$"):
+        SynthConfig(songs_per_class=songs)
+
+
+@pytest.mark.parametrize("other, noise", [((2,), (3,)), ((), ())], ids=["one", "every-size"])
+def test_an_empty_inventory_rejected_naming_the_class(other, noise):
+    with pytest.raises(ValueError, match="^class 'a' has an empty inventory$"):
+        SynthConfig(inventories={"a": (), "b": other}, noise_sizes=noise)

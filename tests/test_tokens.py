@@ -237,7 +237,7 @@ def test_tokenize_corpus_raises_on_an_unknown_mode():
 
 
 def test_tokenize_corpus_raises_on_a_rhythmic_melody_with_no_meter():
-    late = Melody(id="late", label="l", meter=[(1, 4, 4)],
-                  events=[note(60, 1, 0), note(62, 1, 0, measure=1)])
+    # Such a melody cannot reach tokenize_corpus: the constructor refuses it.
     with pytest.raises(ValueError, match="^melody 'late' has no meter at measure 0$"):
-        tokenize_corpus([late], "rhythmic")
+        Melody(id="late", label="l", meter=[(1, 4, 4)],
+               events=[note(60, 1, 0), note(62, 1, 0, measure=1)])
