@@ -172,8 +172,8 @@ def init_model(
     the precision, and the GRU arrays are then rounded to float32 once. A GRU
     gate's blocks are drawn H x d and H x H and stored transposed.
     """
-    if len(labels) < 2:
-        raise ValueError("need at least 2 classes")
+    labels = list(labels)
+    _check_labels(labels, "labels")
     rng = stream(seed, "classifier_init")
     h, a, L = hidden, attention_dim, len(labels)
 
@@ -189,7 +189,14 @@ def init_model(
         attn=AttentionParams(w=_xavier(rng, a, 2 * h), b=np.zeros(a), u=_xavier(rng, 1, a)[0]),
         out=OutputParams(w=_xavier(rng, L, 2 * h), b=np.zeros(L)),
     )
-    return AttentionModel(labels=list(labels), params=params)
+    return AttentionModel(labels=labels, params=params)
+
+
+def _check_labels(labels, name: str) -> None:
+    """Class labels, held by name, must be a list of 2 or more distinct strings."""
+    strings = isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+    if not (strings and len(set(labels)) == len(labels) >= 2):
+        raise ValueError(f"{name} must be 2 or more distinct strings: {labels!r}")
 
 
 def _gate_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -586,9 +593,8 @@ def load_model(text: str) -> tuple[AttentionModel, dict]:
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {fmt} is not {CHECKPOINT_FORMAT}; retrain the model")
     labels = meta.get("labels")  # a missing key is reported with the others below
-    strings = isinstance(labels, list) and all(isinstance(name, str) for name in labels)
-    if "labels" in meta and not (strings and len(set(labels)) == len(labels) >= 2):
-        raise ValueError(f"checkpoint meta 'labels' must be 2 or more distinct strings: {labels!r}")
+    if "labels" in meta:
+        _check_labels(labels, "checkpoint meta 'labels'")
     try:
         args = {key: meta[key] for key in ("dim", "labels", "hidden", "attention_dim")}
     except KeyError as exc:

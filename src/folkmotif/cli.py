@@ -327,7 +327,7 @@ def _build_parser() -> _Parser:
     _add_config_flags(p, ExperimentConfig, ("seed",))
     _add_config_flags(p, SkipgramConfig, DOC2VEC_FLAGS,
                       dim="doc2vec vector size", epochs="doc2vec training epochs")
-    p.add_argument("--lam", type=float, default=SvmConfig.lam, help="SVM regularization strength")
+    _add_config_flags(p, SvmConfig, ("lam",), lam="SVM regularization strength")
     p.add_argument("--svm-epochs", type=int, default=SvmConfig.epochs,
                    help="most Newton steps the SVM may take")
     p.add_argument("--out-svm", default=None)

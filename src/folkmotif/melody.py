@@ -124,15 +124,17 @@ def meter_problem(num: int, den: int) -> Optional[str]:
 
 @dataclass
 class Melody:
-    """A monophonic song: events ordered by (measure, onset), plus meter map.
-    Checked when built: the constructor runs ``validate``."""
+    """A monophonic song: events ordered by (measure, onset), plus meter map. Checked
+    when built, with ``meter`` and ``events`` stored as tuples so the check stays true."""
 
     id: str
     label: str
-    meter: list[MeterChange]
-    events: list[NoteEvent]
+    meter: tuple[MeterChange, ...]  # any sequence of triples when built
+    events: tuple[NoteEvent, ...]  # any sequence when built
 
     def __post_init__(self):
+        self.meter = tuple(map(tuple, self.meter))
+        self.events = tuple(self.events)
         self.validate()
 
     def meter_at(self, measure: int) -> tuple[int, int]:
@@ -147,34 +149,33 @@ class Melody:
             raise ValueError(f"melody {self.id!r} has no meter at measure {measure}")
         return active
 
-    def measure_capacity(self, measure: int) -> Fraction:
-        """Quarter-note capacity of a measure under its active meter."""
-        num, den = self.meter_at(measure)
-        return Fraction(4 * num, den)
-
     def pitched_events(self) -> list[NoteEvent]:
         return [e for e in self.events if e.pitch is not None]
 
     def validate(self) -> None:
-        """Check the meter map (each meter passes ``meter_problem``, starts
-        strictly ascend, none negative), then ordering, monophony and metric
-        positions. The constructor runs it; call it again only after changing
-        a melody in place. Times go on one grid, the lcm of the meter, onset
-        and duration denominators, and are compared as integer ticks.
+        """Check the meter map (each change is three plain ints, each meter
+        passes ``meter_problem``, starts strictly ascend, none negative), then
+        ordering, monophony and metric positions. The constructor runs it.
+        Times go on one grid, the lcm of the meter, onset and duration
+        denominators, and are compared as integer ticks.
         """
         meter = self.meter
         if not meter:
             raise ValueError(f"melody {self.id!r} has no meter")
         dens = set()
         last_start = -1
-        for start, num, den in meter:
+        for change in meter:
+            if len(change) != 3 or not all(type(x) is int for x in change):  # no bool either
+                raise ValueError("meter change must be a [measure, num, den] integer triple, "
+                                 f"got {list(change)!r}")
+            start, num, den = change
             problem = meter_problem(num, den)
             if problem is not None:
                 raise ValueError(problem)
             if start <= last_start:
                 raise ValueError(
                     "meter changes must start at strictly ascending measures, none negative, "
-                    f"got {[list(change) for change in meter]!r}"
+                    f"got {[list(c) for c in meter]!r}"
                 )
             last_start = start
             dens.add(den)
@@ -213,7 +214,7 @@ class Melody:
         """Copy with all pitches shifted; rests untouched. Pitches must stay in range."""
         events = [e if e.pitch is None else replace(e, pitch=e.pitch + semitones)
                   for e in self.events]
-        return replace(self, meter=list(self.meter), events=events)
+        return replace(self, events=events)
 
 
 @dataclass
@@ -244,13 +245,8 @@ def _frac_to_pair(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
 
 
-def _is_int(x) -> bool:
-    # JSON true and false load as bools, which Python counts as ints.
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _pair_to_frac(pair, line: int) -> Fraction:
-    if not isinstance(pair, list) or len(pair) != 2 or not all(_is_int(x) for x in pair):
+    if not isinstance(pair, list) or len(pair) != 2 or not all(type(x) is int for x in pair):
         raise CorpusError(f"rational must be a [num, den] integer pair, got {pair!r}", line)
     if pair[1] == 0:
         raise CorpusError(f"rational has a zero denominator: {pair!r}", line)
@@ -274,12 +270,13 @@ def melody_to_dict(melody: Melody) -> dict:
     }
 
 
-def _meter_from_list(change, line: int) -> MeterChange:
-    if not isinstance(change, list) or len(change) != 3 or not all(_is_int(x) for x in change):
+def _meter_from_list(change, line: int) -> list:
+    # The Melody constructor checks that the three values are integers.
+    if not isinstance(change, list) or len(change) != 3:
         raise CorpusError(
             f"meter change must be a [measure, num, den] integer triple, got {change!r}", line
         )
-    return tuple(change)
+    return change
 
 
 def _event_from_dict(e: dict, line: int) -> NoteEvent:

@@ -104,13 +104,9 @@ class MetricsReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_confusion(cls, labels: Sequence[str], confusion) -> "MetricsReport":
-        return cls(labels=list(labels), confusion=np.asarray(confusion))
-
-    @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
         obj = json.loads(text)
-        return cls.from_confusion(obj["labels"], obj["confusion"])
+        return cls(labels=list(obj["labels"]), confusion=obj["confusion"])
 
 
 def evaluate(predictions: Sequence[str], gold: Sequence[str], labels: Sequence[str]) -> MetricsReport:

@@ -23,6 +23,8 @@ song's T windows in one call, then the negatives of all its pairs in one
 call; PV-DBOW has one pair per center and draws the song's T*k negatives in
 one call. The start vectors and the training draws come from two
 independent streams of the seed (``seeds.stream``).
+
+``cosine`` and ``most_similar`` share one unit-norm helper, so both hold at any finite scale.
 """
 
 from __future__ import annotations
@@ -283,31 +285,35 @@ def train_pvdbow(
     return DocVectors(ids=ids, vectors=vectors, epoch_objectives=objectives)
 
 
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Each row of matrix at unit norm, a zero row staying zero. A row is first
+    scaled by the power of two that brings its largest magnitude into [0.5, 1),
+    which is exact; its sum of squares then neither overflows nor goes subnormal."""
+    _, exponents = np.frexp(np.max(np.abs(matrix), axis=1, keepdims=True))
+    scaled = np.ldexp(matrix, -exponents)
+    norms = np.linalg.norm(scaled, axis=1, keepdims=True)
+    return np.divide(scaled, norms, out=np.zeros_like(scaled), where=norms > 0.0)
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    # Cosine ignores scale, so each vector is first scaled to a largest magnitude
-    # of 1: the sum of squares of a tiny vector would lose precision as a subnormal.
-    sa = float(np.max(np.abs(a)))
-    sb = float(np.max(np.abs(b)))
-    if sa == 0.0 or sb == 0.0:
+    """Cosine similarity of two vectors at any finite scale; a zero vector is refused."""
+    ua, ub = _unit_rows(np.stack([a, b]))
+    if not (ua.any() and ub.any()):
         raise ValueError("cosine similarity is undefined for a zero vector")
-    a, b = a / sa, b / sb
-    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+    return float(ua.dot(ub))
 
 
 def most_similar(embeddings: Embeddings, token: str, k: int = 10) -> list[tuple[str, float]]:
-    """Top-k input-matrix neighbors by cosine, excluding the query itself and zero
-    vectors, so fewer than k come back when fewer rows remain."""
+    """Top-k input-matrix neighbors by cosine, at any finite scale, excluding the
+    query itself and zero vectors, so fewer than k come back when fewer rows remain."""
     if k < 1:
         raise ValueError("k must be positive")
     qi = embeddings._index(token)
-    M = embeddings.input_vectors
-    norms = np.linalg.norm(M, axis=1)
-    q = M[qi]
-    qn = norms[qi]
-    if qn == 0.0:
+    unit = _unit_rows(embeddings.input_vectors)
+    if not unit[qi].any():
         raise ValueError(f"token {token!r} has a zero vector")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sims = np.where(norms > 0.0, (M @ q) / (norms * qn), -np.inf)
+    sims = unit.dot(unit[qi])
+    sims[~unit.any(axis=1)] = -np.inf
     sims[qi] = -np.inf
     order = np.argsort(-sims, kind="stable")[:k]
     return [(embeddings.vocab.tokens[i], float(sims[i])) for i in order if sims[i] > -np.inf]

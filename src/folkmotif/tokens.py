@@ -55,12 +55,6 @@ def beat_unit(meter: tuple[int, int]) -> Fraction:
     return Fraction(1)
 
 
-def render_rhythm(is_note: bool, onset: Fraction, duration: Fraction, meter: tuple[int, int]) -> str:
-    """The rendered rhythm token of a note (or rest) at ``onset`` in a measure of ``meter``."""
-    return _rhythm_token(is_note, onset.numerator, onset.denominator,
-                         duration.numerator, duration.denominator, meter)
-
-
 # A corpus holds a few dozen to a few hundred distinct rhythm tokens. The key
 # is integers: hashing two Fractions per event cost three times the lookup.
 @functools.lru_cache(maxsize=1024)

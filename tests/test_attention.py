@@ -734,6 +734,23 @@ def test_malformed_checkpoint_meta_is_a_value_error(meta_line, message):
         load_model(meta_line + "\n")
 
 
+@pytest.mark.parametrize("labels", [["a", "a"], ["a"], [], ["a", 1]],
+                         ids=["repeated", "one", "none", "not-strings"])
+def test_init_model_refuses_labels_a_checkpoint_could_not_hold(labels):
+    with pytest.raises(ValueError, match="^labels must be 2 or more distinct strings: "):
+        init_model(2, labels, hidden=2, attention_dim=2)
+
+
+@given(st.lists(st.text(max_size=3), max_size=4))
+def test_every_label_list_init_model_takes_survives_a_checkpoint(labels):
+    try:
+        model = init_model(1, labels, hidden=1, attention_dim=1)
+    except ValueError:
+        return
+    loaded, _ = load_model(save_model(model))
+    assert loaded.labels == labels
+
+
 def test_checkpoint_payload_length_is_checked_before_its_array_exists():
     # At these sizes the GRU arrays alone take over 100 MB; a meta line that
     # declares them allocates none of it.

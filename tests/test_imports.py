@@ -1,6 +1,7 @@
-"""Every top-level import in a package module is used by that module, and
-every module-level private function or class is referenced somewhere in the
-package."""
+"""Every top-level import in a package module is used by that module, every
+module-level private function or class is referenced somewhere in the
+package, and every public function or method is used or exported there, or
+kept for a stated reason."""
 
 import ast
 from pathlib import Path
@@ -74,6 +75,70 @@ def test_a_dead_private_definition_is_found():
         "b.py": "from . import a\n\na._used()\n",
     }
     assert _dead_private_definitions(sources) == ["a.py: _dead", "a.py: _Dead"]
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, name) of each module-level public function and each
+    public method of a module-level class."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef):
+            found.extend(
+                (f"{node.name}.{sub.name}", sub.name)
+                for sub in node.body
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return [(qualname, name) for qualname, name in found if not name.startswith("_")]
+
+
+def _uncalled_public_definitions(sources: dict[str, str]) -> list[str]:
+    """Public functions and methods that no module of sources refers to, by
+    name or as an attribute, or imports (as ``__init__.py`` exports the API)."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [
+        f"{module}: {qualname}"
+        for module, tree in trees.items()
+        for qualname, name in _public_definitions(tree)
+        if name not in referenced
+    ]
+
+
+# Public definitions that no package module uses, each kept for a reason.
+UNCALLED_BUT_KEPT = {
+    "baselines.py: read_svm": "the benchmark harness reads svm.txt with it",
+    "cli.py: _Parser.error": "argparse calls this override",
+    "melody.py: Melody.transposed": "the transposition-invariance test (criterion 6) uses it",
+    "synth.py: motif_class": "the motif-class acceptance test (criterion 5) uses it",
+    "sgns.py: Embeddings.vector": "library lookup that names an unknown token",
+    "sgns.py: DocVectors.vector": "library lookup that names an unknown song id",
+}
+
+
+def test_every_public_definition_is_used_or_kept_for_a_reason():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))}
+    assert sorted(_uncalled_public_definitions(sources)) == sorted(UNCALLED_BUT_KEPT)
+
+
+def test_an_uncalled_public_definition_is_found():
+    sources = {
+        "a.py": "def used():\n    pass\n\n\ndef exported():\n    pass\n\n\n"
+                "def dead():\n    pass\n\n\nclass C:\n    def run(self):\n        pass\n\n"
+                "    def stop(self):\n        pass\n\n    def __init__(self):\n        pass\n",
+        "__init__.py": "from .a import exported\n",
+        "b.py": "from . import a\n\na.used()\na.C().run()\n",
+    }
+    assert _uncalled_public_definitions(sources) == ["a.py: dead", "a.py: C.stop"]
 
 
 def test_all_names_exactly_the_public_imports():

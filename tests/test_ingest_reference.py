@@ -153,7 +153,8 @@ def reference_validate(self: Melody) -> None:
         raise ValueError(f"melody {self.id!r} has no meter")
     prev: Optional[NoteEvent] = None
     for ev in self.events:
-        if ev.onset + ev.duration > self.measure_capacity(ev.measure):
+        num, den = self.meter_at(ev.measure)
+        if ev.onset + ev.duration > Fraction(4 * num, den):
             raise ValueError(
                 f"melody {self.id!r}: event at measure {ev.measure} overflows the meter"
             )

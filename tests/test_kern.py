@@ -15,7 +15,7 @@ def test_parses_two_notes():
         (62, Fraction(1, 2)),
     ]
     assert all(e.measure == 0 for e in m.events)
-    assert m.meter == [(0, 4, 4)]
+    assert m.meter == ((0, 4, 4),)
 
 
 def test_parses_rest_then_note():
@@ -70,7 +70,7 @@ def test_pickup_measure_may_be_short():
 def test_meter_change_applies_to_next_measure():
     text = "**kern\n*M4/4\n4c\n4d\n4e\n4f\n=\n*M3/4\n4c\n4d\n4e\n=\n*-"
     m = parse_kern(text)
-    assert m.meter == [(0, 4, 4), (1, 3, 4)]
+    assert m.meter == ((0, 4, 4), (1, 3, 4))
 
 
 def test_overfull_measure_is_rejected():

@@ -81,6 +81,7 @@ def test_note_event_refuses_a_pitch_or_measure_that_is_not_an_int(fields, messag
 
 
 ORDER = "meter changes must start at strictly ascending measures, none negative, got"
+NOT_A_TRIPLE = "meter change must be a [measure, num, den] integer triple, got"
 
 
 @pytest.mark.parametrize(
@@ -90,11 +91,15 @@ ORDER = "meter changes must start at strictly ascending measures, none negative,
         ([(0, 4, 4), (0, 3, 4)], None, f"{ORDER} [[0, 4, 4], [0, 3, 4]]"),
         ([(2, 3, 4), (0, 4, 4)], None, f"{ORDER} [[2, 3, 4], [0, 4, 4]]"),
         ([(-1, 4, 4)], None, f"{ORDER} [[-1, 4, 4]]"),
+        ([(0, 4.0, 4)], None, f"{NOT_A_TRIPLE} [0, 4.0, 4]"),
+        ([(0, True, 4)], None, f"{NOT_A_TRIPLE} [0, True, 4]"),
+        ([(0, 4)], None, f"{NOT_A_TRIPLE} [0, 4]"),
         ([(0, 4, 4)], [(1, 0), (0, 0)], "melody 's': measures out of order"),
         ([(0, 4, 4)], [(0, 2), (0, 1)], "melody 's': onsets not strictly increasing in measure 0"),
     ],
     ids=["odd-meter", "repeated-start", "descending-starts", "negative-start",
-         "measures-out-of-order", "onsets-out-of-order"],
+         "float-numerator", "bool-numerator", "pair", "measures-out-of-order",
+         "onsets-out-of-order"],
 )
 def test_melody_refuses_a_bad_meter_or_events_out_of_order_when_built(meter, events, message):
     events = [NoteEvent(pitch=60, duration=Fraction(1), onset=Fraction(onset), measure=measure)
@@ -110,8 +115,12 @@ ANY_VALUE = {
     "duration": st.one_of(st.fractions(-1, 6, max_denominator=12), st.integers(-1, 6),
                           st.booleans(), st.floats(-1, 6), st.just("1")),
     "measure": st.one_of(st.integers(-1, 3), st.booleans(), st.floats(-1, 3)),
-    "meter": st.lists(st.tuples(st.integers(-1, 3), st.integers(-1, 7), st.integers(-1, 16)),
-                      max_size=3),
+    "meter": st.lists(
+        st.tuples(st.integers(-1, 3), st.integers(-1, 7), st.integers(-1, 16))
+        | st.tuples(*[st.integers(-1, 16) | st.booleans() | st.floats(-1, 16)
+                      | st.sampled_from(["4", b"4"])] * 3),
+        max_size=3,
+    ),
 }
 ANY_VALUE["onset"] = ANY_VALUE["duration"]
 
@@ -130,6 +139,20 @@ def test_a_melody_is_refused_when_built_or_survives_jsonl(melody, field, data):
     except ValueError:
         return
     assert read_jsonl(write_jsonl([built])) == [built]
+
+
+def test_a_built_melody_cannot_change_in_place():
+    """Its meter and events are tuples, so the check made when it was built
+    stays true; its id and label can still be set."""
+    melody = Melody(id="s", label="x", meter=[[0, 4, 4]],
+                    events=[NoteEvent(pitch=60, duration=Fraction(1), onset=Fraction(0), measure=0)])
+    assert melody.meter == ((0, 4, 4),)
+    with pytest.raises(AttributeError):
+        melody.events.append(NoteEvent(pitch=64, duration=Fraction(1), onset=Fraction(0), measure=0))
+    with pytest.raises(TypeError):
+        melody.meter[0][1] = 3
+    melody.id, melody.label = "t", "y"
+    assert (melody.id, melody.label) == ("t", "y")
 
 
 def test_note_event_takes_plain_int_times():
@@ -198,7 +221,6 @@ def test_meter_changes_apply_from_their_measure():
     assert m.meter_at(0) == (4, 4)
     assert m.meter_at(1) == (4, 4)
     assert m.meter_at(2) == (3, 4)
-    assert m.measure_capacity(2) == Fraction(3)
 
 
 @given(melodies())
@@ -378,9 +400,6 @@ def test_load_corpus_skips_a_jsonl_file_with_an_invalid_melody(tmp_path):
     corpus = load_corpus([(str(tmp_path / "a.krn"), "x"), (str(tmp_path / "b.jsonl"), None)])
     assert [m.id for m in corpus] == ["a"]
     assert "overflows the meter" in corpus.diagnostics.skipped[0][1]
-
-
-NOT_A_TRIPLE = "meter change must be a [measure, num, den] integer triple, got"
 
 
 @pytest.mark.parametrize(

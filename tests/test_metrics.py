@@ -97,7 +97,7 @@ def test_split_partition_and_stratification(sizes, ratio, seed):
 
 
 def test_confusion_arithmetic():
-    report = MetricsReport.from_confusion(["x", "y"], [[9, 1], [2, 8]])
+    report = MetricsReport(labels=["x", "y"], confusion=[[9, 1], [2, 8]])
     assert report.accuracy == pytest.approx(0.85)
     assert report.precision["x"] == pytest.approx(9 / 11)
     assert report.precision["y"] == pytest.approx(8 / 9)

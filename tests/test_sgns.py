@@ -140,6 +140,27 @@ def test_most_similar_all_neighbors_once():
     assert [tok for tok, _ in result] == ["b", "c"]
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e200, 2.0**600, 2.0**-600],
+                         ids=["1e-170", "1e200", "2^600", "2^-600"])
+def test_most_similar_ranks_and_scores_alike_at_any_scale(scale):
+    """Every row scaled alike gives the same neighbours and scores, each the
+    cosine of the two rows; at these scales a plain sum of squares would
+    underflow or overflow."""
+    tokens = ["a", "b", "c", "d", "e", "f"]
+    matrix = np.random.default_rng(3).normal(size=(len(tokens), 5))
+    matrix[4] = 0.0
+    vocab = Vocabulary(tokens=tokens, counts=np.ones(len(tokens), dtype=np.int64))
+    unscaled = most_similar(Embeddings(vocab, matrix, matrix), "a", k=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = most_similar(Embeddings(vocab, scale * matrix, matrix), "a", k=5)
+    assert [token for token, _ in scaled] == [token for token, _ in unscaled] == ["c", "b", "f", "d"]
+    for (token, score), (_, before) in zip(scaled, unscaled):
+        assert score == pytest.approx(before, abs=1e-15)
+        row = scale * matrix[tokens.index(token)]
+        assert score == pytest.approx(cosine(scale * matrix[0], row), abs=1e-15)
+
+
 def test_most_similar_unknown_token_hints_near_matches():
     emb = _toy_embeddings()
     with pytest.raises(KeyError) as exc:

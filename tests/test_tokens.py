@@ -15,7 +15,6 @@ from folkmotif.tokens import (
     interval_token,
     phrase_merge,
     read_token_file,
-    render_rhythm,
     tokenize_corpus,
     tokenize_melody,
     write_token_file,
@@ -56,21 +55,28 @@ def test_interval_requires_pitches():
         interval_token(note(None, 1, 0), note(60, 1, 1))
 
 
+def rhythm_token(pitch, onset, duration, meter):
+    """The rhythmic token of one event, alone in a measure of meter."""
+    melody = Melody(id="m", label="test", meter=[(0, *meter)], events=[note(pitch, duration, onset)])
+    [token] = tokenize_melody(melody, "rhythmic")
+    return token
+
+
 def test_eighth_on_downbeat():
-    assert render_rhythm(True, Fraction(0), Fraction(1, 2), (4, 4)) == "1-1-0.5"
+    assert rhythm_token(60, 0, Fraction(1, 2), (4, 4)) == "1-1-0.5"
 
 
 def test_sixteenth_off_beat():
-    assert render_rhythm(True, Fraction(3, 4), Fraction(1, 4), (4, 4)) == "1-0-0.25"
+    assert rhythm_token(60, Fraction(3, 4), Fraction(1, 4), (4, 4)) == "1-0-0.25"
 
 
 def test_quarter_rest_on_beat():
-    assert render_rhythm(False, Fraction(1), Fraction(1), (4, 4)) == "0-1-1"
+    assert rhythm_token(None, 1, 1, (4, 4)) == "0-1-1"
 
 
 def test_compound_meter_beat_is_dotted_quarter():
-    assert render_rhythm(True, Fraction(3, 2), Fraction(1, 2), (6, 8)) == "1-1-0.5"
-    assert render_rhythm(True, Fraction(1), Fraction(1, 2), (6, 8)) == "1-0-0.5"
+    assert rhythm_token(60, Fraction(3, 2), Fraction(1, 2), (6, 8)) == "1-1-0.5"
+    assert rhythm_token(60, 1, Fraction(1, 2), (6, 8)) == "1-0-0.5"
 
 
 @pytest.mark.parametrize(
