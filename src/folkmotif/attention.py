@@ -134,7 +134,7 @@ class ClassifierConfig:
 
 @dataclass
 class SongExample:
-    x: np.ndarray  # T x d, frozen motif vectors
+    x: np.ndarray  # T x d, frozen motif vectors, at the GRU dtype from make_examples
     label: int
 
 
@@ -168,9 +168,10 @@ def init_model(
     """Xavier-uniform matrices, zero biases; draw order is fixed for determinism.
 
     The draws come from the seed's classifier-init stream. Every array is
-    drawn in float64, so the random stream does not depend on
-    the precision, and the GRU arrays are then rounded to float32 once. A GRU
-    gate's blocks are drawn H x d and H x H and stored transposed.
+    drawn in float64, so the random stream does not depend on the precision.
+    A GRU gate's blocks are drawn H x d and H x H, one at a time, and each is
+    rounded once into its column block of w and u, which are allocated at
+    the GRU dtype; so no float64 copy of a whole GRU matrix is ever made.
     """
     labels = list(labels)
     _check_labels(labels, "labels")
@@ -178,9 +179,13 @@ def init_model(
     h, a, L = hidden, attention_dim, len(labels)
 
     def direction():
+        w = np.empty((dim, 3 * h), _GRU_DTYPE)
+        u = np.empty((h, 3 * h), _GRU_DTYPE)
         # per gate z, r, h: its input block, then its recurrent block
-        blocks = [_xavier(rng, h, cols) for cols in (dim, h) * 3]
-        w, u = (np.vstack(blocks[k::2]).T.astype(_GRU_DTYPE, order="C") for k in (0, 1))
+        for gate in range(3):
+            cols = slice(gate * h, (gate + 1) * h)
+            w[:, cols] = _xavier(rng, h, dim).T
+            u[:, cols] = _xavier(rng, h, h).T
         return GruDirection(w, u, np.zeros(3 * h, _GRU_DTYPE))
 
     params = ModelParams(
@@ -423,14 +428,20 @@ def make_examples(
     classes: Sequence[str],
     max_len: int = 500,
 ) -> list[SongExample]:
-    """Look up each song's in-vocabulary motif vectors as a frozen input matrix."""
+    """Look up each song's in-vocabulary motif vectors as a frozen input matrix.
+
+    The matrix is stored at the scan dtype, that of the GRU arrays
+    ``init_model`` builds, which ``_encode`` packs a batch in: each song is
+    rounded once, here, with the rounding the packing would apply, and the
+    training set holds float32, not float64, vectors.
+    """
     class_index = {c: i for i, c in enumerate(classes)}
     examples = []
     for song in songs:
         x, _ = _song_rows(song, embeddings, max_len)
         if song.label not in class_index:
             raise ValueError(f"song {song.id!r} has unknown class {song.label!r}")
-        examples.append(SongExample(x=x, label=class_index[song.label]))
+        examples.append(SongExample(x=x.astype(_GRU_DTYPE), label=class_index[song.label]))
     return examples
 
 
@@ -455,9 +466,11 @@ def train_classifier(
     """Mini-batch SGD; bit-reproducible under the seed.
 
     The holdout and each epoch's order come from the seed's classifier-order
-    stream. With val_fraction > 0 that holdout is split off, encoded in
-    mini-batches after each epoch, and the parameters of the best epoch by
-    holdout loss are returned; otherwise the final parameters are.
+    stream. With val_fraction > 0 that holdout, val_fraction of the songs
+    rounded to the nearest count, is split off, encoded in mini-batches after
+    each epoch, and the parameters of the best epoch by holdout loss are
+    returned; otherwise the final parameters are. A val_fraction > 0 that
+    rounds to no song is refused, not trained without a holdout.
     """
     config = config or ClassifierConfig()
     if not examples:
@@ -469,6 +482,10 @@ def train_classifier(
     rng = stream(seed, "classifier_order")
     examples = list(examples)
     n_val = int(round(config.val_fraction * len(examples)))
+    if config.val_fraction > 0 and n_val == 0:
+        raise ValueError(
+            f"val_fraction {config.val_fraction} of {len(examples)} songs holds out no song"
+        )
     if n_val:
         order = rng.permutation(len(examples))
         val = [examples[i] for i in order[:n_val]]
@@ -560,7 +577,11 @@ def save_model(model: AttentionModel, vocab_hash: str = "") -> str:
     """Checkpoint: one JSON config line, then one line per parameter array,
     ``<name> <base64 of its little-endian bytes>``, in a fixed order. Each
     array is stored in C order as it sits in memory, the GRU matrices d x 3H
-    and H x 3H; the GRU arrays are float32 and the rest float64."""
+    and H x 3H; the GRU arrays are float32 and the rest float64.
+
+    An array already C-ordered at its checkpoint dtype is encoded from its
+    own buffer; only another is copied. The lines are joined once, the last
+    newline with them, so the text exists at most twice at once."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "labels": model.labels,
@@ -571,9 +592,9 @@ def save_model(model: AttentionModel, vocab_hash: str = "") -> str:
     }
     lines = [json.dumps(meta, sort_keys=True)]
     for name, arr in _param_arrays(model.params):
-        raw = arr.astype(_checkpoint_dtype(name)).tobytes()
+        raw = np.ascontiguousarray(arr, _checkpoint_dtype(name))
         lines.append(f"{name} {base64.b64encode(raw).decode('ascii')}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])
 
 
 def load_model(text: str) -> tuple[AttentionModel, dict]:

@@ -1,5 +1,6 @@
 import base64
 import copy
+import itertools
 import json
 import re
 import tracemalloc
@@ -18,14 +19,18 @@ from conftest import (
     song_loss,
 )
 
+from folkmotif import attention
 from folkmotif.attention import (
     AttentionParams,
+    CHECKPOINT_FORMAT,
     ClassifierConfig,
     GruDirection,
     ModelParams,
     OutputParams,
     SongExample,
     TrainingDiverged,
+    _GRU_DTYPE,
+    _checkpoint_dtype,
     _encode,
     _energy_grad,
     _gate_sigmoid,
@@ -120,18 +125,52 @@ def test_gru_step_zero_state_is_a_fixed_point():
     np.testing.assert_allclose(gru_step(np.ones(3), np.zeros(2), p), np.zeros(2))
 
 
+def reference_gru_direction(rng, dim, h):
+    """A GRU direction's (w, u) built from its stacked float64 draws, the
+    construction that init_model must reproduce bit for bit."""
+    # per gate z, r, h: its input block, then its recurrent block
+    blocks = [_xavier(rng, h, cols) for cols in (dim, h) * 3]
+    w, u = (np.vstack(blocks[k::2]).T.astype(_GRU_DTYPE, order="C") for k in (0, 1))
+    return w, u
+
+
 def test_init_model_stores_the_transposes_of_the_xavier_draws():
     # The draws are those of gate blocks H x d and H x H, in init_model's
     # order on the classifier-init stream, so the random stream is the one of
-    # the row-major layout.
-    dim, h = 3, 4
-    model = init_model(dim, ["a", "b"], hidden=h, attention_dim=2, seed=5)
-    rng = stream(5, "classifier_init")
-    for p in (model.params.gru_fwd, model.params.gru_bwd):
-        blocks = [_xavier(rng, h, cols) for cols in (dim, h) * 3]
-        np.testing.assert_array_equal(p.w, np.vstack(blocks[0::2]).T.astype(np.float32))
-        np.testing.assert_array_equal(p.u, np.vstack(blocks[1::2]).T.astype(np.float32))
-    np.testing.assert_array_equal(model.params.attn.w, _xavier(rng, 2, 2 * h))
+    # the row-major layout. The GRU arrays equal the reference's in values,
+    # dtype, shape and C order, and the next draw, attn.w, is unchanged.
+    for (dim, h), seed in itertools.product([(3, 4), (150, 200)], [0, 1, 2, 5]):
+        model = init_model(dim, ["a", "b"], hidden=h, attention_dim=2, seed=seed)
+        rng = stream(seed, "classifier_init")
+        for p in (model.params.gru_fwd, model.params.gru_bwd):
+            for got, expected in zip((p.w, p.u), reference_gru_direction(rng, dim, h)):
+                assert got.dtype == expected.dtype == np.float32
+                assert got.shape == expected.shape
+                assert got.flags.c_contiguous
+                np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(model.params.attn.w, _xavier(rng, 2, 2 * h))
+
+
+def _traced_peak(f, *args, **kwargs):
+    """f's result and the peak of the memory tracemalloc sees during the call,
+    numpy's buffers included, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        result = f(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_init_model_peak_is_its_arrays_and_one_gate_block():
+    # Each gate block is drawn in float64 and rounded into place, so at most
+    # one float64 block is alive beside the arrays being built.
+    dim, h = 150, 200
+    init_model(3, ["a", "b"], hidden=4)  # numpy's first seeding imports modules; not counted
+    model, peak = _traced_peak(init_model, dim, ["a", "b"], hidden=h, attention_dim=100)
+    arrays = sum(arr.nbytes for _, arr in _param_arrays(model.params))
+    assert peak <= arrays + 8 * h * max(dim, h), (peak, arrays)
 
 
 def test_bgru_annotations_match_definition():
@@ -492,6 +531,57 @@ def test_validation_split_returns_best_epoch_parameters():
     assert per_song == pytest.approx(loss, rel=1e-6)
 
 
+@pytest.mark.parametrize("fraction,n", [(0.1, 4), (0.01, 40), (0.04, 12)])
+def test_val_fraction_that_holds_out_no_song_is_refused(fraction, n):
+    songs = _separable_songs(per_class=n // 2)
+    examples = make_examples(songs, _toy_embeddings(), ["alpha", "beta"])
+    config = ClassifierConfig(hidden=4, attention_dim=3, epochs=1, val_fraction=fraction)
+    message = f"^val_fraction {fraction} of {n} songs holds out no song$"
+    with pytest.raises(ValueError, match=message):
+        train_classifier(examples, ["alpha", "beta"], config)
+    # The rounding stays as it was: half a song's share or more holds one out.
+    half = ClassifierConfig(hidden=4, attention_dim=3, epochs=1, val_fraction=0.6 / n)
+    assert len(train_classifier(examples, ["alpha", "beta"], half).val_losses) == 1
+
+
+def test_float32_training_agrees_with_float64_at_paper_dims(monkeypatch):
+    """One epoch at d=150, H=200, A=100 on 20 fixed songs of 30-70 motifs,
+    as shipped (float32 scans) and with the GRU dtype set to float64, which
+    init_model and make_examples both follow. The epoch losses agree within
+    1e-6 relative and the class probabilities within 1e-6 (at this point
+    they differ by about 5e-9 and 2e-8), and every prediction is equal."""
+    rng = np.random.default_rng(29)
+    tokens = [f"m{i}" for i in range(40)]
+    vocab = Vocabulary(tokens=tokens, counts=np.full(len(tokens), 10))
+    vectors = rng.normal(scale=0.3, size=(len(tokens), 150))
+    emb = Embeddings(vocab=vocab, input_vectors=vectors, output_vectors=np.zeros_like(vectors))
+    classes = ["alpha", "beta"]
+    songs = [
+        TokenizedSong(
+            id=f"s{i}",
+            label=classes[i % 2],
+            # each class draws mostly from its own half of the motifs
+            tokens=tuple(rng.choice(tokens[:24] if i % 2 else tokens[16:], size=T)),
+        )
+        for i, T in enumerate(rng.integers(30, 71, size=20))
+    ]
+    config = ClassifierConfig(hidden=200, attention_dim=100, batch=10, epochs=1)
+
+    def train_and_predict():
+        model = train_classifier(make_examples(songs, emb, classes), classes, config, seed=3)
+        return model, [predict_song(model, song, emb) for song in songs]
+
+    model32, predicted32 = train_and_predict()
+    monkeypatch.setattr(attention, "_GRU_DTYPE", np.float64)
+    model64, predicted64 = train_and_predict()
+    assert model32.params.gru_fwd.w.dtype == np.float32
+    assert model64.params.gru_fwd.w.dtype == np.float64
+    assert model32.epoch_losses == pytest.approx(model64.epoch_losses, rel=1e-6)
+    assert [p[0] for p in predicted32] == [p[0] for p in predicted64]
+    for (_, probs32, _), (_, probs64, _) in zip(predicted32, predicted64):
+        assert relative_error(probs32, probs64) <= 1e-6
+
+
 def test_predict_single_motif_song():
     model = randomized_model(8)
     x = np.random.default_rng(9).normal(size=(1, 3))
@@ -598,6 +688,7 @@ def test_gru_arrays_are_float32_and_the_rest_float64():
     assert _dtypes(model.params) == split
     emb = _toy_embeddings()
     examples = make_examples(_separable_songs(per_class=4), emb, ["alpha", "beta"])
+    assert {ex.x.dtype for ex in examples} == {np.dtype(np.float32)}  # the scans' dtype
     config = ClassifierConfig(hidden=4, attention_dim=3, epochs=2, val_fraction=0.25)
     trained = train_classifier(examples, ["alpha", "beta"], config)
     assert _dtypes(trained.params) == split
@@ -627,6 +718,69 @@ def test_gru_matrices_are_stored_as_the_scan_multiplies_them():
     trained = train_classifier(examples, ["alpha", "beta"], config)
     assert _gru_layouts(trained.params) == layout
     assert _gru_layouts(load_model(save_model(trained))[0].params) == layout
+
+
+def reference_save_model(model, vocab_hash=""):
+    """A reference checkpoint writer: each array converted with astype and
+    tobytes, its lines joined and a newline appended. save_model must write
+    the same text."""
+    meta = {
+        "format": CHECKPOINT_FORMAT,
+        "labels": model.labels,
+        "dim": model.dim,
+        "hidden": model.hidden,
+        "attention_dim": model.attention_dim,
+        "vocab_sha256": vocab_hash,
+    }
+    lines = [json.dumps(meta, sort_keys=True)]
+    for name, arr in _param_arrays(model.params):
+        raw = arr.astype(_checkpoint_dtype(name)).tobytes()
+        lines.append(f"{name} {base64.b64encode(raw).decode('ascii')}")
+    return "\n".join(lines) + "\n"
+
+
+def _trained_model():
+    examples = make_examples(_separable_songs(per_class=4), _toy_embeddings(), ["alpha", "beta"])
+    config = ClassifierConfig(hidden=4, attention_dim=3, epochs=2)
+    return train_classifier(examples, ["alpha", "beta"], config)
+
+
+def _unordered_model():
+    """A model whose attn.w is Fortran-ordered and whose out.w is a strided
+    view: neither array's buffer is its C-order bytes."""
+    model = init_model(3, ["a", "b", "c"], hidden=4, attention_dim=2, seed=3)
+    params = model.params
+    params.attn.w = np.asfortranarray(params.attn.w)
+    wide = np.zeros((3, 2 * params.out.w.shape[1]))
+    wide[:, ::2] = params.out.w
+    params.out.w = wide[:, ::2]
+    assert not (params.attn.w.flags.c_contiguous or params.out.w.flags.c_contiguous)
+    return model
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: init_model(3, ["a", "b"], hidden=4, attention_dim=2),
+        lambda: init_model(150, ["a", "b"], hidden=200, attention_dim=100, seed=1),
+        _trained_model,
+        lambda: load_model(save_model(_trained_model(), "ab" * 32))[0],
+        _unordered_model,
+        lambda: randomized_model(17),  # float64 GRU arrays, written as float32
+    ],
+    ids=["init-3-4", "init-150-200", "trained", "reloaded", "unordered", "float64-gru"],
+)
+def test_checkpoint_text_matches_the_reference_writer(build):
+    model = build()
+    for vocab_hash in ("", "cd" * 32):
+        assert save_model(model, vocab_hash) == reference_save_model(model, vocab_hash)
+
+
+def test_save_model_peak_is_twice_its_text():
+    # The text exists twice at the peak: once as its lines and once joined.
+    model = init_model(150, ["a", "b"], hidden=200, attention_dim=100)
+    text, peak = _traced_peak(save_model, model)
+    assert peak <= 2.1 * len(text), peak / len(text)
 
 
 def test_checkpoint_is_ascii_and_resaves_byte_for_byte():

@@ -257,6 +257,18 @@ def test_train_classifier_split_error_names_its_stage(tmp_path, capsys):
     assert not (tmp_path / "model.txt").exists()
 
 
+def test_train_classifier_refuses_a_val_fraction_that_holds_out_no_song(tmp_path, capsys):
+    # 12 of the 16 songs train; 0.01 of 12 rounds to 0 held-out songs.
+    _, tokens, emb, vocab = synth_pipeline(tmp_path)
+    assert main(["train-classifier", "--tokens", str(tokens), "--embeddings", str(emb),
+                 "--vocab", str(vocab), "--hidden", "5", "--attention-dim", "3",
+                 "--epochs", "1", "--val-fraction", "0.01",
+                 "--out", str(tmp_path / "model.txt")]) == 2
+    err = "error: stage 'classifier': val_fraction 0.01 of 12 songs holds out no song\n"
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "model.txt").exists()
+
+
 def test_classifier_divergence_exit_code(tmp_path, capsys):
     _, tokens, emb, vocab = synth_pipeline(tmp_path)
     assert main(["train-classifier", "--tokens", str(tokens), "--embeddings", str(emb),
