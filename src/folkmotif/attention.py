@@ -163,7 +163,8 @@ def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def init_model(
-    dim: int, labels: Sequence[str], hidden: int = 200, attention_dim: int = 100, seed: int = 0
+    dim: int, labels: Sequence[str], hidden: int = ClassifierConfig.hidden,
+    attention_dim: int = ClassifierConfig.attention_dim, seed: int = 0,
 ) -> AttentionModel:
     """Xavier-uniform matrices, zero biases; draw order is fixed for determinism.
 
@@ -416,17 +417,15 @@ def _song_rows(song: TokenizedSong, embeddings: Embeddings, max_len: int):
     """A song's in-vocabulary motifs, cut to max_len, and their vectors as rows."""
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
-    kept = tuple(t for t in song.tokens if t in embeddings.vocab)[:max_len]
-    if not kept:
-        raise ValueError(f"untokenizable song {song.id!r}: no in-vocabulary motifs")
-    return embeddings.input_vectors[embeddings.vocab.encode(kept)], kept
+    rows = embeddings.vocab.song_motifs(song)[:max_len]
+    return embeddings.input_vectors[rows], [embeddings.vocab.tokens[i] for i in rows]
 
 
 def make_examples(
     songs: Iterable[TokenizedSong],
     embeddings: Embeddings,
     classes: Sequence[str],
-    max_len: int = 500,
+    max_len: int = ClassifierConfig.max_len,
 ) -> list[SongExample]:
     """Look up each song's in-vocabulary motif vectors as a frozen input matrix.
 
@@ -543,7 +542,8 @@ def predict(model: AttentionModel, x: np.ndarray) -> tuple[int, np.ndarray, np.n
 
 
 def predict_song(
-    model: AttentionModel, song: TokenizedSong, embeddings: Embeddings, max_len: int = 500
+    model: AttentionModel, song: TokenizedSong, embeddings: Embeddings,
+    max_len: int = ClassifierConfig.max_len,
 ) -> tuple[str, np.ndarray, list[tuple[str, float]]]:
     """Predicted label plus (motif, attention weight) pairs for inspection."""
     x, kept = _song_rows(song, embeddings, max_len)

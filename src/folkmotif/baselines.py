@@ -18,14 +18,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .sgns import Embeddings, read_embeddings, write_embeddings
+from .tokens import TokenizedSong
 
 
-def average_embedding(tokens: Sequence[str], embeddings: Embeddings) -> np.ndarray:
-    """Unweighted mean of the input-matrix rows of the in-vocabulary tokens."""
-    rows = embeddings.vocab.encode(tokens)
-    if not rows:
-        raise ValueError("no in-vocabulary token to average")
-    return embeddings.input_vectors[rows].mean(axis=0)
+def average_embedding(song: TokenizedSong, embeddings: Embeddings) -> np.ndarray:
+    """Unweighted mean of the input-matrix rows of the song's in-vocabulary motifs."""
+    return embeddings.input_vectors[embeddings.vocab.song_motifs(song)].mean(axis=0)
 
 
 @dataclass

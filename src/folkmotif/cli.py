@@ -21,8 +21,7 @@ import numpy as np
 
 from .attention import ClassifierConfig, alpha_csv
 from .baselines import SvmConfig
-from .experiment import REPRESENTATIONS, ExperimentConfig, ExperimentError, classify
-from .experiment import run_experiment, songs_with_motifs
+from .experiment import REPRESENTATIONS, ExperimentConfig, ExperimentError, classify, run_experiment
 from .melody import CorpusError, load_corpus, read_jsonl, write_jsonl
 from .metrics import evaluate, render_report
 from .sgns import Embeddings, SkipgramConfig, TrainingDiverged, most_similar, read_embeddings
@@ -166,7 +165,6 @@ def _cmd_train_classifier(args) -> None:
     classifier = _config_from_flags(args, ClassifierConfig, CLASSIFIER_FLAGS)
     config = ExperimentConfig(model="attention", split_ratio=args.ratio, seed=args.seed,
                               classifier=classifier)
-    songs = songs_with_motifs(songs, emb.vocab)
     train, test, _, files, weighted, report = classify(config, songs, emb.vocab, emb)
     Path(args.out).write_text(files["model.txt"], encoding="utf-8")
     print(f"model written to {args.out}")
@@ -199,7 +197,6 @@ def _cmd_baseline(args) -> None:
     svm = SvmConfig(lam=args.lam, epochs=args.svm_epochs)
     config = ExperimentConfig(model=args.kind, split_ratio=args.ratio, seed=args.seed,
                               embedding=embedding, svm=svm)
-    songs = songs_with_motifs(songs, vocab)
     train, test, _, files, _, report = classify(config, songs, vocab, emb)
     if args.out_svm:
         Path(args.out_svm).write_text(files["svm.txt"], encoding="utf-8")

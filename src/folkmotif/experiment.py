@@ -8,9 +8,10 @@ of the seed (``seeds.stream``), so no two share a random number.
 Artifacts — token file, vocab, model, predictions, metrics JSON, text report
 — are written to an output directory, and reruns with the same config and
 corpus are byte-identical.
-``classify`` runs the split, the skip-gram training when the model needs it, the
-model and the scoring, for ``run_experiment`` and the staged CLI commands alike,
-so a staged command's error names its stage too.
+``classify`` drops the songs with no in-vocabulary motif, then runs the split, the
+skip-gram training when the model needs it, the model and the scoring, for
+``run_experiment`` and the staged CLI commands alike, so a staged command's error
+names its stage too.
 The attention and average models read skip-gram motif vectors, so only they
 train skip-gram and write ``embeddings.txt``. Doc2vec is PV-DBOW, which
 learns its song vectors straight from the tokens; for it the ``embedding``
@@ -148,12 +149,13 @@ def songs_with_motifs(songs, vocab):
 def classify(config: ExperimentConfig, songs, vocab, embeddings=None):
     """Split the songs, train ``config.model`` on the train songs, predict and score the test.
 
-    songs each have an in-vocabulary motif. embeddings are the skip-gram motif vectors
-    that attention and average read; given None, those models train them here and
-    return them as ``embeddings.txt``. Returns the train and test songs, the predicted
-    labels, the files by name, the attention model's (motif, weight) pairs per test song
-    (None for the SVM models), and the report.
+    First drops, in stage ``vocabulary``, each song with no in-vocabulary motif. embeddings
+    are the skip-gram motif vectors that attention and average read; given None, those models
+    train them here and return them as ``embeddings.txt``. Returns the train and test songs,
+    the predicted labels, the files by name, the attention model's (motif, weight) pairs per
+    test song (None for the SVM models), and the report.
     """
+    songs = _stage("vocabulary", songs_with_motifs, songs, vocab)
     train, test = _stage("split", split_dataset, songs, config.split_ratio, config.seed)
     classes = sorted({s.label for s in songs})
     # PV-DBOW (doc2vec) reads no motif vectors.
@@ -184,7 +186,7 @@ def _fit_predict(config: ExperimentConfig, songs, classes, train, test, vocab, e
         files = {"model.txt": save_model(model, vocab_digest(vocab))}
         return [label for label, _, _ in predicted], files, [pairs for _, _, pairs in predicted]
     if config.model == "average":
-        matrix = np.array([average_embedding(s.tokens, embeddings) for s in songs])
+        matrix = np.array([average_embedding(s, embeddings) for s in songs])
     else:
         matrix = train_pvdbow(songs, vocab, config.embedding, config.seed).vectors
     ids = [s.id for s in songs]
@@ -203,7 +205,8 @@ def run_experiment(
 ) -> tuple[MetricsReport, dict[str, str]]:
     """Run the pipeline on an ingested corpus; returns (metrics, artifact paths).
 
-    A corpus built in memory is checked as ``load_corpus`` checks one read
+    ``tokens.tsv`` holds every tokenized song, as ``folkmotif tokenize`` writes
+    it. A corpus built in memory is checked as ``load_corpus`` checks one read
     from files: each ``Melody`` checked itself when it was built, and the
     ids and class names are checked here, before any stage runs.
     """
@@ -221,7 +224,6 @@ def run_experiment(
     if not songs:
         raise ExperimentError("tokenize", ValueError("no melody survived tokenization"))
     vocab = _stage("vocabulary", build_vocab, [s.tokens for s in songs], config.min_count)
-    songs = _stage("vocabulary", songs_with_motifs, songs, vocab)
     train, test, predictions, classify_files, _, report = classify(config, songs, vocab)
 
     artifacts: dict[str, str] = {}

@@ -62,10 +62,14 @@ class MetricsReport:
     macro_precision: float = field(init=False)
 
     def __post_init__(self):
-        self.confusion = np.asarray(self.confusion, dtype=np.int64)
+        entries = np.asarray(self.confusion, dtype=object)  # keeps True and 1.5, not 1
         L = len(self.labels)
-        if self.confusion.shape != (L, L):
+        if entries.shape != (L, L):
             raise ValueError(f"confusion matrix must be {L}x{L}")
+        for n in entries.flat:
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+                raise ValueError(f"confusion entries must be non-negative integers, got {n!r}")
+        self.confusion = entries.astype(np.int64)
         total = int(self.confusion.sum())
         if total == 0:
             raise ValueError("empty confusion matrix")

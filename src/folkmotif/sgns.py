@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -112,15 +112,6 @@ def pair_objective(w: np.ndarray, ctx: np.ndarray, signs: np.ndarray) -> tuple[f
     return float(t.sum()), signs * np.expm1(-t)
 
 
-def _encode_corpus(songs: Iterable[TokenizedSong], vocab: Vocabulary) -> list[np.ndarray]:
-    """The in-vocabulary token indices of every song, in order; a song with
-    none has an empty sequence, which has no center and draws no number."""
-    encoded = [np.asarray(vocab.encode(song.tokens), dtype=np.int64) for song in songs]
-    if not any(len(seq) for seq in encoded):
-        raise ValueError("no song has any in-vocabulary token")
-    return encoded
-
-
 def _row_blocks(contexts: np.ndarray, negatives: np.ndarray) -> np.ndarray:
     """Output-matrix rows, flat: each context, then its row of negatives."""
     rows = np.empty((len(contexts), negatives.shape[1] + 1), dtype=np.int64)
@@ -172,12 +163,15 @@ def _train(sequences, n_inputs, blocks_of, vocab, config, init, rng):
     center, with every negative drawn from rng.
 
     ``blocks_of`` lays out the centers of song s as (inputs, rows, pairs), as
-    ``_skipgram_blocks`` does; a song with no token draws nothing. A center
+    ``_skipgram_blocks`` does; a song with no motif draws nothing. A center
     with no pair takes an empty step, so the learning rate, which decays
     linearly over all epochs, still counts it. Returns the input and output
     matrices and each epoch's mean objective; raises TrainingDiverged if the
     objective or either matrix is non-finite at the end of an epoch.
     """
+    centers = sum(len(seq) for seq in sequences)
+    if not centers:
+        raise ValueError("no song has an in-vocabulary motif")
     input_vectors = (init.random((n_inputs, config.dim)) - 0.5) / config.dim
     output_vectors = np.zeros((len(vocab), config.dim))
     dist = negative_sampling_dist(vocab)
@@ -190,7 +184,6 @@ def _train(sequences, n_inputs, blocks_of, vocab, config, init, rng):
     # np.add.at(output_vectors, rows, update) lets a repeated row take each
     # of its updates in turn.
     offsets = np.arange(len(vocab))[:, None] * config.dim + np.arange(config.dim)
-    centers = sum(len(seq) for seq in sequences)
     steps = config.epochs * centers
     objectives = []
     for epoch in range(config.epochs):
@@ -242,9 +235,8 @@ def train_skipgram(
 ) -> Embeddings:
     """Learn token embeddings; bit-reproducible under the seed."""
     config = config or SkipgramConfig()
-    sequences = _encode_corpus(songs, vocab)
     input_vectors, output_vectors, objectives = _train(
-        sequences,
+        [np.asarray(vocab.encode(song.tokens), dtype=np.int64) for song in songs],
         len(vocab),
         _skipgram_blocks,
         vocab,
@@ -268,13 +260,9 @@ def train_pvdbow(
 ) -> DocVectors:
     """PV-DBOW: one vector per song that predicts its tokens; bit-reproducible under the seed."""
     config = config or SkipgramConfig()
-    sequences = _encode_corpus(songs, vocab)
-    for song, seq in zip(songs, sequences):
-        if not len(seq):
-            raise ValueError(f"song {song.id!r} has no in-vocabulary token")
     ids = [song.id for song in songs]
     vectors, _, objectives = _train(
-        sequences,
+        [np.asarray(vocab.song_motifs(song), dtype=np.int64) for song in songs],
         len(ids),
         _pvdbow_blocks,
         vocab,

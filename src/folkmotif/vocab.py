@@ -22,9 +22,13 @@ class Vocabulary:
     index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if len(self.tokens) != len(self.counts):
+        counts = np.asarray(self.counts, dtype=object)  # keeps True and 2.7, not 1 and 2
+        if len(self.tokens) != len(counts):
             raise ValueError("tokens and counts must align")
+        for token, n in zip(self.tokens, counts):
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"token {token!r}: count {n!r} is not an integer of at least 1")
+        self.counts = counts.astype(np.int64)
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
@@ -38,6 +42,13 @@ class Vocabulary:
     def encode(self, seq: Sequence[str]) -> list[int]:
         """Indices for known tokens; out-of-vocabulary tokens are skipped."""
         return [self.index[t] for t in seq if t in self.index]
+
+    def song_motifs(self, song) -> list[int]:
+        """The indices of the song's in-vocabulary motifs, in order; a song with none is refused."""
+        motifs = self.encode(song.tokens)
+        if not motifs:
+            raise ValueError(f"song {song.id!r} has no in-vocabulary motif")
+        return motifs
 
 
 def build_vocab(sequences: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:

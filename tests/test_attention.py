@@ -613,7 +613,7 @@ def test_untokenizable_song_is_an_error():
     emb = _toy_embeddings()
     model = randomized_model(2, dim=5, hidden=4, attention_dim=3)
     song = TokenizedSong(id="s", label="alpha", tokens=("nope", "nada"))
-    with pytest.raises(ValueError, match="untokenizable song"):
+    with pytest.raises(ValueError, match="^song 's' has no in-vocabulary motif$"):
         predict_song(model, song, emb)
 
 

@@ -16,6 +16,7 @@ from folkmotif.baselines import (
     write_svm,
 )
 from folkmotif.sgns import Embeddings, read_embeddings
+from folkmotif.tokens import TokenizedSong
 from folkmotif.vocab import Vocabulary
 
 
@@ -25,27 +26,32 @@ def _embeddings():
     return Embeddings(vocab=vocab, input_vectors=matrix, output_vectors=np.zeros_like(matrix))
 
 
+def _song(*tokens):
+    return TokenizedSong(id="s", label="x", tokens=tokens)
+
+
 def test_average_of_two_tokens():
-    np.testing.assert_allclose(average_embedding(["a", "b"], _embeddings()), [0.5, 0.5])
+    np.testing.assert_allclose(average_embedding(_song("a", "b"), _embeddings()), [0.5, 0.5])
 
 
 def test_average_counts_duplicates():
-    np.testing.assert_allclose(average_embedding(["a", "a"], _embeddings()), [1.0, 0.0])
+    np.testing.assert_allclose(average_embedding(_song("a", "a"), _embeddings()), [1.0, 0.0])
 
 
 def test_average_skips_oov():
-    np.testing.assert_allclose(average_embedding(["a", "zzz"], _embeddings()), [1.0, 0.0])
+    np.testing.assert_allclose(average_embedding(_song("a", "zzz"), _embeddings()), [1.0, 0.0])
 
 
 def test_all_oov_is_error():
-    with pytest.raises(ValueError, match="no in-vocabulary token"):
-        average_embedding(["x", "y"], _embeddings())
+    with pytest.raises(ValueError, match="^song 's' has no in-vocabulary motif$"):
+        average_embedding(_song("x", "y"), _embeddings())
 
 
 @given(st.permutations(["a", "b", "a", "b", "b"]))
 def test_average_is_order_invariant(tokens):
     np.testing.assert_allclose(
-        average_embedding(tokens, _embeddings()), average_embedding(sorted(tokens), _embeddings())
+        average_embedding(_song(*tokens), _embeddings()),
+        average_embedding(_song(*sorted(tokens)), _embeddings()),
     )
 
 

@@ -466,7 +466,7 @@ def test_staged_commands_reproduce_experiment_one(tmp_path, model):
         assert main(["baseline", model, *common, *with_emb, *FAST_STAGED[f"baseline-{model}"],
                      "--out-svm", str(staged / "svm.txt")]) == 0
         compared = ["svm.txt"] + (["embeddings.txt"] if model == "average" else [])
-    for name in ["vocab.tsv", "metrics.json", *compared]:
+    for name in ["tokens.tsv", "vocab.tsv", "metrics.json", *compared]:
         assert (staged / name).read_bytes() == (one_shot / name).read_bytes(), name
 
 

@@ -8,13 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from folkmotif.attention import ClassifierConfig, _param_arrays, load_model
-from folkmotif.baselines import SvmConfig, read_svm
+from folkmotif.attention import ClassifierConfig, _param_arrays, init_model, load_model
+from folkmotif.attention import make_examples, predict_song
+from folkmotif.baselines import SvmConfig, average_embedding, read_svm
 import folkmotif.experiment
-from folkmotif.experiment import ExperimentConfig, ExperimentError, classify, run_experiment
-from folkmotif.experiment import songs_with_motifs
+from folkmotif.experiment import MODELS, ExperimentConfig, ExperimentError, classify
+from folkmotif.experiment import run_experiment
 from folkmotif.melody import LabeledCorpus
-from folkmotif.sgns import SkipgramConfig, TrainingDiverged, read_embeddings, train_skipgram
+from folkmotif.metrics import split_dataset
+from folkmotif.sgns import Embeddings, SkipgramConfig, TrainingDiverged, read_embeddings
+from folkmotif.sgns import train_pvdbow, train_skipgram
 from folkmotif.synth import SynthConfig, generate_corpus
 from folkmotif.tokens import TokenizedSong, tokenize_corpus
 from folkmotif.vocab import build_vocab
@@ -221,25 +224,60 @@ def test_artifacts_match_golden_digest(tmp_path, model):
 
 
 def test_doc2vec_song_vectors_refuse_a_song_with_no_in_vocabulary_motif():
+    """PV-DBOW refuses song 'b', since skipping it would shift every later row
+    onto the wrong id; ``classify`` drops it first, so each kept song has its row."""
     songs = [
         TokenizedSong(id="a", label="x", tokens=("p", "q")),
         TokenizedSong(id="b", label="x", tokens=("zzz",)),
         TokenizedSong(id="c", label="y", tokens=("q", "p")),
         TokenizedSong(id="d", label="y", tokens=("p", "q")),
+        TokenizedSong(id="e", label="x", tokens=("q", "q")),
     ]
     vocab = build_vocab([songs[0].tokens])
     embedding = SkipgramConfig(dim=4, negatives=2, epochs=1)
+    with pytest.raises(ValueError, match="^song 'b' has no in-vocabulary motif$"):
+        train_pvdbow(songs, vocab, embedding)
     config = ExperimentConfig(model="doc2vec", embedding=embedding)
-    with pytest.raises(ExperimentError, match="stage 'baseline': song 'b'"):
-        classify(config, songs, vocab)
+    files = classify(config, songs, vocab)[3]
+    assert read_embeddings(files["song_vectors.txt"])[0] == ["a", "c", "d", "e"]
+
+
+def _no_motif_readers():
+    """Each model's way in for one song, over a vocabulary of p and q."""
+    vocab = build_vocab([("p", "q")])
+    emb = Embeddings(vocab=vocab, input_vectors=np.eye(2), output_vectors=np.zeros((2, 2)))
+    model = init_model(2, ["x", "y"], hidden=3, attention_dim=2)
+    pvdbow = SkipgramConfig(dim=2, negatives=1, epochs=1)
+    return {
+        "make_examples": lambda song: make_examples([song], emb, ["x", "y"]),
+        "predict_song": lambda song: predict_song(model, song, emb),
+        "average_embedding": lambda song: average_embedding(song, emb),
+        "train_pvdbow": lambda song: train_pvdbow([song], vocab, pvdbow),
+    }
+
+
+@pytest.mark.parametrize("reader", sorted(_no_motif_readers()))
+def test_every_model_refuses_a_song_with_no_motif_by_name(reader):
+    read = _no_motif_readers()[reader]
+    read(TokenizedSong(id="a", label="x", tokens=("zzz", "p")))
+    with pytest.raises(ValueError, match="^song 'b' has no in-vocabulary motif$"):
+        read(TokenizedSong(id="b", label="x", tokens=("zzz", "nope")))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_classify_drops_a_song_with_no_motif_before_the_split(model):
+    config = fast_config(model=model)
+    songs, vocab = motif_songs(config, small_corpus())
+    blank = TokenizedSong(id="blank", label=songs[0].label, tokens=("zzz",))
+    train, test = classify(config, [*songs[:3], blank, *songs[3:]], vocab)[:2]
+    assert (train, test) == split_dataset(songs, config.split_ratio, config.seed)
 
 
 def motif_songs(config, corpus):
     """The songs and vocabulary that ``run_experiment`` hands to ``classify``."""
     songs = tokenize_corpus(corpus, config.representation, multiword=config.multiword_size,
                             multiword_mode=config.multiword_mode)
-    vocab = build_vocab([s.tokens for s in songs], config.min_count)
-    return songs_with_motifs(songs, vocab), vocab
+    return songs, build_vocab([s.tokens for s in songs], config.min_count)
 
 
 def count_skipgram(monkeypatch):

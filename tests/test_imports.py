@@ -183,3 +183,45 @@ def test_only_melody_calls_validate():
 def test_a_validate_call_is_found():
     source = "m.validate()\nbase64.b64decode(x, validate=True)\nvalidate(m)\n"
     assert _validate_calls(source) == [1]
+
+
+def _callers(source: str, name: str) -> list[str]:
+    """The functions whose bodies call ``name`` or pass it on to a call, as
+    ``_stage`` takes it, one entry per use; a use outside any function is
+    listed as ``<module>``. Defining or importing ``name`` is no use."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_classify_drops_songs_with_no_motif():
+    """``classify`` drops the songs no model can read, so no caller pre-filters."""
+    calls = [
+        f"{p.stem}.{where}"
+        for p in sorted(PACKAGE.rglob("*.py"))
+        for where in _callers(p.read_text(encoding="utf-8"), "songs_with_motifs")
+    ]
+    assert calls == ["experiment.classify"]
+
+
+def test_a_songs_with_motifs_call_is_found():
+    source = (
+        "songs_with_motifs(s, v)\n"
+        "def f():\n    x.songs_with_motifs(s, v)\n"
+        "    def g():\n        return _stage('vocabulary', songs_with_motifs, s, v)\n"
+        "def songs_with_motifs(songs, vocab):\n    return songs\n"
+        "from .experiment import songs_with_motifs\n"
+    )
+    assert _callers(source, "songs_with_motifs") == ["<module>", "f", "g"]

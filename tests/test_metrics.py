@@ -1,3 +1,5 @@
+import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +139,16 @@ def test_rates_recomputable_from_persisted_confusion():
     assert recovered.precision == report.precision
     assert recovered.recall == report.recall
     assert recovered.macro_precision == report.macro_precision
+
+
+@pytest.mark.parametrize("entry", [1.5, True, "3", -1], ids=["float", "bool", "string", "negative"])
+def test_persisted_confusion_entry_must_be_a_count(entry):
+    message = f"confusion entries must be non-negative integers, got {entry!r}"
+    text = json.dumps({"labels": ["a", "b"], "confusion": [[entry, 0], [1, 2]]})
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        MetricsReport.from_json(text)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        MetricsReport(labels=["a", "b"], confusion=[[entry, 0], [1, 2]])
 
 
 def test_json_is_deterministic():

@@ -544,7 +544,7 @@ def test_pvdbow_refuses_a_song_with_no_in_vocabulary_token():
         TokenizedSong(id="c", label="y", tokens=("q", "p")),
     ]
     vocab = build_vocab([songs[0].tokens])
-    with pytest.raises(ValueError, match="song 'b' has no in-vocabulary token"):
+    with pytest.raises(ValueError, match="song 'b' has no in-vocabulary motif"):
         train_pvdbow(songs, vocab, FAST)
 
 

@@ -72,6 +72,31 @@ def test_read_vocab_names_the_line_of_a_bad_row(text, message):
         read_vocab(text)
 
 
+@pytest.mark.parametrize(
+    "counts,bad",
+    [
+        ([0, 3], "'a': count 0"),
+        ([-2, 3], "'a': count -2"),
+        ([3, 2.7], "'b': count 2.7"),
+        ([True, 3], "'a': count True"),
+        ([3, "2"], "'b': count '2'"),
+        (np.array([3.0, 2.0]), "'a': count 3.0"),
+    ],
+    ids=["zero", "negative", "float", "bool", "string", "float-array"],
+)
+def test_vocabulary_refuses_a_count_read_vocab_would_refuse(counts, bad):
+    message = f"token {bad} is not an integer of at least 1"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        Vocabulary(["a", "b"], counts)
+
+
+def test_vocabulary_keeps_integer_counts():
+    for counts in ([3, 1], np.array([3, 1]), [np.int32(3), 1]):
+        v = Vocabulary(["a", "b"], counts)
+        assert v.counts.dtype == np.int64 and v.counts.tolist() == [3, 1]
+        assert read_vocab(write_vocab(v)).counts.tolist() == [3, 1]
+
+
 def test_negative_sampling_probabilities():
     v = Vocabulary(tokens=["a", "b"], counts=np.array([3, 1]))
     dist = negative_sampling_dist(v, power=0.75)
