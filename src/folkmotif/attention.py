@@ -20,10 +20,14 @@ pass over the held-out songs after each epoch; ``predict`` passes a batch
 of one. The GRU gates use the logistic function in its tanh form.
 
 Each GRU direction stores its weights in the orientation the scan multiplies
-by, ``x @ W`` and ``state @ U``, as C-contiguous d x 3H and H x 3H matrices
-with the gates in column blocks (the layout of Keras's kernel and
-recurrent_kernel), so no step multiplies by a transposed view. The state a
-step starts from is a view of the previous step's first rows.
+by, ``x @ W`` and ``state @ U``, with the gates in column blocks (the layout
+of Keras's kernel and recurrent_kernel), so no step multiplies by a
+transposed view. The input weights are one d x 3H matrix. The recurrent
+weights are two C-contiguous matrices, H x 2H for the update and reset gates
+and H x H for the candidate, so each of a step's two products reads
+contiguous memory (Appleyard et al. 2016). A step writes its gates,
+candidate and state straight into the scan's rows, and the state it starts
+from is a view of the previous step's first rows.
 
 The precision is mixed, as in mixed-precision training (Micikevicius et al.
 2018, arXiv:1710.03740): the two GRU scans and their gradients run in
@@ -60,12 +64,14 @@ from .vocab import Vocabulary, write_vocab
 @dataclass
 class GruDirection:
     """One scan direction with its update (z), reset (r) and candidate (h)
-    gates fused: columns come in gate blocks [z | r | h], the orientation the
-    scan multiplies by (x @ w, state @ u), and both matrices are C-contiguous.
-    The h block of u multiplies r * state, as in Cho et al. 2014."""
+    gates, in the orientation the scan multiplies by (x @ w, state @ u_zr,
+    (r * state) @ u_h). Columns come in gate blocks: [z | r | h] in w and b,
+    [z | r] in u_zr. Every matrix is C-contiguous. u_h multiplies r * state,
+    as in Cho et al. 2014."""
 
     w: np.ndarray  # d x 3H
-    u: np.ndarray  # H x 3H
+    u_zr: np.ndarray  # H x 2H
+    u_h: np.ndarray  # H x H
     b: np.ndarray  # 3H
 
 
@@ -103,7 +109,7 @@ class AttentionModel:
 
     @property
     def hidden(self) -> int:
-        return self.params.gru_fwd.u.shape[0]
+        return self.params.gru_fwd.u_h.shape[0]
 
     @property
     def attention_dim(self) -> int:
@@ -171,8 +177,9 @@ def init_model(
     The draws come from the seed's classifier-init stream. Every array is
     drawn in float64, so the random stream does not depend on the precision.
     A GRU gate's blocks are drawn H x d and H x H, one at a time, and each is
-    rounded once into its column block of w and u, which are allocated at
-    the GRU dtype; so no float64 copy of a whole GRU matrix is ever made.
+    rounded once into its column block of w and of u_zr or u_h, which are
+    allocated at the GRU dtype; so no float64 copy of a whole GRU matrix is
+    ever made.
     """
     labels = list(labels)
     _check_labels(labels, "labels")
@@ -181,13 +188,13 @@ def init_model(
 
     def direction():
         w = np.empty((dim, 3 * h), _GRU_DTYPE)
-        u = np.empty((h, 3 * h), _GRU_DTYPE)
+        u_zr = np.empty((h, 2 * h), _GRU_DTYPE)
+        u_h = np.empty((h, h), _GRU_DTYPE)
         # per gate z, r, h: its input block, then its recurrent block
-        for gate in range(3):
-            cols = slice(gate * h, (gate + 1) * h)
-            w[:, cols] = _xavier(rng, h, dim).T
-            u[:, cols] = _xavier(rng, h, h).T
-        return GruDirection(w, u, np.zeros(3 * h, _GRU_DTYPE))
+        for gate, u_block in enumerate((u_zr[:, :h], u_zr[:, h:], u_h)):
+            w[:, gate * h : (gate + 1) * h] = _xavier(rng, h, dim).T
+            u_block[...] = _xavier(rng, h, h).T
+        return GruDirection(w, u_zr, u_h, np.zeros(3 * h, _GRU_DTYPE))
 
     params = ModelParams(
         gru_fwd=direction(),
@@ -206,9 +213,14 @@ def _check_labels(labels, name: str) -> None:
 
 
 def _gate_sigmoid(x: np.ndarray) -> np.ndarray:
-    """The logistic function as 0.5 * (1 + tanh(x / 2)): one ufunc call, and
-    no overflow warning however large |x| grows."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    """The logistic function as 0.5 * (1 + tanh(x / 2)), written over x and
+    returned: one tanh call, no temporary, and no overflow warning however
+    large |x| grows."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+    return x
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -243,11 +255,11 @@ class _ScanCache:
 
 
 def _scan(xs: np.ndarray, sizes: Sequence[int], p: GruDirection) -> _ScanCache:
-    N, H = xs.shape[0], p.u.shape[0]
+    N, H = xs.shape[0], p.u_h.shape[0]
     # The input projections do not depend on the recurrent state, so they
-    # are one matmul over every packed row.
-    xa = xs @ p.w + p.b
-    u_zr, u_h = p.u[:, : 2 * H], p.u[:, 2 * H :]
+    # are one product over every packed row.
+    xa = xs.dot(p.w)
+    xa += p.b
     zr = np.empty((N, 2 * H), xs.dtype)
     h_cand = np.empty((N, H), xs.dtype)
     hs = np.empty((N, H), xs.dtype)
@@ -257,11 +269,17 @@ def _scan(xs: np.ndarray, sizes: Sequence[int], p: GruDirection) -> _ScanCache:
         rows = slice(start, start + n)
         # The songs still running are the previous step's first n rows.
         state = state[:n]
-        zr[rows] = _gate_sigmoid(xa[rows, : 2 * H] + state @ u_zr)
-        z, r = zr[rows, :H], zr[rows, H:]
-        h_cand[rows] = np.tanh(xa[rows, 2 * H :] + (r * state) @ u_h)
-        hs[rows] = state + z * (h_cand[rows] - state)
-        state = hs[rows]
+        gates, cand, new = zr[rows], h_cand[rows], hs[rows]
+        np.add(xa[rows, : 2 * H], state.dot(p.u_zr), out=gates)
+        _gate_sigmoid(gates)
+        z, r = gates[:, :H], gates[:, H:]
+        np.add(xa[rows, 2 * H :], (r * state).dot(p.u_h), out=cand)
+        np.tanh(cand, out=cand)
+        # new = state + z * (cand - state), one operation at a time
+        np.subtract(cand, state, out=new)
+        new *= z
+        new += state
+        state = new
         start += n
     return _ScanCache(xs=xs, zr=zr, h_cand=h_cand, hs=hs)
 
@@ -277,10 +295,9 @@ def _scan_grad(
     rows at once, as the forward input projection is.
     """
     N, H = dh_seq.shape
-    # Both per-step products read u by gate rows, so they take one C-ordered
-    # copy of its transpose.
-    u_rows = np.ascontiguousarray(p.u.T)
-    u_zr, u_h = u_rows[: 2 * H], u_rows[2 * H :]
+    # The per-step products read each recurrent block by gate rows, so they
+    # take one C-ordered copy of its transpose.
+    u_zr, u_h = np.ascontiguousarray(p.u_zr.T), np.ascontiguousarray(p.u_h.T)
     # The state each packed row starts from: a row of step t > 0 follows the
     # row of the same rank at step t - 1, n_{t-1} rows back; step 0 starts at 0.
     h_prev = cache.hs[np.arange(N) - np.repeat([0, *sizes[:-1]], sizes)]
@@ -302,8 +319,8 @@ def _scan_grad(
         da[rows, H : 2 * H] = (uh_dah * hp) * r * (1.0 - r)
         carry[:n] = dh * (1.0 - z) + da[rows, : 2 * H] @ u_zr + uh_dah * r
     g.w += cache.xs.T @ da
-    g.u[:, : 2 * H] += h_prev.T @ da[:, : 2 * H]
-    g.u[:, 2 * H :] += (cache.zr[:, H:] * h_prev).T @ da[:, 2 * H :]
+    g.u_zr += h_prev.T @ da[:, : 2 * H]
+    g.u_h += (cache.zr[:, H:] * h_prev).T @ da[:, 2 * H :]
     g.b += da.sum(axis=0)
 
 
@@ -370,7 +387,7 @@ def backward(examples: Sequence[SongExample], params: ModelParams, grads: ModelP
     start at zero end up holding the gradient itself.
     """
     cache = _encode([ex.x for ex in examples], params)
-    H = params.gru_fwd.u.shape[0]
+    H = params.gru_fwd.u_h.shape[0]
     # the loss gradient w.r.t. each packed state, in the scans' dtype
     d_fwd = np.empty((sum(cache.sizes), H), params.gru_fwd.w.dtype)
     d_bwd = np.empty_like(d_fwd)
@@ -565,7 +582,7 @@ def vocab_digest(vocab: Vocabulary) -> str:
     return hashlib.sha256(write_vocab(vocab).encode("utf-8")).hexdigest()
 
 
-CHECKPOINT_FORMAT = 5  # one base64 line per parameter array, at init_model's dtype and shape
+CHECKPOINT_FORMAT = 6  # one base64 line per parameter array, at init_model's dtype and shape
 
 
 def _checkpoint_dtype(name: str) -> np.dtype:
@@ -576,8 +593,8 @@ def _checkpoint_dtype(name: str) -> np.dtype:
 def save_model(model: AttentionModel, vocab_hash: str = "") -> str:
     """Checkpoint: one JSON config line, then one line per parameter array,
     ``<name> <base64 of its little-endian bytes>``, in a fixed order. Each
-    array is stored in C order as it sits in memory, the GRU matrices d x 3H
-    and H x 3H; the GRU arrays are float32 and the rest float64.
+    array is stored in C order as it sits in memory, the GRU matrices d x 3H,
+    H x 2H and H x H; the GRU arrays are float32 and the rest float64.
 
     An array already C-ordered at its checkpoint dtype is encoded from its
     own buffer; only another is copied. The lines are joined once, the last
@@ -644,8 +661,9 @@ def load_model(text: str) -> tuple[AttentionModel, dict]:
         return np.frombuffer(raw, dtype).reshape(shape).astype(dtype.newbyteorder("="))
 
     def direction(prefix: str) -> GruDirection:
-        w, u = read(f"{prefix}.w", d, 3 * h), read(f"{prefix}.u", h, 3 * h)
-        return GruDirection(w=w, u=u, b=read(f"{prefix}.b", 3 * h))
+        w, u_zr = read(f"{prefix}.w", d, 3 * h), read(f"{prefix}.u_zr", h, 2 * h)
+        u_h = read(f"{prefix}.u_h", h, h)
+        return GruDirection(w=w, u_zr=u_zr, u_h=u_h, b=read(f"{prefix}.b", 3 * h))
 
     params = ModelParams(
         gru_fwd=direction("gru_fwd"),

@@ -62,6 +62,14 @@ class MetricsReport:
     macro_precision: float = field(init=False)
 
     def __post_init__(self):
+        # Each label keys its own row, column and entry of every rate.
+        if not isinstance(self.labels, list):
+            raise ValueError(f"labels must be a list, got {self.labels!r}")
+        for i, label in enumerate(self.labels):
+            if not isinstance(label, str):
+                raise ValueError(f"labels must be strings, got {label!r}")
+            if label in self.labels[:i]:
+                raise ValueError(f"label {label!r} is repeated")
         entries = np.asarray(self.confusion, dtype=object)  # keeps True and 1.5, not 1
         L = len(self.labels)
         if entries.shape != (L, L):
@@ -110,7 +118,12 @@ class MetricsReport:
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
         obj = json.loads(text)
-        return cls(labels=list(obj["labels"]), confusion=obj["confusion"])
+        if not isinstance(obj, dict):
+            raise ValueError("a metrics report must be a JSON object")
+        for key in ("labels", "confusion"):
+            if key not in obj:
+                raise ValueError(f"metrics report has no {key!r} key")
+        return cls(labels=obj["labels"], confusion=obj["confusion"])
 
 
 def evaluate(predictions: Sequence[str], gold: Sequence[str], labels: Sequence[str]) -> MetricsReport:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,9 +47,8 @@ def at_float64(params):
     precision that finite differences and exact-agreement checks need; the
     model init_model builds runs its GRU scans in float32."""
     for direction in (params.gru_fwd, params.gru_bwd):
-        direction.w, direction.u, direction.b = (
-            arr.astype(np.float64) for arr in (direction.w, direction.u, direction.b)
-        )
+        for f in dataclasses.fields(direction):
+            setattr(direction, f.name, getattr(direction, f.name).astype(np.float64))
     return params
 
 

@@ -58,7 +58,9 @@ from folkmotif.vocab import Vocabulary
 
 
 def zero_direction(h, d):
-    return GruDirection(w=np.zeros((d, 3 * h)), u=np.zeros((h, 3 * h)), b=np.zeros(3 * h))
+    """A float64 GRU direction, every array zero, at init_model's shapes."""
+    p = init_model(d, ["a", "b"], hidden=h, attention_dim=1).params.gru_fwd
+    return GruDirection(**{name: np.zeros(arr.shape) for name, arr in _param_arrays(p)})
 
 
 def randomized_model(seed, dim=3, hidden=4, attention_dim=3, labels=("a", "b"), float64=True):
@@ -77,10 +79,18 @@ def randomized_model(seed, dim=3, hidden=4, attention_dim=3, labels=("a", "b"), 
 
 
 def gate_blocks(p):
-    """Split a fused direction into (w, u, b) per gate, in its [z | r | h] column order."""
-    H = p.u.shape[0]
+    """Split a direction into (w, u, b) per gate, in its [z | r | h] column order.
+
+    A matrix may be stored as several arrays named alike before an
+    underscore (u_zr and u_h); they are joined along their columns first.
+    """
+    joined = {}
+    for name, arr in _param_arrays(p):
+        joined.setdefault(name.split("_")[0], []).append(arr)
+    w, u, b = (np.concatenate(arrs, axis=-1) for arrs in joined.values())
+    H = u.shape[0]
     gates = [slice(k * H, (k + 1) * H) for k in range(3)]
-    return [(p.w[:, g], p.u[:, g], p.b[g]) for g in gates]
+    return [(w[:, g], u[:, g], b[g]) for g in gates]
 
 
 def logistic(x):
@@ -97,7 +107,7 @@ def gru_step(x, h_prev, p):
 
 
 def reference_scan(xs, p):
-    h = np.zeros(p.u.shape[0])
+    h = np.zeros(len(p.b) // 3)
     states = []
     for x in xs:
         h = gru_step(x, h, p)
@@ -106,12 +116,16 @@ def reference_scan(xs, p):
 
 
 def test_gate_sigmoid_matches_the_logistic_function():
+    # _gate_sigmoid writes over its argument, so each call gets a copy.
     x = np.linspace(-40.0, 40.0, 8001)
-    np.testing.assert_allclose(_gate_sigmoid(x), logistic(x), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(_gate_sigmoid(x.copy()), logistic(x), rtol=0.0, atol=1e-15)
     assert _gate_sigmoid(np.array(0.0)) == 0.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         np.testing.assert_array_equal(_gate_sigmoid(np.array([-800.0, 800.0])), [0.0, 1.0])
+    y = x.astype(np.float32)
+    assert _gate_sigmoid(y) is y
+    np.testing.assert_array_equal(y, 0.5 * (1.0 + np.tanh(0.5 * x.astype(np.float32))))
 
 
 def test_gru_step_zero_parameters_halve_the_state():
@@ -126,12 +140,12 @@ def test_gru_step_zero_state_is_a_fixed_point():
 
 
 def reference_gru_direction(rng, dim, h):
-    """A GRU direction's (w, u) built from its stacked float64 draws, the
-    construction that init_model must reproduce bit for bit."""
+    """A GRU direction's (w, u_zr, u_h) built from its stacked float64 draws,
+    the construction that init_model must reproduce bit for bit."""
     # per gate z, r, h: its input block, then its recurrent block
     blocks = [_xavier(rng, h, cols) for cols in (dim, h) * 3]
     w, u = (np.vstack(blocks[k::2]).T.astype(_GRU_DTYPE, order="C") for k in (0, 1))
-    return w, u
+    return w, u[:, : 2 * h], u[:, 2 * h :]
 
 
 def test_init_model_stores_the_transposes_of_the_xavier_draws():
@@ -143,7 +157,7 @@ def test_init_model_stores_the_transposes_of_the_xavier_draws():
         model = init_model(dim, ["a", "b"], hidden=h, attention_dim=2, seed=seed)
         rng = stream(seed, "classifier_init")
         for p in (model.params.gru_fwd, model.params.gru_bwd):
-            for got, expected in zip((p.w, p.u), reference_gru_direction(rng, dim, h)):
+            for got, expected in zip((p.w, p.u_zr, p.u_h), reference_gru_direction(rng, dim, h)):
                 assert got.dtype == expected.dtype == np.float32
                 assert got.shape == expected.shape
                 assert got.flags.c_contiguous
@@ -334,6 +348,61 @@ def test_song_is_encoded_alike_alone_and_in_a_batch(lengths):
         np.testing.assert_allclose(song.alpha, alone.alpha, rtol=1e-12)
 
 
+def fused_u_scan(xs, sizes, p):
+    """The scan as written for one fused H x 3H recurrent matrix u, copied
+    verbatim but for reading u as np.hstack([u_zr, u_h]) and for its
+    out-of-place sigmoid. _scan must reproduce it bit for bit."""
+
+    def gate_sigmoid(x):
+        return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+    u = np.hstack([p.u_zr, p.u_h])
+    N, H = xs.shape[0], u.shape[0]
+    xa = xs @ p.w + p.b
+    u_zr, u_h = u[:, : 2 * H], u[:, 2 * H :]
+    zr = np.empty((N, 2 * H), xs.dtype)
+    h_cand = np.empty((N, H), xs.dtype)
+    hs = np.empty((N, H), xs.dtype)
+    state = np.zeros((sizes[0], H), xs.dtype)
+    start = 0
+    for n in sizes:
+        rows = slice(start, start + n)
+        state = state[:n]
+        zr[rows] = gate_sigmoid(xa[rows, : 2 * H] + state @ u_zr)
+        z, r = zr[rows, :H], zr[rows, H:]
+        h_cand[rows] = np.tanh(xa[rows, 2 * H :] + (r * state) @ u_h)
+        hs[rows] = state + z * (h_cand[rows] - state)
+        state = hs[rows]
+        start += n
+    return attention._ScanCache(xs=xs, zr=zr, h_cand=h_cand, hs=hs)
+
+
+@pytest.mark.parametrize("dim,hidden", [(3, 4), (150, 200)], ids=["3-4", "150-200"])
+@pytest.mark.parametrize("float64", [False, True], ids=["float32", "float64"])
+@pytest.mark.parametrize(
+    "lengths", [(6,), (1,), (5, 4, 7, 1, 4, 2, 4)], ids=["one", "T1", "mixed-ties"]
+)
+def test_scan_is_the_fused_u_scan_bit_for_bit(lengths, float64, dim, hidden, monkeypatch):
+    model = randomized_model(7, dim=dim, hidden=hidden, attention_dim=5, labels=("a", "b", "c"),
+                             float64=float64)
+    rng = np.random.default_rng(40)
+    xs = [rng.normal(size=(T, dim)) for T in lengths]
+    got = _encode(xs, model.params)
+    predicted = [predict(model, x) for x in xs]
+    monkeypatch.setattr(attention, "_scan", fused_u_scan)
+    expected = _encode(xs, model.params)
+    for direction in ("fwd", "bwd"):
+        for name in ("zr", "h_cand", "hs"):
+            a, b = (getattr(getattr(c, direction), name) for c in (got, expected))
+            assert a.dtype == model.params.gru_fwd.w.dtype
+            assert np.array_equal(a, b), (direction, name)
+    for x, (label, probs, alpha) in zip(xs, predicted):
+        expected_label, expected_probs, expected_alpha = predict(model, x)
+        assert label == expected_label
+        assert np.array_equal(probs, expected_probs)
+        assert np.array_equal(alpha, expected_alpha)
+
+
 @pytest.mark.parametrize("float64", [True, False], ids=["float64", "float32"])
 @pytest.mark.parametrize("batch", [1, 2, 3, 10])
 def test_mean_loss_in_batches_is_the_mean_of_song_losses(batch, float64):
@@ -416,6 +485,22 @@ def test_sgd_step_clips_a_float32_gradient_whose_square_overflows():
     step = before - params.gru_fwd.w
     assert step[0, 0] == pytest.approx(0.1 * 5.0, rel=1e-6)
     assert np.count_nonzero(step) == 1
+
+
+def test_sgd_step_norm_agrees_with_one_fused_u():
+    """The norm sums u_zr and u_h as two terms where one fused u was one, so
+    a step that clips may move in the last bit of its scale, and no more."""
+    params = randomized_model(20, dim=150, hidden=200, float64=False).params
+    grads = randomized_model(21, dim=150, hidden=200, float64=False).params
+    terms = []
+    for g in (grads.gru_fwd, grads.gru_bwd):
+        terms += [g.w, np.hstack([g.u_zr, g.u_h]), g.b]
+    terms += [grads.attn.w, grads.attn.b, grads.attn.u, grads.out.w, grads.out.b]
+    assert len(terms) + 2 == len(list(_param_arrays(grads)))
+    one_u = float(np.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in terms)))
+    norm = _sgd_step(params, grads, lr=0.1, clip_norm=5.0)
+    assert norm > 5.0  # the step clips
+    assert norm == pytest.approx(one_u, rel=1e-12)
 
 
 def test_energy_gradient_sums_to_zero():
@@ -684,7 +769,7 @@ def test_gru_arrays_are_float32_and_the_rest_float64():
         name: np.float32 if name.startswith("gru_") else np.float64
         for name, _ in _param_arrays(model.params)
     }
-    assert list(split.values()).count(np.float32) == 6  # w, u and b of each direction
+    assert list(split.values()).count(np.float32) == 8  # w, u_zr, u_h and b of each direction
     assert _dtypes(model.params) == split
     emb = _toy_embeddings()
     examples = make_examples(_separable_songs(per_class=4), emb, ["alpha", "beta"])
@@ -709,7 +794,9 @@ def test_gru_matrices_are_stored_as_the_scan_multiplies_them():
     layout = {
         f"{direction}.{name}": (shape, True)
         for direction in ("gru_fwd", "gru_bwd")
-        for name, shape in (("w", (dim, 3 * h)), ("u", (h, 3 * h)), ("b", (3 * h,)))
+        for name, shape in (
+            ("w", (dim, 3 * h)), ("u_zr", (h, 2 * h)), ("u_h", (h, h)), ("b", (3 * h,))
+        )
     }
     model = init_model(dim, ["alpha", "beta"], hidden=h, attention_dim=3)
     assert _gru_layouts(model.params) == layout
@@ -833,13 +920,13 @@ def _swap_lines(text, a, b):
 @pytest.mark.parametrize(
     "corrupt,message",
     [
-        (lambda t: _cut_inside(t, "gru_bwd.u"), r"^parameter gru_bwd\.u is not base64"),
+        (lambda t: _cut_inside(t, "gru_bwd.u_h"), r"^parameter gru_bwd\.u_h is not base64"),
         (lambda t: _with_meta(t, dim=4), r"^parameter gru_fwd\.w has 144 bytes, expected 192$"),
         (lambda t: _edit_line(t, "attn.u", _drop_last_float), r"^parameter attn\.u has 16 bytes, expected 24$"),
         (lambda t: _edit_line(t, "attn.u", lambda line: line.replace(" ", " !", 1)), r"^parameter attn\.u is not base64"),
         (lambda t: _swap_lines(t, "attn.w", "out.w"), r"^expected parameter attn\.w, found 'out\.w'$"),
         (lambda t: _edit_line(t, "out.b", lambda line: ""), r"^checkpoint is missing parameter out\.b$"),
-        (lambda t: t + "out.c AAAA\n", r"^line 13: unexpected content after the last parameter$"),
+        (lambda t: t + "out.c AAAA\n", r"^line 15: unexpected content after the last parameter$"),
     ],
     ids=["cut", "width", "short-row", "not-base64", "swapped", "missing-last", "extra"],
 )
@@ -849,7 +936,7 @@ def test_corrupt_checkpoint_error_names_the_parameter(corrupt, message):
         load_model(corrupt(text))
 
 
-@pytest.mark.parametrize("fmt", [1, 2, 3, 4, None])
+@pytest.mark.parametrize("fmt", [1, 2, 3, 4, 5, None])
 def test_checkpoint_of_another_format_is_refused(fmt):
     meta, rest = save_model(randomized_model(14)).split("\n", 1)
     meta = json.loads(meta)
@@ -864,20 +951,20 @@ def test_checkpoint_of_another_format_is_refused(fmt):
     "meta_line,message",
     [
         ("[]", "meta line must be a JSON object"),
-        ('{"format": 5}', "no 'dim' key"),
-        ('{"format": 5, "dim": 1.5, "labels": ["a", "b"], "hidden": 2, "attention_dim": 2}',
+        ('{"format": 6}', "no 'dim' key"),
+        ('{"format": 6, "dim": 1.5, "labels": ["a", "b"], "hidden": 2, "attention_dim": 2}',
          "^checkpoint meta 'dim' must be a positive integer: 1.5$"),
-        ('{"format": 5, "dim": 2, "labels": ["a", "b"], "hidden": 0, "attention_dim": 2}',
+        ('{"format": 6, "dim": 2, "labels": ["a", "b"], "hidden": 0, "attention_dim": 2}',
          "^checkpoint meta 'hidden' must be a positive integer: 0$"),
-        ('{"format": 5, "dim": 2, "labels": ["a", "b"], "hidden": -3, "attention_dim": 2}',
+        ('{"format": 6, "dim": 2, "labels": ["a", "b"], "hidden": -3, "attention_dim": 2}',
          "^checkpoint meta 'hidden' must be a positive integer: -3$"),
-        ('{"format": 5, "dim": 2, "labels": ["a", "b"], "hidden": 2, "attention_dim": true}',
+        ('{"format": 6, "dim": 2, "labels": ["a", "b"], "hidden": 2, "attention_dim": true}',
          "^checkpoint meta 'attention_dim' must be a positive integer: True$"),
-        ('{"format": 5, "dim": 2, "labels": "ab", "hidden": 2, "attention_dim": 2}',
+        ('{"format": 6, "dim": 2, "labels": "ab", "hidden": 2, "attention_dim": 2}',
          "^checkpoint meta 'labels' must be 2 or more distinct strings: 'ab'$"),
-        ('{"format": 5, "dim": 2, "labels": ["x", "x"], "hidden": 2, "attention_dim": 2}',
+        ('{"format": 6, "dim": 2, "labels": ["x", "x"], "hidden": 2, "attention_dim": 2}',
          r"^checkpoint meta 'labels' must be 2 or more distinct strings: \['x', 'x'\]$"),
-        ('{"format": 5, "dim": 2, "labels": [1, 2], "hidden": 2, "attention_dim": 2}',
+        ('{"format": 6, "dim": 2, "labels": [1, 2], "hidden": 2, "attention_dim": 2}',
          r"^checkpoint meta 'labels' must be 2 or more distinct strings: \[1, 2\]$"),
     ],
     ids=["not-an-object", "missing-key", "float-dim", "zero-hidden", "negative-hidden",
@@ -909,7 +996,7 @@ def test_checkpoint_payload_length_is_checked_before_its_array_exists():
     # At these sizes the GRU arrays alone take over 100 MB; a meta line that
     # declares them allocates none of it.
     meta = json.dumps(
-        {"format": 5, "dim": 150, "labels": ["a", "b"], "hidden": 1500, "attention_dim": 100}
+        {"format": 6, "dim": 150, "labels": ["a", "b"], "hidden": 1500, "attention_dim": 100}
     )
     short = f"gru_fwd.w {base64.b64encode(bytes(8)).decode()}"
     cases = [

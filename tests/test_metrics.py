@@ -151,6 +151,50 @@ def test_persisted_confusion_entry_must_be_a_count(entry):
         MetricsReport(labels=["a", "b"], confusion=[[entry, 0], [1, 2]])
 
 
+@pytest.mark.parametrize(
+    "labels,message",
+    [(["a", "a"], "label 'a' is repeated"), (["b", "a", "b"], "label 'b' is repeated"),
+     (["a", 1], "labels must be strings, got 1"), ([None, "a"], "labels must be strings, got None")],
+    ids=["repeated", "repeated-later", "int", "null"],
+)
+def test_labels_must_be_distinct_strings(labels, message):
+    confusion = np.eye(len(labels), dtype=np.int64).tolist()
+    confusion[0][0] = 3
+    text = json.dumps({"labels": labels, "confusion": confusion})
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        MetricsReport(labels=labels, confusion=confusion)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        MetricsReport.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("[]", "a metrics report must be a JSON object"),
+     ("{}", "metrics report has no 'labels' key"),
+     ('{"labels": ["a", "b"]}', "metrics report has no 'confusion' key"),
+     ('{"labels": "ab", "confusion": [[1, 0], [0, 1]]}', "labels must be a list, got 'ab'"),
+     ('{"labels": {"a": 0, "b": 1}, "confusion": [[1, 0], [0, 1]]}',
+      "labels must be a list, got {'a': 0, 'b': 1}")],
+    ids=["not-an-object", "no-labels", "no-confusion", "labels-string", "labels-object"],
+)
+def test_malformed_persisted_report_is_a_value_error(text, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        MetricsReport.from_json(text)
+
+
+def test_labels_must_be_a_list():
+    # render_report appends to the labels, and a string would read as its characters
+    for labels in (("a", "b"), "ab"):
+        with pytest.raises(ValueError, match="^labels must be a list, got "):
+            MetricsReport(labels=labels, confusion=[[1, 0], [0, 1]])
+
+
+def test_counts_are_the_gold_row_sums():
+    report = MetricsReport(labels=["a", "b", "c"], confusion=[[3, 0, 1], [0, 0, 0], [2, 2, 5]])
+    assert report.counts == {"a": 4, "b": 0, "c": 9}
+    assert sum(report.counts.values()) == int(report.confusion.sum())
+
+
 def test_json_is_deterministic():
     a = evaluate(["a", "b"], ["a", "b"], labels=["a", "b"]).to_json()
     b = evaluate(["a", "b"], ["a", "b"], labels=["a", "b"]).to_json()
